@@ -849,8 +849,10 @@ def cmd_gauge(args):
         for idx in range(args.sweep):
             p = gauge.random_unipotent(table, rng)
             image = gauge.gauge_transform(p, r, check=False)
-            ok = cybe.cyb(image).is_zero() and (
-                cybe.is_quasi_rational(image, omega) if was_qr else True
+            # is_quasi_rational already requires a zero residual.
+            ok = (
+                cybe.is_quasi_rational(image, omega) if was_qr
+                else cybe.cyb(image).is_zero()
             )
             all_ok = all_ok and ok
             lines.append(f"  gauge {idx}: {'ok' if ok else 'FAILED'}")
@@ -933,7 +935,7 @@ def cmd_frobenius(args):
         sub = Subspace(table, basis)
         try:
             coc = frobenius.TwoCocycle(sub, matrix)
-        except AssertionError as exc:
+        except frobenius.InvalidCocycle as exc:
             report = _report("frobenius", {"mode": "lift", "pair": args.pair})
             report["verdicts"] = [{"name": "valid_cocycle", "pass": False}]
             return _emit(args, report, [f"pair rejected: {exc}"])

@@ -33,6 +33,7 @@ from .ratfun import RatFun
 from .tensors import (
     Tensor2,
     Tensor3,
+    accumulate,
     ad2_action,
     is_polynomial,
     is_skew,
@@ -144,7 +145,7 @@ def _delta_on_first_leg(gamma, dp):
     """
     table = dp.table
     to12 = {"u": "u1", "v": "u2"}
-    out = Tensor3.zero(table)
+    out = {}
     cache = {}
     for (a, b), f in dp.entries.items():
         assert f.is_poly(), f
@@ -155,11 +156,9 @@ def _delta_on_first_leg(gamma, dp):
                 inner = cobracket(gamma, GPoly.monomial(table.basis_element(a), k))
                 cache[key] = inner
             weight = RatFun.from_poly(g_k).rename({"v": "u3"})
-            add = {}
             for (c, d), h in inner.entries.items():
-                add[(c, d, b)] = h.rename(to12) * weight
-            out = out + Tensor3.make(table, add)
-    return out
+                accumulate(out, (c, d, b), h.rename(to12) * weight)
+    return Tensor3(table, out)
 
 
 def cojacobi_check(gamma, p):

@@ -78,8 +78,15 @@ def cocycle_residual(sub, matrix):
     return None
 
 
+class InvalidCocycle(ValueError):
+    """The form is not skew, the subspace is not closed, or the identity fails."""
+
+
 class TwoCocycle:
-    """Skew matrix of B(x_i, x_j) over a subalgebra basis; identity asserted."""
+    """Skew matrix of B(x_i, x_j) over a subalgebra basis; identity checked.
+
+    Raises InvalidCocycle when the pair is not a 2-cocycle on a subalgebra.
+    """
 
     def __init__(self, sub, matrix):
         assert isinstance(sub, Subspace), sub
@@ -89,12 +96,13 @@ class TwoCocycle:
         self.matrix = [[Fraction(c) for c in row] for row in matrix]
         for i in range(n):
             for j in range(n):
-                assert self.matrix[i][j] == -self.matrix[j][i], (
-                    f"form is not skew at ({i}, {j})"
-                )
-        assert sub.is_subalgebra(), "the subspace is not bracket-closed"
+                if self.matrix[i][j] != -self.matrix[j][i]:
+                    raise InvalidCocycle(f"form is not skew at ({i}, {j})")
+        if not sub.is_subalgebra():
+            raise InvalidCocycle("the subspace is not bracket-closed")
         bad = cocycle_residual(sub, self.matrix)
-        assert bad is None, f"2-cocycle identity fails: {bad}"
+        if bad is not None:
+            raise InvalidCocycle(f"2-cocycle identity fails: {bad}")
 
     @staticmethod
     def from_pairs(sub, pairs):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .lie import GElement, GPoly
 from .ratfun import Poly, RatFun
-from .tensors import Tensor2
+from .tensors import Tensor2, accumulate
 
 
 def _poly_matmul(a, b):
@@ -147,7 +147,7 @@ def ad_element(p, x):
     n = table.n
     out = {}
     for d, xe in x.terms.items():
-        xmat = [[Poly.const(c) for c in row] for row in _gmat(xe)]
+        xmat = [[Poly.const(c) for c in row] for row in xe.to_matrix()]
         conj = _poly_matmul(_poly_matmul(p.mat, xmat), p.inv)
         for dd, m in _collect_degrees(conj).items():
             coords = table.coords_of_matrix(m)
@@ -156,10 +156,6 @@ def ad_element(p, x):
             el = GElement(table, coords)
             out[tgt] = el if cur is None else cur + el
     return GPoly(table, out)
-
-
-def _gmat(x):
-    return x.to_matrix()
 
 
 def _ad_coordinate_matrix(p):
@@ -201,14 +197,7 @@ def gauge_transform(p, r, check=True):
             left = fu * f
             for dd, pv in cols[b].items():
                 gv = RatFun.from_poly(pv.rename(to_v))
-                key = (c, dd)
-                val = left * gv
-                cur = out.get(key)
-                val = val if cur is None else cur + val
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
+                accumulate(out, (c, dd), left * gv)
     result = Tensor2(table, out)
     if check:
         from . import cybe

@@ -83,10 +83,6 @@ class Echelon:
     def contains(self, v):
         return not self.reduce(v)
 
-    def canonical_rows(self):
-        """Rows sorted by pivot; canonical for the row space."""
-        return [self.rows[p] for p in sorted(self.rows)]
-
     def pivots(self):
         return sorted(self.rows)
 

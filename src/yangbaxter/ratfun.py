@@ -624,30 +624,6 @@ RF_ZERO = RatFun(_P_ZERO, P_ONE)
 RF_ONE = RatFun(P_ONE, P_ONE)
 
 
-def rf_add(a, b):
-    return a + b
-
-
-def rf_sub(a, b):
-    return a - b
-
-
-def rf_mul(a, b):
-    return a * b
-
-
-def rf_neg(a):
-    return -a
-
-
-def rf_div(a, b):
-    return a / b
-
-
-def rf_substitute(a, bindings):
-    return a.substitute(bindings)
-
-
 class LaurentPoly:
     """Laurent polynomial in one distinguished variable.
 

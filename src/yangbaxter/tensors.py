@@ -5,8 +5,10 @@ leg 2 is always v.  Three-leg tensors carry (u1, u2, u3).  `swap` exchanges
 legs AND variables, so r is skew iff swap(r) = -r; this is the convention
 under which u*v*Omega/(v-u) is itself skew.
 
-Coefficient tables are sparse dicts keyed by basis-index tuples; zero
-coefficients are never stored.
+Both kinds share one sparse core: a coefficient table keyed by basis-index
+tuples in which zero coefficients are never stored.  `accumulate` is the
+single add-and-drop-zeros step behind tensor addition, the leg commutators
+r12, r13, r23 of `leg_bracket`, and the adjoint action `ad2_action`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,19 @@ def _as_rf(c):
     return RatFun.from_frac(Fraction(c))
 
 
-class Tensor2:
-    """Element of g(x)g with RatFun(u, v) coefficients, sparse over basis pairs."""
+def accumulate(entries, key, val):
+    """entries[key] += val in a sparse coefficient dict, dropping a zero sum."""
+    cur = entries.get(key)
+    if cur is not None:
+        val = cur + val
+    if val.is_zero():
+        entries.pop(key, None)
+    else:
+        entries[key] = val
+
+
+class _SparseTensor:
+    """Sparse arithmetic shared by Tensor2 and Tensor3; `legs` is the key length."""
 
     __slots__ = ("table", "entries")
 
@@ -34,20 +47,65 @@ class Tensor2:
         self.table = table
         self.entries = entries  # canonical: no zero values; use make() to build
 
-    @staticmethod
-    def make(table, entries):
+    @classmethod
+    def make(cls, table, entries):
         clean = {}
         for key, c in entries.items():
-            a, b = key
-            assert 0 <= a < table.dim and 0 <= b < table.dim, key
+            assert len(key) == cls.legs and all(0 <= i < table.dim for i in key), key
             c = _as_rf(c)
             if not c.is_zero():
-                clean[(a, b)] = c
-        return Tensor2(table, clean)
+                clean[key] = c
+        return cls(table, clean)
 
-    @staticmethod
-    def zero(table):
-        return Tensor2(table, {})
+    @classmethod
+    def zero(cls, table):
+        return cls(table, {})
+
+    def is_zero(self):
+        return not self.entries
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.table is other.table and self.entries == other.entries
+
+    def __add__(self, other):
+        assert type(other) is type(self) and self.table is other.table, other
+        out = dict(self.entries)
+        for key, c in other.entries.items():
+            accumulate(out, key, c)
+        return type(self)(self.table, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = _as_rf(c)
+        if c.is_zero():
+            return type(self)(self.table, {})
+        return type(self)(self.table, {k: f * c for k, f in self.entries.items()})
+
+    def __str__(self):
+        if not self.entries:
+            return "0"
+        lbl = self.table.labels
+        return " + ".join(
+            f"({self.entries[key]}) * " + "(x)".join(lbl[i] for i in key)
+            for key in sorted(self.entries)
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class Tensor2(_SparseTensor):
+    """Element of g(x)g with RatFun(u, v) coefficients, sparse over basis pairs."""
+
+    __slots__ = ()
+    legs = 2
 
     @staticmethod
     def single(table, a, b, coeff=1):
@@ -58,9 +116,6 @@ class Tensor2:
             b = table.index[b]
         return Tensor2.make(table, {(a, b): coeff})
 
-    def is_zero(self):
-        return not self.entries
-
     def coeff(self, a, b):
         if isinstance(a, str):
             a = self.table.index[a]
@@ -68,102 +123,12 @@ class Tensor2:
             b = self.table.index[b]
         return self.entries.get((a, b), RatFun.from_frac(0))
 
-    def __eq__(self, other):
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return self.table is other.table and self.entries == other.entries
 
-    def __add__(self, other):
-        assert isinstance(other, Tensor2) and self.table is other.table, other
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Tensor2(self.table, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = _as_rf(c)
-        if c.is_zero():
-            return Tensor2(self.table, {})
-        return Tensor2(self.table, {k: f * c for k, f in self.entries.items()})
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        lbl = self.table.labels
-        parts = []
-        for (a, b) in sorted(self.entries):
-            parts.append(f"({self.entries[(a, b)]}) * {lbl[a]}(x){lbl[b]}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"Tensor2({self})"
-
-
-class Tensor3:
+class Tensor3(_SparseTensor):
     """Element of g(x)g(x)g with RatFun(u1, u2, u3) coefficients."""
 
-    __slots__ = ("table", "entries")
-
-    def __init__(self, table, entries):
-        self.table = table
-        self.entries = entries
-
-    @staticmethod
-    def make(table, entries):
-        clean = {}
-        for key, c in entries.items():
-            assert len(key) == 3 and all(0 <= i < table.dim for i in key), key
-            c = _as_rf(c)
-            if not c.is_zero():
-                clean[key] = c
-        return Tensor3(table, clean)
-
-    @staticmethod
-    def zero(table):
-        return Tensor3(table, {})
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.table is other.table and self.entries == other.entries
-
-    def __add__(self, other):
-        assert isinstance(other, Tensor3) and self.table is other.table, other
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Tensor3(self.table, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = _as_rf(c)
-        if c.is_zero():
-            return Tensor3(self.table, {})
-        return Tensor3(self.table, {k: f * c for k, f in self.entries.items()})
+    __slots__ = ()
+    legs = 3
 
     def rotate(self):
         """Cyclic slot rotation: x(x)y(x)z . f(u1,u2,u3) -> z(x)x(x)y . f(u2,u3,u1)."""
@@ -171,19 +136,6 @@ class Tensor3:
         for (a, b, c), f in self.entries.items():
             out[(c, a, b)] = f.rename(_ROTATE)
         return Tensor3(self.table, out)
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        lbl = self.table.labels
-        parts = []
-        for key in sorted(self.entries):
-            a, b, c = key
-            parts.append(f"({self.entries[key]}) * {lbl[a]}(x){lbl[b]}(x){lbl[c]}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"Tensor3({self})"
 
 
 def swap(r):
@@ -193,10 +145,6 @@ def swap(r):
     for (a, b), f in r.entries.items():
         out[(b, a)] = f.rename(_SWAP_UV)
     return Tensor2(r.table, out)
-
-
-def is_zero(t):
-    return t.is_zero()
 
 
 def is_polynomial(t):
@@ -209,66 +157,13 @@ def is_skew(r):
     return swap(r) == r.scale(-1)
 
 
-class EmbeddedPair:
-    """A two-leg tensor placed on two of three slots, variables renamed.
-
-    The omitted leg carries no data; this is bookkeeping for the leg
-    embeddings r12, r13, r23 — the actual three-slot brackets are formed
-    by leg_bracket directly from Tensor2 inputs.
-    """
-
-    __slots__ = ("table", "legs", "entries")
-
-    def __init__(self, table, legs, entries):
-        self.table = table
-        self.legs = legs
-        self.entries = entries
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, EmbeddedPair):
-            return NotImplemented
-        return (
-            self.table is other.table
-            and self.legs == other.legs
-            and self.entries == other.entries
-        )
-
-    def swap_legs(self):
-        """Exchange the two populated slots (indices and their variables)."""
-        v1 = f"u{self.legs[0]}"
-        v2 = f"u{self.legs[1]}"
-        ren = {v1: v2, v2: v1}
-        out = {}
-        for (a, b), f in self.entries.items():
-            out[(b, a)] = f.rename(ren)
-        return EmbeddedPair(self.table, self.legs, out)
-
-    def __repr__(self):
-        return f"EmbeddedPair(legs={self.legs}, {len(self.entries)} terms)"
-
-
-def embed(r, legs):
-    """Place a Tensor2 on a slot pair: legs is one of 12, 13, 23 (int or str).
-
-    Variables are renamed (u, v) -> (u_i, u_j) for the chosen slots.
-    """
-    assert isinstance(r, Tensor2), r
-    legs = str(legs)
-    assert legs in ("12", "13", "23"), legs
-    i, j = int(legs[0]), int(legs[1])
-    ren = {"u": f"u{i}", "v": f"u{j}"}
-    entries = {key: f.rename(ren) for key, f in r.entries.items()}
-    return EmbeddedPair(r.table, (i, j), entries)
-
-
 _PAIR_PLANS = {
-    # pair -> (r renaming, s renaming, which legs collide, output slot layout)
-    "12^13": ({"u": "u1", "v": "u2"}, {"u": "u1", "v": "u3"}, "first"),
-    "12^23": ({"u": "u1", "v": "u2"}, {"u": "u2", "v": "u3"}, "inner"),
-    "13^23": ({"u": "u1", "v": "u3"}, {"u": "u2", "v": "u3"}, "last"),
+    # pair -> (r renaming, s renaming, bracketed leg of r, bracketed leg of s,
+    # output slot of the bracket); the free legs of r and s fill the other two
+    # slots in that order.
+    "12^13": ({"u": "u1", "v": "u2"}, {"u": "u1", "v": "u3"}, 0, 0, 0),
+    "12^23": ({"u": "u1", "v": "u2"}, {"u": "u2", "v": "u3"}, 1, 0, 1),
+    "13^23": ({"u": "u1", "v": "u3"}, {"u": "u2", "v": "u3"}, 1, 1, 2),
 }
 
 
@@ -282,51 +177,20 @@ def leg_bracket(r, s, pair):
     assert isinstance(r, Tensor2) and isinstance(s, Tensor2), (r, s)
     assert r.table is s.table, "mismatched algebras"
     table = r.table
-    ren_r, ren_s, mode = _PAIR_PLANS[pair]
-    r_terms = [(a, b, f.rename(ren_r)) for (a, b), f in r.entries.items()]
-    s_terms = [(c, d, g.rename(ren_s)) for (c, d), g in s.entries.items()]
+    ren_r, ren_s, r_leg, s_leg, slot = _PAIR_PLANS[pair]
+    # Each term as (bracketed index, free index, renamed coefficient).
+    r_terms = [(k[r_leg], k[1 - r_leg], f.rename(ren_r)) for k, f in r.entries.items()]
+    s_terms = [(k[s_leg], k[1 - s_leg], g.rename(ren_s)) for k, g in s.entries.items()]
     out = {}
-    for a, b, f in r_terms:
-        for c, d, g in s_terms:
-            if mode == "first":
-                pairs = table.structure.get((a, c))
-                if not pairs:
-                    continue
-                coeff = f * g
-                for k, sc in pairs:
-                    key = (k, b, d)
-                    cur = out.get(key)
-                    val = coeff * sc if cur is None else cur + coeff * sc
-                    if val.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
-            elif mode == "inner":
-                pairs = table.structure.get((b, c))
-                if not pairs:
-                    continue
-                coeff = f * g
-                for k, sc in pairs:
-                    key = (a, k, d)
-                    cur = out.get(key)
-                    val = coeff * sc if cur is None else cur + coeff * sc
-                    if val.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
-            else:
-                pairs = table.structure.get((b, d))
-                if not pairs:
-                    continue
-                coeff = f * g
-                for k, sc in pairs:
-                    key = (a, c, k)
-                    cur = out.get(key)
-                    val = coeff * sc if cur is None else cur + coeff * sc
-                    if val.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
+    for x, a, f in r_terms:
+        for y, b, g in s_terms:
+            pairs = table.structure.get((x, y))
+            if not pairs:
+                continue
+            coeff = f * g
+            free = (a, b)
+            for k, sc in pairs:
+                accumulate(out, free[:slot] + (k,) + free[slot:], coeff * sc)
     return Tensor3(table, out)
 
 
@@ -341,21 +205,13 @@ def ad2_action(p, t):
     assert p.table is table, "mismatched algebras"
     u = RatFun.var("u")
     v = RatFun.var("v")
-    out = Tensor2.zero(table)
+    out = {}
     for d, x in p.terms.items():
         u_pow = u ** d
         v_pow = v ** d
-        add = {}
         for (a, b), f in t.entries.items():
             for k, c in table.ad_on_basis(x.coords, a):
-                key = (k, b)
-                val = f * c * u_pow
-                cur = add.get(key)
-                add[key] = val if cur is None else cur + val
+                accumulate(out, (k, b), f * c * u_pow)
             for k, c in table.ad_on_basis(x.coords, b):
-                key = (a, k)
-                val = f * c * v_pow
-                cur = add.get(key)
-                add[key] = val if cur is None else cur + val
-        out = out + Tensor2.make(table, add)
-    return out
+                accumulate(out, (a, k), f * c * v_pow)
+    return Tensor2(table, out)

@@ -3,11 +3,15 @@ printing, element parsing, gauge expressions, exit-code discipline, and the
 JSON report schema."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import yangbaxter
 from yangbaxter.cli import (
     ParseError,
     UsageError,
@@ -251,3 +255,24 @@ def test_double_complement_and_wk_commands(capsys):
     assert main(["double", "--check", "wk", "--k", "1", "--trunc", "2"]) == 0
     assert main(["double", "--check", "lagrangian", "--k", "5"]) == 2
     capsys.readouterr()
+
+
+def test_frobenius_rejects_open_pair_under_optimisation(tmp_path):
+    # span{e, f} is not bracket-closed; the verdict must not rest on assert,
+    # so `python -O` reports the same invalid cocycle.
+    pair = tmp_path / "open.json"
+    pair.write_text(json.dumps(
+        {"algebra": 2, "basis": ["e", "f"], "matrix": [[0, 1], [-1, 0]]}
+    ))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "yangbaxter.cli",
+             "frobenius", "--pair", str(pair), "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, (flags, proc.stderr)
+        report = json.loads(proc.stdout)
+        assert report["verdicts"] == [{"name": "valid_cocycle", "pass": False}]

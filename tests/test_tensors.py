@@ -1,5 +1,6 @@
 """Tests for the sparse two- and three-leg tensor layer: swap/rotate
-symmetries, leg embeddings, leg commutators, and the adjoint action."""
+symmetries, leg commutators, and the adjoint action; the last two are also
+compared with straightforward reference implementations."""
 
 import random
 from fractions import Fraction as F
@@ -9,11 +10,9 @@ import pytest
 from yangbaxter.lie import GPoly, casimir, make_sl
 from yangbaxter.ratfun import RatFun
 from yangbaxter.tensors import (
-    EmbeddedPair,
     Tensor2,
     Tensor3,
     ad2_action,
-    embed,
     is_polynomial,
     is_skew,
     leg_bracket,
@@ -177,21 +176,6 @@ def test_tensor3_rotate_three_times():
     assert r1.rotate().rotate() == w
 
 
-def test_embed_and_swap_legs():
-    t = make_sl(2)
-    r = Tensor2.single(t, "e", "f", U) + Tensor2.single(t, "h", "h", V)
-    emb = embed(r, 13)
-    assert emb.legs == (1, 3)
-    e, f, h = t.index["e"], t.index["f"], t.index["h"]
-    u1, u3 = RatFun.var("u1"), RatFun.var("u3")
-    assert emb.entries == {(e, f): u1, (h, h): u3}
-    flipped = emb.swap_legs()
-    assert flipped.entries == {(f, e): u3, (h, h): u1}
-    assert flipped.swap_legs() == emb
-    with pytest.raises(AssertionError):
-        embed(r, 21)
-
-
 def test_str_forms():
     t = make_sl(2)
     r = Tensor2.single(t, "e", "f", U)
@@ -199,3 +183,82 @@ def test_str_forms():
     assert str(Tensor2.zero(t)) == "0"
     w = Tensor3.make(t, {(0, 0, 0): 1})
     assert "E(1,2)(x)E(1,2)(x)E(1,2)" in str(w)
+
+
+# Reference implementations for the differential test: leg_bracket written
+# out once per pair, and ad2_action summed degree by degree.
+
+
+def _ref_leg_bracket(r, s, pair):
+    table = r.table
+    ren_r, ren_s = {
+        "12^13": ({"u": "u1", "v": "u2"}, {"u": "u1", "v": "u3"}),
+        "12^23": ({"u": "u1", "v": "u2"}, {"u": "u2", "v": "u3"}),
+        "13^23": ({"u": "u1", "v": "u3"}, {"u": "u2", "v": "u3"}),
+    }[pair]
+    out = {}
+
+    def add(key, val):
+        cur = out.get(key)
+        val = val if cur is None else cur + val
+        if val.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = val
+
+    for (a, b), f in r.entries.items():
+        f = f.rename(ren_r)
+        for (c, d), g in s.entries.items():
+            g = g.rename(ren_s)
+            if pair == "12^13":
+                for k, sc in table.structure.get((a, c), ()):
+                    add((k, b, d), f * g * sc)
+            elif pair == "12^23":
+                for k, sc in table.structure.get((b, c), ()):
+                    add((a, k, d), f * g * sc)
+            else:
+                for k, sc in table.structure.get((b, d), ()):
+                    add((a, c, k), f * g * sc)
+    return Tensor3(table, out)
+
+
+def _ref_ad2_action(p, t):
+    table = t.table
+    out = Tensor2.zero(table)
+    for d, x in p.terms.items():
+        add = {}
+        for (a, b), f in t.entries.items():
+            for k, c in table.ad_on_basis(x.coords, a):
+                add[(k, b)] = add.get((k, b), RatFun.from_frac(0)) + f * c * U ** d
+            for k, c in table.ad_on_basis(x.coords, b):
+                add[(a, k)] = add.get((a, k), RatFun.from_frac(0)) + f * c * V ** d
+        out = out + Tensor2.make(table, add)
+    return out
+
+
+def _seeded_tensor(t, rng, terms):
+    coeffs = [U, V, U * V, (U - V) ** -1, V ** 2 * (U - V) ** -1,
+              U - 2 * V, RatFun.from_frac(F(-2, 3))]
+    return Tensor2.make(
+        t,
+        {(rng.randrange(t.dim), rng.randrange(t.dim)): rng.choice(coeffs)
+         for _ in range(terms)},
+    )
+
+
+def test_leg_bracket_and_ad2_match_reference():
+    rng = random.Random(17)
+    pairs = ("12^13", "12^23", "13^23")
+    for n, terms in ((2, 5), (3, 6)):
+        t = make_sl(n)
+        for _ in range(3):
+            r, s = _seeded_tensor(t, rng, terms), _seeded_tensor(t, rng, terms)
+            for pair in pairs:
+                assert leg_bracket(r, s, pair) == _ref_leg_bracket(r, s, pair)
+            # Negative control: the pairs place the bracket on different
+            # slots, so on a non-symmetric input they must disagree.
+            assert leg_bracket(r, s, "12^23") != _ref_leg_bracket(r, s, "12^13")
+            x = t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)})
+            y = t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)})
+            p = GPoly.monomial(x, 0) + GPoly.monomial(y, 2)
+            assert ad2_action(p, r) == _ref_ad2_action(p, r)
