@@ -490,7 +490,7 @@ def cmd_verify(args):
         table, omega, r = doc.table, doc.omega, doc.tensor
         source = args.input
     residual = cybe.cyb(r)
-    qr = cybe.is_quasi_rational(r, omega)
+    qr = cybe.is_quasi_rational(r, omega, residual)
     skew = is_skew(r)
     report = _report("verify", {"source": source, "algebra": table.n})
     report["residual_terms"] = len(residual.entries)
@@ -838,8 +838,9 @@ def _parse_gauge_expr(table, text):
 
 def cmd_gauge(args):
     table, omega, r = _load_builtin(args.builtin, args.n)
-    was_solution = cybe.cyb(r).is_zero()
-    was_qr = cybe.is_quasi_rational(r, omega)
+    residual = cybe.cyb(r)
+    was_solution = residual.is_zero()
+    was_qr = cybe.is_quasi_rational(r, omega, residual)
     if args.sweep:
         seed = args.seed if args.seed is not None else 0
         rng = random.Random(seed)
@@ -867,8 +868,9 @@ def cmd_gauge(args):
         raise UsageError("gauge needs --p EXPR or --sweep N")
     p = _parse_gauge_expr(table, args.p)
     image = gauge.gauge_transform(p, r, check=False)
-    now_solution = cybe.cyb(image).is_zero()
-    now_qr = cybe.is_quasi_rational(image, omega)
+    residual = cybe.cyb(image)
+    now_solution = residual.is_zero()
+    now_qr = cybe.is_quasi_rational(image, omega, residual)
     report = _report(
         "gauge", {"builtin": args.builtin, "algebra": table.n, "p": args.p}
     )

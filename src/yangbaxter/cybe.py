@@ -5,10 +5,20 @@ The residual of a two-leg tensor r is
     cyb(r) = [r12, r13] + [r12, r23] + [r13, r23]
 
 as a three-leg tensor in (u1, u2, u3); r solves the classical Yang-Baxter
-equation iff the residual is the zero tensor.  The co-bracket attached to a
-kernel Gamma is delta(p) = [Gamma, p(u)(x)1 + 1(x)p(v)]; for the built-in
-kernels the pole of Gamma on the diagonal must cancel, making delta(p) a
-polynomial tensor.
+equation iff the residual is the zero tensor.  It is computed with the
+denominators cleared once: with d(u, v) the lcm of r's denominators and
+P = d*r a polynomial tensor,
+
+    cyb(r)*d12*d13*d23 = [P12,P13]*d23 + [P12,P23]*d13 + [P13,P23]*d12,
+
+so the three commutators and their sum need no gcd.  Since d12*d13*d23 is
+a nonzero polynomial, an entry of the cleared sum is zero exactly when the
+entry of cyb(r) is, and dividing the nonzero entries back gives cyb(r)
+itself: every verdict and residual term count is the symbolic one.
+
+The co-bracket attached to a kernel Gamma is
+delta(p) = [Gamma, p(u)(x)1 + 1(x)p(v)]; for the built-in kernels the pole
+of Gamma on the diagonal must cancel, making delta(p) a polynomial tensor.
 
 The built-in catalog over the calibrated Casimir:
 
@@ -35,19 +45,37 @@ from .tensors import (
     Tensor3,
     accumulate,
     ad2_action,
+    clear_denominators,
     is_polynomial,
     is_skew,
     leg_bracket,
 )
 
 
+_LEGS = {
+    "12": {"u": "u1", "v": "u2"},
+    "13": {"u": "u1", "v": "u3"},
+    "23": {"u": "u2", "v": "u3"},
+}
+
+
 def cyb(r):
-    """The Yang-Baxter residual [r12,r13] + [r12,r23] + [r13,r23]."""
+    """The Yang-Baxter residual [r12,r13] + [r12,r23] + [r13,r23].
+
+    Computed in the polynomial ring as [P12,P13]*d23 + [P12,P23]*d13 +
+    [P13,P23]*d12 with (d, P) = clear_denominators(r); each nonzero entry is
+    then divided by D = d12*d13*d23 once.  D is nonzero, so the result is
+    the reduced symbolic residual, entry for entry.
+    """
     assert isinstance(r, Tensor2), r
-    total = leg_bracket(r, r, "12^13")
-    total = total + leg_bracket(r, r, "12^23")
-    total = total + leg_bracket(r, r, "13^23")
-    return total
+    d, p = clear_denominators(r)
+    d12, d13, d23 = (d.rename(_LEGS[legs]) for legs in ("12", "13", "23"))
+    out = {}
+    for pair, weight in (("12^13", d23), ("12^23", d13), ("13^23", d12)):
+        for key, c in leg_bracket(p, p, pair).entries.items():
+            accumulate(out, key, c * weight)
+    den = d12 * d13 * d23
+    return Tensor3(r.table, {key: RatFun.of(c, den) for key, c in out.items()})
 
 
 def leading_term(omega):
@@ -57,14 +85,19 @@ def leading_term(omega):
     return omega.tensor().scale(u * v / (v - u))
 
 
-def is_quasi_rational(r, omega):
-    """True iff r solves Yang-Baxter and r - u*v*Omega/(v-u) is a skew polynomial."""
+def is_quasi_rational(r, omega, residual=None):
+    """True iff r solves Yang-Baxter and r - u*v*Omega/(v-u) is a skew polynomial.
+
+    `residual`, when given, is cyb(r) already computed and is used as is.
+    """
     diff = r - leading_term(omega)
     if not is_polynomial(diff):
         return False
     if not is_skew(diff):
         return False
-    return cyb(r).is_zero()
+    if residual is None:
+        residual = cyb(r)
+    return residual.is_zero()
 
 
 def catalog(table, omega):

@@ -9,7 +9,9 @@ so the inverse is the adjugate and stays polynomial.  Acting on a two-leg
 tensor, leg 1 is conjugated with variable u and leg 2 with variable v; the
 Casimir-leading term of quasi-rational solutions is fixed pointwise, so
 gauge transforms preserve both the Yang-Baxter property and
-quasi-rationality — both are checked, not assumed.
+quasi-rationality — both are checked, not assumed.  The action is linear,
+so it runs on the cleared tensor d*r in the polynomial ring and divides each
+output entry by d once.  A failed check raises GaugeError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ from fractions import Fraction
 
 from .lie import GElement, GPoly
 from .ratfun import Poly, RatFun
-from .tensors import Tensor2, accumulate
+from .tensors import Tensor2, accumulate, clear_denominators
+
+
+class GaugeError(ValueError):
+    """A gauge check failed: a non-unimodular matrix, or a broken solution."""
 
 
 def _poly_matmul(a, b):
@@ -72,7 +78,8 @@ class PolyGroupElement:
         self.table = table
         self.mat = mat
         det = _poly_det(mat)
-        assert det == Poly.const(1), f"determinant must be 1, got {det}"
+        if det != Poly.const(1):
+            raise GaugeError(f"determinant must be 1, got {det}")
         self.inv = _poly_adjugate(mat)
 
     @staticmethod
@@ -182,28 +189,30 @@ def _ad_coordinate_matrix(p):
 def gauge_transform(p, r, check=True):
     """Ad(p(u) (x) p(v)) applied to a two-leg tensor.
 
-    With check=True (default) and r a Yang-Baxter solution, the result is
-    asserted to be one too — the exact forward consistency statement.
+    Transforms P = d*r from clear_denominators with Poly products and
+    divides each output entry by d once.  With check=True (default) and r a
+    Yang-Baxter solution, GaugeError is raised unless the result is one too
+    — the exact forward consistency statement.
     """
     assert isinstance(r, Tensor2), r
     table = r.table
     assert table is p.table, "mismatched algebras"
     cols = _ad_coordinate_matrix(p)
     to_v = {"u": "v"}
+    cols_v = [{c: pu.rename(to_v) for c, pu in col.items()} for col in cols]
+    d, cleared = clear_denominators(r)
     out = {}
-    for (a, b), f in r.entries.items():
+    for (a, b), f in cleared.entries.items():
         for c, pu in cols[a].items():
-            fu = RatFun.from_poly(pu)
-            left = fu * f
-            for dd, pv in cols[b].items():
-                gv = RatFun.from_poly(pv.rename(to_v))
-                accumulate(out, (c, dd), left * gv)
-    result = Tensor2(table, out)
+            left = pu * f
+            for dd, pv in cols_v[b].items():
+                accumulate(out, (c, dd), left * pv)
+    result = Tensor2(table, {key: RatFun.of(f, d) for key, f in out.items()})
     if check:
         from . import cybe
 
-        if cybe.cyb(r).is_zero():
-            assert cybe.cyb(result).is_zero(), "gauge broke the Yang-Baxter property"
+        if cybe.cyb(r).is_zero() and not cybe.cyb(result).is_zero():
+            raise GaugeError("gauge broke the Yang-Baxter property")
     return result
 
 

@@ -326,7 +326,9 @@ def poly_gcd(p, q):
     """Monic gcd (graded-lex leading coefficient 1); gcd(0,0) = 0.
 
     Content-and-primitive-part recursion on the top variable: adequate
-    for the small products of linear forms this package produces.
+    for the small products of linear forms this package produces.  Each
+    remainder's primitive part is made monic, which keeps its rational
+    coefficients from swelling along the sequence.
     """
     if p.is_zero():
         return _monic(q)
@@ -356,7 +358,7 @@ def poly_gcd(p, q):
             a, b = b, r
             break
         rc = _gcd_list(r.as_univariate(name).values())
-        a, b = b, _poly_divexact(r, rc)
+        a, b = b, _monic(_poly_divexact(r, rc))
     return _monic(cont * a)
 
 

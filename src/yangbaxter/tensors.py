@@ -1,4 +1,4 @@
-"""Sparse tensors in g(x)g and g(x)g(x)g with exact rational-function coefficients.
+"""Sparse tensors in g(x)g and g(x)g(x)g with exact coefficients.
 
 Leg conventions: two-leg tensors carry variables (u, v) — leg 1 is always u,
 leg 2 is always v.  Three-leg tensors carry (u1, u2, u3).  `swap` exchanges
@@ -9,13 +9,19 @@ Both kinds share one sparse core: a coefficient table keyed by basis-index
 tuples in which zero coefficients are never stored.  `accumulate` is the
 single add-and-drop-zeros step behind tensor addition, the leg commutators
 r12, r13, r23 of `leg_bracket`, and the adjoint action `ad2_action`.
+
+Coefficients are RatFun, or Poly for a tensor whose denominators have been
+cleared: `clear_denominators(r)` gives (d, d*r) with d the lcm of r's
+denominators.  The sparse core and `leg_bracket` use only `rename`, `*`,
+`+` and `is_zero` on coefficients, so they run unchanged in the polynomial
+ring; `make` and `scale` build RatFun tensors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfun import RatFun
+from .ratfun import P_ONE, RatFun, _poly_divexact, poly_gcd
 
 _SWAP_UV = {"u": "v", "v": "u"}
 _ROTATE = {"u1": "u2", "u2": "u3", "u3": "u1"}
@@ -145,6 +151,22 @@ def swap(r):
     for (a, b), f in r.entries.items():
         out[(b, a)] = f.rename(_SWAP_UV)
     return Tensor2(r.table, out)
+
+
+def clear_denominators(r):
+    """(d, P) with d the monic lcm of r's denominators and P = d*r.
+
+    P is a tensor of r's kind with Poly coefficients; d = 1 when r is
+    polynomial.  The lcm costs one gcd per distinct denominator.
+    """
+    dens = dict.fromkeys(f.den for f in r.entries.values() if not f.den.is_const())
+    d = P_ONE
+    for den in dens:
+        d = d * _poly_divexact(den, poly_gcd(d, den))
+    cofactor = {den: _poly_divexact(d, den) for den in dens}
+    return d, type(r)(r.table, {
+        key: f.num * cofactor.get(f.den, d) for key, f in r.entries.items()
+    })
 
 
 def is_polynomial(t):

@@ -276,3 +276,38 @@ def test_frobenius_rejects_open_pair_under_optimisation(tmp_path):
         assert proc.returncode == 1, (flags, proc.stderr)
         report = json.loads(proc.stdout)
         assert report["verdicts"] == [{"name": "valid_cocycle", "pass": False}]
+
+
+def test_each_residual_is_computed_once(monkeypatch, capsys):
+    # 14 of the calls are the sl(2) Casimir calibration probes and the rest
+    # build the catalog (gamma3's convention search); the command itself
+    # needs one residual per tensor it judges.
+    from yangbaxter import cli, cybe
+
+    real_cyb = cybe.cyb
+    calls = []
+
+    def counting_cyb(r):
+        calls.append(r)
+        return real_cyb(r)
+
+    monkeypatch.setattr(cybe, "cyb", counting_cyb)
+    cases = (
+        (["verify", "--builtin", "q2", "--json"], 18,
+         {"inputs": {"source": "q2", "algebra": 2, "quasi_rational": True, "skew": True},
+          "verdicts": [{"name": "cyb_zero", "pass": True}], "residual_terms": 0}),
+        (["gauge", "--builtin", "q1", "--p", "unip(E(1,2),1,2)", "--json"], 19,
+         {"inputs": {"builtin": "q1", "algebra": 2, "p": "unip(E(1,2),1,2)"},
+          "verdicts": [{"name": "cyb_preserved", "pass": True},
+                       {"name": "quasi_rationality_preserved", "pass": True}],
+          "residual_terms": 0}),
+    )
+    for argv, expected_calls, expected_report in cases:
+        monkeypatch.setattr(cli, "_OMEGA_CACHE", {})
+        calls.clear()
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == expected_calls, argv
+        for key, value in expected_report.items():
+            assert report[key] == value, (argv, key)

@@ -1,11 +1,13 @@
 """Tests for Yang-Baxter residuals, the built-in solution catalog,
 quasi-rationality, and the induced co-bracket with its cocycle/co-Jacobi
-identities."""
+identities.  The cleared-denominator residual is compared, entry for entry,
+with the entrywise RatFun residual it replaces."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangbaxter.cybe import (
     PoleCancellationError,
@@ -17,9 +19,10 @@ from yangbaxter.cybe import (
     is_quasi_rational,
     leading_term,
 )
+from yangbaxter.gauge import gauge_transform, random_unipotent
 from yangbaxter.lie import GPoly, calibrate_casimir, casimir, make_sl
 from yangbaxter.ratfun import RatFun
-from yangbaxter.tensors import Tensor2, is_skew, swap
+from yangbaxter.tensors import Tensor2, clear_denominators, is_skew, leg_bracket, swap
 
 U = RatFun.var("u")
 V = RatFun.var("v")
@@ -169,3 +172,118 @@ def test_cyb_detects_non_solutions():
     r = Tensor2.single(t, "e", "f", U) + Tensor2.single(t, "h", "h", 1)
     assert not cyb(r).is_zero()
     assert cyb(Tensor2.zero(t)).is_zero()
+
+
+def _symbolic_cyb(r):
+    """Reference residual: the three leg commutators in RatFun arithmetic."""
+    return (
+        leg_bracket(r, r, "12^13")
+        + leg_bracket(r, r, "12^23")
+        + leg_bracket(r, r, "13^23")
+    )
+
+
+def _constant_skew(t, x, y, c):
+    return Tensor2.make(t, {(t.index[x], t.index[y]): c, (t.index[y], t.index[x]): -c})
+
+
+def _mixed_denominators(t, cat):
+    """gamma2 + e(x)f*(u/(u-v) + v) + h(x)h*(u+v)^-2: d = (u-v)(u+v)^2."""
+    return cat["gamma2"] + Tensor2.make(
+        t, {(t.index["e"], t.index["f"]): U / (U - V) + V,
+            (t.index["h"], t.index["h"]): (U + V) ** -2}
+    )
+
+
+def test_clear_denominators():
+    t, om = _sl2()
+    cat = catalog(t, om)
+    r = _mixed_denominators(t, cat)
+    d, p = clear_denominators(r)
+    assert d == ((U - V) * (U + V) ** 2).num
+    for key, f in r.entries.items():
+        assert RatFun.of(p.entries[key], d) == f
+    d, p = clear_denominators(cat["q1"] - cat["q0"])
+    assert d.is_const() and d.const_value() == 1
+    assert clear_denominators(Tensor2.zero(t))[1].is_zero()
+
+
+def test_cyb_matches_symbolic_on_sl3_sl4_catalogs_and_open_pairs():
+    # The reference costs seconds per sl(4) tensor, so sl(4) runs the
+    # convention-carrying gamma3 and one open pair.  A constant skew part on a
+    # non-closed pair breaks Yang-Baxter; on the closed {H(1), E(1,3)} it
+    # keeps it.
+    cases = {
+        3: (["gamma1", "gamma2", "gamma3", "gamma4"],
+            [("gamma4", "E(1,2)", "E(2,1)", False), ("gamma2", "E(1,2)", "E(2,3)", False),
+             ("gamma4", "H(1)", "E(1,3)", True)]),
+        4: (["gamma3"], [("gamma2", "E(1,2)", "E(2,3)", False)]),
+    }
+    for n, (names, pairs) in cases.items():
+        t = make_sl(n)
+        cat = catalog(t, casimir(t, 2 * n))
+        for name in names:
+            assert cyb(cat[name]) == _symbolic_cyb(cat[name]), (n, name)
+            assert cyb(cat[name]).is_zero(), (n, name)
+        for base, x, y, solves in pairs:
+            r = cat[base] + _constant_skew(t, x, y, F(3, 2))
+            res = cyb(r)
+            assert res == _symbolic_cyb(r), (n, base, x, y)
+            assert res.is_zero() == solves, (n, base, x, y)
+
+
+def test_cyb_matches_symbolic_on_mixed_denominators_and_zero():
+    t, om = _sl2()
+    cat = catalog(t, om)
+    mixed = _mixed_denominators(t, cat)
+    res = cyb(mixed)
+    assert not res.is_zero()
+    assert res == _symbolic_cyb(mixed)
+    poly = Tensor2.single(t, "e", "f", U) + Tensor2.single(t, "h", "h", 1)
+    assert cyb(poly) == _symbolic_cyb(poly) and not cyb(poly).is_zero()
+    zero = Tensor2.zero(t)
+    assert cyb(zero) == _symbolic_cyb(zero) and cyb(zero).is_zero()
+
+
+def test_cyb_matches_symbolic_on_sl2_gauge_images():
+    t, om = _sl2()
+    cat = catalog(t, om)
+    # gamma4 + 2(e(x)h - h(x)e) + e(x)f: not a solution, not quasi-rational.
+    control = cat["gamma4"] + _constant_skew(t, "e", "h", 2) + Tensor2.single(t, "e", "f", 1)
+    bases = dict(cat, control=control)
+    rng = random.Random(23)
+    for name, r in bases.items():
+        image = gauge_transform(random_unipotent(t, rng), r, check=False)
+        res = cyb(image)
+        assert res == _symbolic_cyb(image), name
+        assert res.is_zero() == (name != "control"), name
+
+
+# q0 = gamma4 is the leading term over the calibrated sl(2) scale 4; built
+# without a residual, so a faulty cyb fails the tests, not their collection.
+_SL2 = make_sl(2)
+_SL2_OMEGA = casimir(_SL2, 4)
+_Q0 = leading_term(_SL2_OMEGA)
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(0, 2), st.integers(0, 2),  # basis indices a, b
+        st.integers(0, 1), st.integers(0, 1),  # exponents of u and v
+        st.integers(-3, 3).filter(bool),       # coefficient
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(terms=_TERMS, seed=st.integers(0, 2**16))
+def test_cyb_matches_symbolic_on_gauged_skew_perturbations(terms, seed):
+    t = _SL2
+    half = Tensor2.zero(t)
+    for a, b, i, j, c in terms:
+        half = half + Tensor2.single(t, a, b, U ** i * V ** j * c)
+    r = _Q0 + half - swap(half)  # a skew polynomial perturbation of q0
+    p = random_unipotent(t, random.Random(seed), total_degree=1)
+    image = gauge_transform(p, r, check=False)
+    res = cyb(image)
+    assert res == _symbolic_cyb(image)
+    assert is_quasi_rational(image, _SL2_OMEGA, res) == is_quasi_rational(image, _SL2_OMEGA)

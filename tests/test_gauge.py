@@ -1,13 +1,19 @@
 """Tests for polynomial gauge transformations: unimodularity, the adjoint
 action on elements and tensors, group-action functoriality, and the induced
-action on double subspaces."""
+action on double subspaces.  The cleared-denominator transform is compared,
+entry for entry, with the entrywise RatFun transform it replaces."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from yangbaxter.cybe import catalog, cyb, is_quasi_rational
+import yangbaxter
+from yangbaxter.cybe import catalog, cyb, is_quasi_rational, leading_term
 from yangbaxter.doubles import (
     DoubleSubspace,
     Window,
@@ -15,17 +21,20 @@ from yangbaxter.doubles import (
     embed_polynomial,
 )
 from yangbaxter.gauge import (
+    GaugeError,
     PolyGroupElement,
+    _ad_coordinate_matrix,
     ad_element,
     gauge_transform,
     random_unipotent,
     transform_subalgebra,
 )
-from yangbaxter.lie import GPoly, calibrate_casimir, make_sl
+from yangbaxter.lie import GPoly, calibrate_casimir, casimir, make_sl
 from yangbaxter.ratfun import Poly, RatFun
-from yangbaxter.tensors import Tensor2
+from yangbaxter.tensors import Tensor2, accumulate, swap
 
 U = RatFun.var("u")
+V = RatFun.var("v")
 
 
 def test_unipotent_construction():
@@ -47,8 +56,49 @@ def test_non_unimodular_matrix_rejected():
         [Poly.const(2), Poly.const(0)],
         [Poly.const(0), Poly.const(2)],
     ]
-    with pytest.raises(AssertionError):
+    with pytest.raises(GaugeError):
         PolyGroupElement(t, twice_identity)
+
+
+def test_gauge_checks_hold_under_optimisation():
+    # Neither verdict may rest on assert: `python -O` must reject the det-4
+    # matrix diag(2, 2), and a transform that breaks Yang-Baxter.
+    script = (
+        "import yangbaxter.gauge as g\n"
+        "from yangbaxter.cybe import catalog\n"
+        "from yangbaxter.lie import calibrate_casimir, make_sl\n"
+        "from yangbaxter.ratfun import Poly\n"
+        "t = make_sl(2)\n"
+        "try:\n"
+        "    g.PolyGroupElement(t, [[Poly.const(2), Poly.const(0)],"
+        " [Poly.const(0), Poly.const(2)]])\n"
+        "    print('det accepted')\n"
+        "except g.GaugeError:\n"
+        "    print('det rejected')\n"
+        "q0 = catalog(t, calibrate_casimir(t))['q0']\n"
+        "one = g.PolyGroupElement.identity(t)\n"
+        "cols = g._ad_coordinate_matrix(one)\n"
+        "e, h = t.index['e'], t.index['h']\n"
+        "# x_e -> x_h is linear but not a Lie algebra map.\n"
+        "g._ad_coordinate_matrix = lambda p: [cols[h] if a == e else cols[a]"
+        " for a in range(t.dim)]\n"
+        "try:\n"
+        "    g.gauge_transform(one, q0)\n"
+        "    print('broken image accepted')\n"
+        "except g.GaugeError:\n"
+        "    print('broken image rejected')\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+        assert proc.stdout.split("\n")[:2] == ["det rejected", "broken image rejected"], (
+            flags, proc.stdout)
 
 
 def test_inverse_is_polynomial_adjugate():
@@ -184,3 +234,56 @@ def test_random_unipotent_is_seeded_and_bounded():
     for _ in range(10):
         p = random_unipotent(t, random.Random(_), total_degree=2)
         assert p.max_degree() <= 2
+
+
+def _entrywise_gauge_transform(p, r):
+    """Reference transform: every term multiplied out in RatFun arithmetic."""
+    cols = _ad_coordinate_matrix(p)
+    out = {}
+    for (a, b), f in r.entries.items():
+        for c, pu in cols[a].items():
+            left = RatFun.from_poly(pu) * f
+            for d, pv in cols[b].items():
+                accumulate(out, (c, d), left * RatFun.from_poly(pv.rename({"u": "v"})))
+    return Tensor2(r.table, out)
+
+
+def test_gauge_transform_matches_entrywise_reference():
+    t = make_sl(2)
+    cat = catalog(t, calibrate_casimir(t))
+    e, f, h = (t.index[s] for s in "efh")
+    inputs = dict(
+        cat,
+        # not skew, hence neither a solution nor quasi-rational
+        control=cat["gamma4"] + Tensor2.make(t, {(e, h): 2, (h, e): -2, (e, f): 1}),
+        mixed=cat["gamma2"] + Tensor2.make(t, {(e, f): U / (U - V) + V, (h, h): (U + V) ** -2}),
+        zero=Tensor2.zero(t),
+    )
+    rng = random.Random(29)
+    for name, r in inputs.items():
+        for _ in range(2):
+            p = random_unipotent(t, rng)
+            assert gauge_transform(p, r, check=False) == _entrywise_gauge_transform(p, r), name
+
+
+_SL2 = make_sl(2)
+_Q0 = leading_term(casimir(_SL2, 4))  # q0 over the calibrated sl(2) scale
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                  st.integers(0, 2), st.integers(-3, 3).filter(bool)),
+        min_size=1, max_size=3,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_gauge_transform_matches_reference_on_skew_perturbations(terms, seed):
+    t = _SL2
+    half = Tensor2.zero(t)
+    for a, b, i, j, c in terms:
+        half = half + Tensor2.single(t, a, b, U ** i * V ** j * c)
+    r = _Q0 + half - swap(half)  # a skew polynomial perturbation of q0
+    p = random_unipotent(t, random.Random(seed))
+    assert gauge_transform(p, r, check=False) == _entrywise_gauge_transform(p, r)
