@@ -19,6 +19,11 @@ itself: every verdict and residual term count is the symbolic one.
 The co-bracket attached to a kernel Gamma is
 delta(p) = [Gamma, p(u)(x)1 + 1(x)p(v)]; for the built-in kernels the pole
 of Gamma on the diagonal must cancel, making delta(p) a polynomial tensor.
+ad2_action computes it on the cleared kernel d*Gamma and divides each entry
+by d*(u*v)^s once (s > 0 only for a Laurent p).  RatFun.of reduces that
+quotient to lowest terms, so an entry keeps a nonconstant denominator exactly
+when the entrywise result has one: the pole test reads the same reduced
+coefficients and gives the same verdict.
 
 The built-in catalog over the calibrated Casimir:
 

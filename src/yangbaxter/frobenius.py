@@ -82,6 +82,10 @@ class InvalidCocycle(ValueError):
     """The form is not skew, the subspace is not closed, or the identity fails."""
 
 
+class LiftError(ValueError):
+    """A constructed r-matrix or lift fails the check it must pass."""
+
+
 class TwoCocycle:
     """Skew matrix of B(x_i, x_j) over a subalgebra basis; identity checked.
 
@@ -145,8 +149,8 @@ def skew_r_from_frobenius(cocycle):
     """The constant skew Yang-Baxter solution of a nondegenerate pair.
 
     r = sum_ij (B^-1)^T_ij x_i (x) x_j over the subalgebra basis; raises
-    on a singular form.  Skewness and the Yang-Baxter residual are
-    asserted on the result.
+    ValueError on a singular form, and LiftError if the result is not skew
+    or fails Yang-Baxter.
     """
     from . import cybe
     from .tensors import is_skew
@@ -177,18 +181,25 @@ def skew_r_from_frobenius(cocycle):
                     key = (a, b)
                     entries[key] = entries.get(key, Fraction(0)) + m * ca * cb
     r = Tensor2.make(table, entries)
-    assert is_skew(r), "constructed r-matrix is not skew"
-    assert cybe.cyb(r).is_zero(), "constructed r-matrix fails Yang-Baxter"
+    if not is_skew(r):
+        raise LiftError("constructed r-matrix is not skew")
+    if not cybe.cyb(r).is_zero():
+        raise LiftError("constructed r-matrix fails Yang-Baxter")
     return r
 
 
 def quasi_rational_lift(cocycle, omega):
-    """u*v*Omega/(v-u) + skew_r_from_frobenius, asserted quasi-rational."""
+    """u*v*Omega/(v-u) + skew_r_from_frobenius, checked quasi-rational.
+
+    Raises LiftError when the lift is not quasi-rational, so a returned
+    lift needs no second check.
+    """
     from . import cybe
 
     r = skew_r_from_frobenius(cocycle)
     lifted = cybe.leading_term(omega) + r
-    assert cybe.is_quasi_rational(lifted, omega), "lift fails quasi-rationality"
+    if not cybe.is_quasi_rational(lifted, omega):
+        raise LiftError("lift fails quasi-rationality")
     return lifted
 
 

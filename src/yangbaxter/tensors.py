@@ -15,13 +15,19 @@ cleared: `clear_denominators(r)` gives (d, d*r) with d the lcm of r's
 denominators.  The sparse core and `leg_bracket` use only `rename`, `*`,
 `+` and `is_zero` on coefficients, so they run unchanged in the polynomial
 ring; `make` and `scale` build RatFun tensors.
+
+`ad2_action(p, t)` works on the cleared form too.  With (d, P) =
+clear_denominators(t) and s = max(0, -min degree of p), p's term x*u^k acts
+on P through the monomial u^(k+s)*v^s on leg 1 and u^s*v^(k+s) on leg 2, so
+a Laurent p needs no negative powers; each nonzero entry is then divided by
+d*(u*v)^s once, which gives the reduced RatFun of the entrywise expansion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfun import P_ONE, RatFun, _poly_divexact, poly_gcd
+from .ratfun import P_ONE, Poly, RatFun, _poly_divexact, poly_gcd
 
 _SWAP_UV = {"u": "v", "v": "u"}
 _ROTATE = {"u1": "u2", "u2": "u3", "u3": "u1"}
@@ -157,9 +163,12 @@ def clear_denominators(r):
     """(d, P) with d the monic lcm of r's denominators and P = d*r.
 
     P is a tensor of r's kind with Poly coefficients; d = 1 when r is
-    polynomial.  The lcm costs one gcd per distinct denominator.
+    polynomial, and then P's entries are r's numerators as they are.  The
+    lcm costs one gcd per distinct denominator.
     """
     dens = dict.fromkeys(f.den for f in r.entries.values() if not f.den.is_const())
+    if not dens:
+        return P_ONE, type(r)(r.table, {key: f.num for key, f in r.entries.items()})
     d = P_ONE
     for den in dens:
         d = d * _poly_divexact(den, poly_gcd(d, den))
@@ -220,20 +229,29 @@ def ad2_action(p, t):
     """[p(u) (x) 1 + 1 (x) p(v), t] for a g-valued (Laurent) polynomial p.
 
     Leg 1 sees p evaluated at u, leg 2 at v; expanded exactly by structure
-    constants.
+    constants.  Computed with t's denominators cleared once: with
+    (d, P) = clear_denominators(t) and s = max(0, -min degree of p), the
+    action of x*u^deg on P is taken in the polynomial ring with the factor
+    u^(deg+s)*v^s on leg 1 and u^s*v^(deg+s) on leg 2, and each nonzero
+    entry is divided by d*(u*v)^s once.  The entries are reduced RatFuns,
+    equal to the entrywise expansion.
     """
     assert isinstance(t, Tensor2), t
     table = t.table
     assert p.table is table, "mismatched algebras"
-    u = RatFun.var("u")
-    v = RatFun.var("v")
+    d, cleared = clear_denominators(t)
+    s = max(0, -min(p.terms, default=0))
     out = {}
-    for d, x in p.terms.items():
-        u_pow = u ** d
-        v_pow = v ** d
-        for (a, b), f in t.entries.items():
+    for deg, x in p.terms.items():
+        u_pow = Poly.make(("u", "v"), {(deg + s, s): Fraction(1)})
+        v_pow = Poly.make(("u", "v"), {(s, deg + s): Fraction(1)})
+        for (a, b), f in cleared.entries.items():
+            fu = f * u_pow
             for k, c in table.ad_on_basis(x.coords, a):
-                accumulate(out, (k, b), f * c * u_pow)
+                accumulate(out, (k, b), fu * c)
+            fv = f * v_pow
             for k, c in table.ad_on_basis(x.coords, b):
-                accumulate(out, (a, k), f * c * v_pow)
-    return Tensor2(table, out)
+                accumulate(out, (a, k), fv * c)
+    if s:
+        d = d * Poly.make(("u", "v"), {(s, s): Fraction(1)})
+    return Tensor2(table, {key: RatFun.of(c, d) for key, c in out.items()})

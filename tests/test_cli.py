@@ -7,12 +7,16 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import yangbaxter
 from yangbaxter.cli import (
+    MAX_DEGREE,
+    MAX_DOCUMENT_CHARS,
+    MAX_RANK,
     ParseError,
     UsageError,
     _parse_gauge_expr,
@@ -301,6 +305,13 @@ def test_each_residual_is_computed_once(monkeypatch, capsys):
           "verdicts": [{"name": "cyb_preserved", "pass": True},
                        {"name": "quasi_rationality_preserved", "pass": True}],
           "residual_terms": 0}),
+        # The lift checks its own quasi-rationality; the command reuses that
+        # verdict instead of computing the lift's residual again.
+        (["frobenius", "--builtin", "q1", "--json"], 19,
+         {"inputs": {"mode": "lift", "pair": "q1", "algebra": 2},
+          "verdicts": [{"name": "lift_quasi_rational", "pass": True},
+                       {"name": "matches_catalog", "pass": True}],
+          "residual_terms": None}),
     )
     for argv, expected_calls, expected_report in cases:
         monkeypatch.setattr(cli, "_OMEGA_CACHE", {})
@@ -311,3 +322,48 @@ def test_each_residual_is_computed_once(monkeypatch, capsys):
         assert len(calls) == expected_calls, argv
         for key, value in expected_report.items():
             assert report[key] == value, (argv, key)
+
+
+def test_oversized_input_exits_2_quickly(capsys, tmp_path):
+    # Each bound is checked before the work it limits starts, so an input
+    # past it is refused at once; before the bounds the power alone ran on
+    # for more than 20 s.
+    docs = {
+        "power": "algebra sl(2); ((u+v)^4000)*Omega",
+        "rank": "algebra sl(1000000); Omega",
+        "nested": "algebra sl(2); (((u+v)^4)^5)*Omega",
+        "product": "algebra sl(2); ((u+v)^9*(u-v)^9)*Omega",
+        "sum": "algebra sl(2); " + " + ".join(f"1/(u-{k})*e(x)f" for k in range(1, 40)),
+        "length": "algebra sl(2); " + " + ".join(["e(x)f"] * 4000),
+        "digits": "algebra sl(2); " + "9" * 5000 + "*e(x)f",
+    }
+    runs = [["verify", "--builtin", "gamma2", "--n", "1000000"],
+            ["double", "--check", "wk", "--n", str(MAX_RANK + 1)],
+            ["cobracket", "--gamma", "gamma2", "--element", "e:u^100000"]]
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.rmx"
+        path.write_text(text)
+        runs.append(["verify", "--input", str(path)])
+    calibrated_omega(make_sl(2))  # the cached calibration is not the timed work
+    for argv in runs:
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_input_bounds_admit_their_limit():
+    top = f"algebra sl(2); ((u+v)^{MAX_DEGREE})*e(x)f"
+    assert parse_rmatrix(top).tensor.coeff("e", "f") == (U + V) ** MAX_DEGREE
+    with pytest.raises(ParseError):
+        parse_rmatrix(f"algebra sl(2); ((u+v)^{MAX_DEGREE + 1})*e(x)f")
+    with pytest.raises(ParseError):
+        parse_rmatrix(f"algebra sl(2); (u^{MAX_DEGREE}*v)*e(x)f")
+    head = "algebra sl(2); e(x)f"
+    exact = head + " " * (MAX_DOCUMENT_CHARS - len(head))
+    assert parse_rmatrix(exact).tensor == Tensor2.single(make_sl(2), "e", "f")
+    with pytest.raises(ParseError):
+        parse_rmatrix(exact + " ")
+    assert parse_rmatrix(f"algebra sl({MAX_RANK}); Omega").table.n == MAX_RANK
+    with pytest.raises(ParseError):
+        parse_rmatrix(f"algebra sl({MAX_RANK + 1}); Omega")

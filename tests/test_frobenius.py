@@ -2,10 +2,14 @@
 constant skew solutions, quasi-rational lifts, and the parabolic pair
 report."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import yangbaxter
 from yangbaxter.cybe import catalog
 from yangbaxter.frobenius import (
     InvalidCocycle,
@@ -161,3 +165,47 @@ def test_coords_in_basis():
     assert coords_in_basis([e, h], t.basis_element("f")) is None
     assert coords_in_basis([], t.zero()) == []
     assert coords_in_basis([], e) is None
+
+
+def test_lift_checks_hold_under_optimisation():
+    # No lift verdict may rest on assert: under `python -O` too, a form that
+    # skips TwoCocycle's validation must give LiftError, not a bogus r.
+    # span{e, f} is not closed, so e^f fails Yang-Baxter; a symmetric form
+    # gives a symmetric r; and a non-skew r makes the lift non-quasi-rational.
+    script = (
+        "from yangbaxter import frobenius as fr\n"
+        "from yangbaxter.lie import Subspace, casimir, make_sl\n"
+        "from yangbaxter.tensors import Tensor2\n"
+        "t = make_sl(2)\n"
+        "om = casimir(t, 4)\n"
+        "sub = Subspace(t, [t.basis_element('e'), t.basis_element('f')])\n"
+        "def unchecked(matrix):\n"
+        "    coc = object.__new__(fr.TwoCocycle)\n"
+        "    coc.sub, coc.matrix = sub, matrix\n"
+        "    return coc\n"
+        "def outcome(fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "        return 'accepted'\n"
+        "    except fr.LiftError as exc:\n"
+        "        return f'LiftError: {exc}'\n"
+        "print(outcome(fr.skew_r_from_frobenius, unchecked([[0, 1], [-1, 0]])))\n"
+        "print(outcome(fr.skew_r_from_frobenius, unchecked([[0, 1], [1, 0]])))\n"
+        "fr.skew_r_from_frobenius = lambda coc: Tensor2.single(t, 'e', 'h')\n"
+        "print(outcome(fr.quasi_rational_lift, unchecked([]), om))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    expected = [
+        "LiftError: constructed r-matrix fails Yang-Baxter",
+        "LiftError: constructed r-matrix is not skew",
+        "LiftError: lift fails quasi-rationality",
+    ]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+        assert proc.stdout.splitlines() == expected, (flags, proc.stdout)

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from yangbaxter.cybe import catalog
 from yangbaxter.lie import GPoly, casimir, make_sl
 from yangbaxter.ratfun import RatFun
 from yangbaxter.tensors import (
@@ -262,3 +264,85 @@ def test_leg_bracket_and_ad2_match_reference():
             y = t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)})
             p = GPoly.monomial(x, 0) + GPoly.monomial(y, 2)
             assert ad2_action(p, r) == _ref_ad2_action(p, r)
+
+
+def _kernels(n):
+    """The kernels whose co-brackets the bialgebra checks take, over sl(n).
+
+    gamma1..gamma4 (and rational_eh over sl(2)) over the scale-2n Casimir,
+    plus the bad kernel gamma2 + E(1,2)(x)E(2,1)/(u-v), whose pole survives.
+    """
+    t = make_sl(n)
+    cat = catalog(t, casimir(t, 2 * n))
+    names = ["gamma1", "gamma2", "gamma3", "gamma4"] + (["rational_eh"] if n == 2 else [])
+    out = {name: cat[name] for name in names}
+    out["bad"] = cat["gamma2"] + Tensor2.single(t, "E(1,2)", "E(2,1)", (U - V) ** -1)
+    return t, out
+
+
+def _assert_matches_reference(p, r, what):
+    out = ad2_action(p, r)
+    ref = _ref_ad2_action(p, r)
+    assert out == ref, what
+    assert str(out) == str(ref), what  # canonical, reduced coefficients
+
+
+def test_ad2_action_matches_reference_on_kernels():
+    # Monomials of every basis element in degrees -2..3 (Laurent included),
+    # and one p spanning all of them, on each kernel over sl(2) and sl(3).
+    for n in (2, 3):
+        t, kernels = _kernels(n)
+        laurent = GPoly(t, {d: t.basis_element(d % t.dim) for d in range(-2, 4)})
+        for name, r in kernels.items():
+            for a in range(t.dim):
+                for d in range(-2, 4):
+                    p = GPoly.monomial(t.basis_element(a), d)
+                    _assert_matches_reference(p, r, (n, name, a, d))
+            _assert_matches_reference(laurent, r, (n, name, "laurent"))
+
+
+def test_ad2_action_matches_reference_on_mixed_denominators():
+    rng = random.Random(31)
+    for n, terms in ((2, 5), (3, 6)):
+        t = make_sl(n)
+        for _ in range(4):
+            r = _seeded_tensor(t, rng, terms)
+            x = t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)})
+            y = t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)})
+            for lo in (-2, -1, 0, 1):
+                p = GPoly.monomial(x, lo) + GPoly.monomial(y, 3)
+                _assert_matches_reference(p, r, (n, lo))
+
+
+def test_ad2_action_of_zero():
+    t, kernels = _kernels(2)
+    e = t.basis_element("e")
+    zero_p = GPoly(t, {})
+    for r in kernels.values():
+        assert ad2_action(zero_p, r).is_zero()
+    for d in (-2, 0, 3):
+        assert ad2_action(GPoly.monomial(e, d), Tensor2.zero(t)).is_zero()
+    # A p killed by the kernel's invariance gives zero, not a zero-valued entry.
+    h0 = GPoly.monomial(t.basis_element("h"))
+    assert ad2_action(h0, kernels["gamma2"]).entries == {}
+
+
+_SL2_KERNELS = _kernels(2)[1]
+_MONOMIALS = st.lists(
+    st.tuples(
+        st.integers(0, 2),                    # basis index
+        st.integers(-2, 3),                   # degree
+        st.integers(-3, 3).filter(bool),      # coefficient
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(terms=_MONOMIALS, name=st.sampled_from(sorted(_SL2_KERNELS)))
+def test_ad2_action_matches_reference_on_monomial_sums(terms, name):
+    t = make_sl(2)
+    p = GPoly(t, {})
+    for a, d, c in terms:
+        p = p + GPoly.monomial(t.basis_element(a).scale(c), d)
+    _assert_matches_reference(p, _SL2_KERNELS[name], (name, terms))
