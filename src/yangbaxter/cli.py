@@ -349,9 +349,8 @@ def parse_rmatrix(text, omega=None):
     body = tokens[6:]
     if not body:
         raise ParseError("document has no terms", text, len(text))
-    # split into terms at depth-0 +/- signs
+    # split into terms at depth-0 +/- signs, except the sign of an exponent
     terms = []
-    sign = Fraction(1)
     depth = 0
     cur = []
     start_sign = Fraction(1)
@@ -362,7 +361,7 @@ def parse_rmatrix(text, omega=None):
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced ')'", text, tok[2])
-        if depth == 0 and tok[0] == "SYM" and tok[1] in "+-" and cur:
+        if depth == 0 and tok[0] == "SYM" and tok[1] in "+-" and cur and cur[-1][1] != "^":
             terms.append((start_sign, cur))
             start_sign = Fraction(1 if tok[1] == "+" else -1)
             cur = []

@@ -66,6 +66,14 @@ class WindowOverflow(ValueError):
     """An exponent left the truncation window; the message names the fix."""
 
 
+class DependentElement(ValueError):
+    """A spanning element of a DoubleSubspace lies in the span of the others."""
+
+
+class UnrealizableForm(ValueError):
+    """No xi in g has K(xi, y) = B(x, y) for every y of the subalgebra."""
+
+
 class DoubleElement:
     """loop + (A0 + A1*eps): one element of the truncated double."""
 
@@ -239,8 +247,8 @@ class DoubleSubspace:
         self._ech = linalg.Echelon()
         for el in self.elements:
             assert el.table is table
-            ok = self._ech.add(el.coords(window))
-            assert ok, f"dependent spanning element {el}"
+            if not self._ech.add(el.coords(window)):
+                raise DependentElement(f"dependent spanning element {el}")
 
     @property
     def dim(self):
@@ -620,7 +628,8 @@ def lagrangian_from_pair(table, k, subalg, form, window):
             rows.append(row)
             rhs.append(Fraction(form(i, j)))
         sol = linalg.solve(rows, rhs)
-        assert sol is not None, "form not realizable against the Killing pairing"
+        if sol is None:
+            raise UnrealizableForm("form not realizable against the Killing pairing")
         coords = [Fraction(0)] * table.dim
         for b, c in sol.items():
             coords[b] = c

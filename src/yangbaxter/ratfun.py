@@ -7,6 +7,12 @@ reduced num/den pairs whose denominator is normalized to leading
 coefficient 1 under graded-lexicographic order; equal values therefore
 have identical representations.
 
+Reduction splits a denominator into powers of variables, variable
+differences x - y and a remaining core.  The linear factors are divided
+out on the exponent tables directly: a power by an exponent shift, a
+difference by synthetic division.  Only the non-linear core meets the
+general gcd.
+
 The global variable order is u, v, u1, u2, u3 first, then any other
 names alphabetically.  No floating point is used anywhere.
 """
@@ -371,71 +377,111 @@ def _monic(p):
     return p * (1 / lc)
 
 
-def _min_exp(p, name):
-    """Smallest exponent of `name` over the monomials of p."""
-    return min(p.as_univariate(name))
+def _min_exps(p):
+    """Smallest exponent of each of p's variables over its monomials."""
+    return [min(col) for col in zip(*p.terms)]
 
 
-def _subst_var(p, x, y):
-    """p with the variable x replaced by the variable y."""
-    out = _P_ZERO
-    ypow = P_ONE
-    ypoly = Poly.var(y)
-    coeffs = p.as_univariate(x)
-    for k in range(max(coeffs) + 1):
-        if k:
-            ypow = ypow * ypoly
-        if k in coeffs:
-            out = out + coeffs[k] * ypow
-    return out
+def _divide_monomial(p, powers):
+    """p divided by the monomial prod(x^powers[x]): an exponent shift."""
+    shift = tuple(powers.get(x, 0) for x in p.vars)
+    if not any(shift):
+        return p
+    terms = {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()}
+    return Poly.make(p.vars, terms)
 
 
-def _divides_linear(f, p):
-    """Does the linear form f (a variable or a variable difference) divide p?"""
-    if len(f.terms) == 1:
-        return _min_exp(p, f.vars[0]) >= 1
-    return _subst_var(p, f.vars[0], f.vars[1]).is_zero()
+def _vanishes_on_diagonal(p, x, y):
+    """Does x - y divide p, i.e. does p vanish at x = y?
+
+    One pass: each term's exponent of x moves onto y, and every folded
+    coefficient must sum to zero.  A nonzero p that lacks x or y does not
+    vanish there.
+    """
+    if x not in p.vars or y not in p.vars:
+        return p.is_zero()
+    i, j = p.vars.index(x), p.vars.index(y)
+    folded = {}
+    for e, c in p.terms.items():
+        f = list(e)
+        f[j] += f[i]
+        f[i] = 0
+        f = tuple(f)
+        folded[f] = folded.get(f, 0) + c
+    return not any(folded.values())
+
+
+def _divide_difference(p, x, y):
+    """Exact quotient p / (x - y) by synthetic (Ruffini) division in x.
+
+    From x's top degree down, each term c*x^k*m gives c*x^(k-1)*m to the
+    quotient and adds c*x^(k-1)*y*m back to the dividend.  Whatever is
+    left at x^0 is the remainder; a nonzero one raises ArithmeticError.
+    """
+    if p.is_zero():
+        return p
+    if x not in p.vars or y not in p.vars:
+        raise ArithmeticError(f"{x} - {y} does not divide {p}")
+    i, j = p.vars.index(x), p.vars.index(y)
+    rows = {}
+    for e, c in p.terms.items():
+        rows.setdefault(e[i], {})[e] = c
+    quotient = {}
+    for k in range(max(rows), 0, -1):
+        lower = rows.setdefault(k - 1, {})
+        for e, c in rows.pop(k, {}).items():
+            if c:
+                f = list(e)
+                f[i] -= 1
+                quotient[tuple(f)] = c
+                f[j] += 1
+                f = tuple(f)
+                lower[f] = lower.get(f, 0) + c
+    if any(rows[0].values()):
+        raise ArithmeticError(f"{x} - {y} does not divide {p}")
+    return Poly.make(p.vars, quotient)
 
 
 def _reduce_fraction(num, den):
     """Cancel common factors of num/den without coefficient swell.
 
     The denominator is split into single-variable powers, variable
-    differences, and a residual core.  Only the core ever meets the
+    differences, and a residual core.  A power x^m leaves by an exponent
+    shift; a difference x - y is found by folding x's exponent onto y and
+    leaves by synthetic division in x.  Only the core ever meets the
     general pseudo-remainder gcd; in this package the denominators that
-    arise internally are products of variable differences, so the core
-    is constant and the reduction costs only substitution tests and
-    exact divisions.
+    arise internally are products of variables and variable differences,
+    so the core is constant and the reduction never calls `poly_gcd`.
     """
-    linear = []
-    for x in den.vars:
-        m = _min_exp(den, x)
-        if m:
-            f = Poly.var(x)
-            den = _poly_divexact(den, f ** m)
-            linear.append([f, m])
+    powers = {x: m for x, m in zip(den.vars, _min_exps(den)) if m}
+    den = _divide_monomial(den, powers)
+    differences = []
     dvars = den.vars
     for i in range(len(dvars)):
         for j in range(i + 1, len(dvars)):
             x, y = dvars[i], dvars[j]
-            f = Poly.var(x) - Poly.var(y)
             m = 0
-            while not den.is_const() and _subst_var(den, x, y).is_zero():
-                den = _poly_divexact(den, f)
+            while not den.is_const() and _vanishes_on_diagonal(den, x, y):
+                den = _divide_difference(den, x, y)
                 m += 1
             if m:
-                linear.append([f, m])
+                differences.append((x, y, m))
     if not den.is_const():
         g = poly_gcd(num, den)
         if not g.is_const():
             num = _poly_divexact(num, g)
             den = _poly_divexact(den, g)
-    for f, m in linear:
-        while m and _divides_linear(f, num):
-            num = _poly_divexact(num, f)
+    shared = {x: min(powers[x], e) for x, e in zip(num.vars, _min_exps(num)) if x in powers}
+    num = _divide_monomial(num, shared)
+    rest = {x: m - shared.get(x, 0) for x, m in powers.items() if m > shared.get(x, 0)}
+    if rest:
+        den = den * Poly(tuple(rest), {tuple(rest.values()): Fraction(1)})
+    for x, y, m in differences:
+        while m and _vanishes_on_diagonal(num, x, y):
+            num = _divide_difference(num, x, y)
             m -= 1
         if m:
-            den = den * f ** m
+            den = den * (Poly.var(x) - Poly.var(y)) ** m
     return num, den
 
 

@@ -16,6 +16,7 @@ import yangbaxter
 from yangbaxter.cli import (
     MAX_DEGREE,
     MAX_DOCUMENT_CHARS,
+    MAX_EXPONENT,
     MAX_RANK,
     ParseError,
     UsageError,
@@ -367,3 +368,23 @@ def test_input_bounds_admit_their_limit():
     assert parse_rmatrix(f"algebra sl({MAX_RANK}); Omega").table.n == MAX_RANK
     with pytest.raises(ParseError):
         parse_rmatrix(f"algebra sl({MAX_RANK + 1}); Omega")
+
+
+def test_negative_exponent_at_top_level(capsys, tmp_path):
+    # The '-' of '^-' is the exponent's sign, not a split between terms.
+    table = make_sl(2)
+    bare = parse_rmatrix("algebra sl(2); (u-v)^-2*e(x)f")
+    paren = parse_rmatrix("algebra sl(2); ((u-v)^-2)*e(x)f")
+    assert bare.tensor == paren.tensor
+    assert bare.tensor.coeff("e", "f") == (U - V) ** -2
+    mixed = parse_rmatrix("algebra sl(2); u^-1*e(x)f - v*f(x)e")
+    assert mixed.tensor.coeff("e", "f") == U ** -1
+    assert mixed.tensor.coeff("f", "e") == -V
+    # negative control: a depth-0 '-' between terms still splits
+    two = parse_rmatrix("algebra sl(2); e(x)f - f(x)e")
+    assert two.tensor == Tensor2.single(table, "e", "f") - Tensor2.single(table, "f", "e")
+    # the bare form is still bounded
+    path = tmp_path / "past.rmx"
+    path.write_text(f"algebra sl(2); (u-v)^-{MAX_EXPONENT + 1}*e(x)f")
+    assert main(["verify", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -2,10 +2,15 @@
 embedding, dual pair bases, twist spaces, quotient images, and Lagrangian
 constructions — all in exact rational arithmetic."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+
+import yangbaxter
 
 from yangbaxter.doubles import (
     DoubleElement,
@@ -321,3 +326,38 @@ def test_residue_and_evaluation_models():
     for x in els:
         for y in els:
             assert evaluation_form(x, y) == 0
+
+
+def test_double_checks_hold_under_optimisation():
+    # Neither check may rest on assert: under `python -O` a dependent
+    # spanning element and a form with no Killing realization (the
+    # subalgebra basis [e, e] asks B(e, e') = 0 and = 1 at once) must raise.
+    script = (
+        "from yangbaxter import doubles as d\n"
+        "from yangbaxter.lie import GPoly, make_sl\n"
+        "t = make_sl(2)\n"
+        "w = d.Window(-2, 1)\n"
+        "e = t.basis_element('e')\n"
+        "el = d.embed_polynomial(GPoly.monomial(e, 1), w)\n"
+        "try:\n"
+        "    d.DoubleSubspace(t, w, [el, el.scale(2)])\n"
+        "    print('dependent accepted')\n"
+        "except d.DependentElement:\n"
+        "    print('dependent rejected')\n"
+        "try:\n"
+        "    d.lagrangian_from_pair(t, 0, [e, e], lambda i, j: i - j, w)\n"
+        "    print('form accepted')\n"
+        "except d.UnrealizableForm:\n"
+        "    print('form rejected')\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+        assert proc.stdout.split("\n")[:2] == ["dependent rejected", "form rejected"], (
+            flags, proc.stdout)
