@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .lie import Subspace, calibrate_casimir, casimir, dj_rmatrix, make_sl
 from .ratfun import RatFun
-from .tensors import Tensor2, is_polynomial, is_skew
+from .tensors import Tensor2, is_skew
 from . import cybe, doubles, frobenius, gauge
 
 
@@ -595,9 +595,10 @@ def _pair_from_file(path):
         basis = [parse_element(table, s) for s in data["basis"]]
         matrix = [[Fraction(str(c)) for c in row] for row in data["matrix"]]
         k = int(data.get("k", 0))
+        sub = Subspace(table, basis)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"malformed pair file {path}: {exc}")
-    return table, basis, matrix, k
+    return table, sub, matrix, k
 
 
 def cmd_double(args):
@@ -636,11 +637,9 @@ def cmd_double(args):
         if not (0 <= k <= n - 1):
             raise UsageError(f"k must be in 0..{n - 1}, got {k}")
         if args.pair:
-            ptable, basis, matrix, k = _pair_from_file(args.pair)
-            if ptable.n != n:
+            table, sub, matrix, k = _pair_from_file(args.pair)
+            if table.n != n:
                 raise UsageError("pair file algebra differs from --n")
-            table = ptable
-            sub = Subspace(table, basis)
             form = lambda i, j: matrix[i][j]
         else:
             sub, coc = _builtin_pair(table, k)
@@ -952,11 +951,9 @@ def cmd_frobenius(args):
     omega = calibrated_omega(table)
     if args.check_pair:
         if args.pair:
-            ptable, basis, matrix, k = _pair_from_file(args.pair)
-            table = ptable
+            table, sub, matrix, k = _pair_from_file(args.pair)
             if args.k is not None:
                 k = args.k
-            sub = Subspace(table, basis)
         else:
             k = args.k if args.k is not None else 1
             if table.n != 2:
@@ -989,10 +986,8 @@ def cmd_frobenius(args):
         return _emit(args, report, lines)
 
     if args.pair:
-        ptable, basis, matrix, _ = _pair_from_file(args.pair)
-        table = ptable
+        table, sub, matrix, _ = _pair_from_file(args.pair)
         omega = calibrated_omega(table)
-        sub = Subspace(table, basis)
         try:
             coc = frobenius.TwoCocycle(sub, matrix)
         except frobenius.InvalidCocycle as exc:

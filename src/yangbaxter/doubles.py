@@ -17,11 +17,9 @@ All subspace computations happen inside a truncation Window [lo, hi] on
 loop exponents.  Truncation is an approximation of the full topological
 double; every check states its window, and the default windows are chosen
 as [-2*hi, hi] so that the pairing (which couples degree t against 1-t)
-never silently loses partners for in-window elements.
-
-The alternate doubles used in the tests: the residue model on plain loops
-(form = coefficient of u^-1 in K) and the evaluation model loops (+) g
-(form = coefficient of u^0 in K(f,g) minus K(a,b), embedding p -> (p, p(0))).
+never silently loses partners for in-window elements.  The radical of Q
+on a window ambient is known in closed form: the loop degrees t whose
+partner 1-t falls outside the window.
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ class Window:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        assert lo <= 0 <= hi, (lo, hi)
+        if not lo <= 0 <= hi:
+            raise ValueError(f"window needs lo <= 0 <= hi, got [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
 
@@ -297,17 +296,12 @@ def _pairing_row(el, window):
     for d, y in el.loop.terms.items():
         t = 1 - d
         if t in window:
-            for i in range(table.dim):
-                c = table.killing_pair(table.basis_element(i).coords, y.coords)
-                if c:
-                    row[("loop", t, i)] = row.get(("loop", t, i), Fraction(0)) + c
-    for i in range(table.dim):
-        c = table.killing_pair(table.basis_element(i).coords, el.a0.coords)
-        if c:
-            row[("a1", i)] = row.get(("a1", i), Fraction(0)) - c
-        c = table.killing_pair(table.basis_element(i).coords, el.a1.coords)
-        if c:
-            row[("a0", i)] = row.get(("a0", i), Fraction(0)) - c
+            for i, c in table.killing_row(y.coords).items():
+                row[("loop", t, i)] = c
+    for i, c in table.killing_row(el.a0.coords).items():
+        row[("a1", i)] = -c
+    for i, c in table.killing_row(el.a1.coords).items():
+        row[("a0", i)] = -c
     return row
 
 
@@ -321,19 +315,13 @@ def orth_complement_truncated(sub, window):
 
 
 def ambient_radical_dim(table, window):
-    """Rank defect of Q on the whole window ambient (truncation artifact)."""
-    # Loop degrees t with no partner 1-t inside the window are radical;
-    # the jet block is nondegenerate.  Computed exactly from the Gram kernel.
-    unit_elements = []
-    for d in window.exponents():
-        for x in table.basis():
-            unit_elements.append(DoubleElement.of(table, loop=GPoly.monomial(x, d)))
-    for x in table.basis():
-        unit_elements.append(DoubleElement.of(table, a0=x))
-    for x in table.basis():
-        unit_elements.append(DoubleElement.of(table, a1=x))
-    rows = [_pairing_row(el, window) for el in unit_elements]
-    return len(linalg.nullspace(rows, ambient_coords(table, window)))
+    """Rank defect of Q on the whole window ambient (truncation artifact).
+
+    Q pairs loop degree t only with 1-t, and the jet block is
+    nondegenerate, so the radical is exactly the loop degrees t whose
+    partner 1-t lies outside the window.
+    """
+    return table.dim * sum(1 for t in window.exponents() if 1 - t not in window)
 
 
 def is_isotropic(sub):
@@ -614,19 +602,9 @@ def lagrangian_from_pair(table, k, subalg, form, window):
     """
     els = list(loop_part(diagonal_twist_space(table, k, window)).elements)
     basis = list(subalg)
+    rows = [table.killing_row(y.coords) for y in basis]
     for i, x in enumerate(basis):
-        rows = []
-        rhs = []
-        for j, y in enumerate(basis):
-            row = {}
-            for b in range(table.dim):
-                c = table.killing_pair(
-                    y.coords, table.basis_element(b).coords
-                )
-                if c:
-                    row[b] = c
-            rows.append(row)
-            rhs.append(Fraction(form(i, j)))
+        rhs = [Fraction(form(i, j)) for j in range(len(basis))]
         sol = linalg.solve(rows, rhs)
         if sol is None:
             raise UnrealizableForm("form not realizable against the Killing pairing")
@@ -640,60 +618,3 @@ def lagrangian_from_pair(table, k, subalg, form, window):
         els.append(DoubleElement.of(table, a1=eta))
     return DoubleSubspace(table, window, els)
 
-
-# ---------------------------------------------------------------------------
-# Alternate double models (exercised by the tests): the residue pairing on
-# plain loops and the evaluation pairing on loops (+) g.
-
-
-def residue_form(p, q):
-    """Coefficient of u^-1 in K(p, q) for plain loops."""
-    assert p.table is q.table
-    total = Fraction(0)
-    for d, x in p.terms.items():
-        y = q.terms.get(-1 - d)
-        if y is not None:
-            total += p.table.killing_pair(x.coords, y.coords)
-    return total
-
-
-def evaluation_form(x, y):
-    """Coefficient of u^0 in K(loops) minus K(marked values)."""
-    (p, a) = x
-    (q, b) = y
-    assert p.table is q.table is a.table is b.table
-    total = Fraction(0)
-    for d, xe in p.terms.items():
-        ye = q.terms.get(-d)
-        if ye is not None:
-            total += p.table.killing_pair(xe.coords, ye.coords)
-    return total - a.table.killing_pair(a.coords, b.coords)
-
-
-def evaluation_embed(p):
-    """p -> (p, p(0)): the loop together with its value at zero."""
-    return (p, p.coeff(0))
-
-
-def evaluation_dual_space(table, window):
-    """The isotropic complement model for the evaluation double.
-
-    Strictly negative loops, plus the Borel-matching constants: raising
-    root vectors as loops, lowering root vectors in the marked copy, and
-    Cartan elements delta-embedded with opposite signs.
-    """
-    zero = table.zero()
-    els = []
-    for d in range(window.lo, 0):
-        for x in table.basis():
-            els.append((GPoly.monomial(x, d), zero))
-    for (i, j) in table.root_pairs:
-        x = table.basis_element(f"E({i},{j})")
-        if i < j:
-            els.append((GPoly.monomial(x, 0), zero))
-        else:
-            els.append((GPoly(table, {}), x))
-    for m in range(1, table.n):
-        hm = table.basis_element(f"H({m})")
-        els.append((GPoly.monomial(hm, 0), hm.scale(-1)))
-    return els

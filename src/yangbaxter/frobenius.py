@@ -130,20 +130,6 @@ class TwoCocycle:
                 matrix[i][j] = functional(w)
         return TwoCocycle(sub, matrix)
 
-    def value(self, x, y):
-        cx = coords_in_basis(self.sub.elements, x)
-        cy = coords_in_basis(self.sub.elements, y)
-        assert cx is not None and cy is not None, "arguments outside the subalgebra"
-        return sum(
-            (
-                cx[i] * cy[j] * self.matrix[i][j]
-                for i in range(len(cx))
-                for j in range(len(cy))
-                if cx[i] and cy[j]
-            ),
-            Fraction(0),
-        )
-
 
 def skew_r_from_frobenius(cocycle):
     """The constant skew Yang-Baxter solution of a nondegenerate pair.

@@ -216,74 +216,6 @@ def gauge_transform(p, r, check=True):
     return result
 
 
-def transform_subalgebra(p, w, window):
-    """Ad(p(u)) on a double subspace: loops degreewise, jets through the 1-jet.
-
-    The jet part transforms by the 1-jet of p at u=0 (consistently with the
-    embedding i(q) = (q, q_0, q_1)): with p = p0 + u*p1 + ...,
-
-        A0' = p0 A0 p0^-1
-        A1' = p0 A1 p0^-1 + p1 A0 p0^-1 - p0 A0 p0^-1 p1 p0^-1.
-
-    Loop exponents leaving the window raise WindowOverflow.
-    """
-    from .doubles import DoubleElement, DoubleSubspace, WindowOverflow
-
-    table = w.table
-    n = table.n
-    p0 = [[Fraction(0)] * n for _ in range(n)]
-    p1 = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            uni = p.mat[i][j].as_univariate("u")
-            if 0 in uni:
-                p0[i][j] = uni[0].const_value()
-            if 1 in uni:
-                p1[i][j] = uni[1].const_value()
-    p0inv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            uni = p.inv[i][j].as_univariate("u")
-            if 0 in uni:
-                p0inv[i][j] = uni[0].const_value()
-
-    def mm(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def msub(a, b):
-        return [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
-
-    def conj_jet(a0, a1):
-        m0 = a0.to_matrix()
-        m1 = a1.to_matrix()
-        c0 = mm(mm(p0, m0), p0inv)
-        c1 = msub(
-            mm(mm(p0, m1), p0inv) if not a1.is_zero() else [[Fraction(0)] * n for _ in range(n)],
-            msub(mm(mm(mm(p0, m0), p0inv), mm(p1, p0inv)), mm(mm(p1, m0), p0inv)),
-        )
-        return (
-            GElement(table, table.coords_of_matrix(c0)),
-            GElement(table, table.coords_of_matrix(c1)),
-        )
-
-    els = []
-    for el in w.elements:
-        loop = ad_element(p, el.loop) if not el.loop.is_zero() else el.loop
-        if loop.terms:
-            degs = loop.degrees()
-            if degs[0] < window.lo or degs[-1] > window.hi:
-                raise WindowOverflow(
-                    f"transformed loop needs window [{min(window.lo, degs[0])}, "
-                    f"{max(window.hi, degs[-1])}], have [{window.lo}, {window.hi}]"
-                )
-        a0, a1 = conj_jet(el.a0, el.a1)
-        els.append(DoubleElement(loop, a0, a1))
-    return DoubleSubspace(table, window, els)
-
-
 def random_unipotent(table, rng, max_factors=2, total_degree=2, height=3):
     """Seeded product of unipotents with bounded degree and integer height."""
     roots = list(table.root_pairs)

@@ -157,6 +157,17 @@ class LieTable:
                     out += xa * yb * row[b]
         return out
 
+    def killing_row(self, coords):
+        """Sparse row {b: K(x, x_b)} of the Killing form at x."""
+        row = {}
+        for a, xa in enumerate(coords):
+            if not xa:
+                continue
+            for b, k in enumerate(self.killing[a]):
+                if k:
+                    row[b] = row.get(b, 0) + xa * k
+        return {b: c for b, c in row.items() if c}
+
     def check_jacobi(self):
         """Exact Jacobi identity on all basis triples."""
         basis = self.basis()
@@ -472,14 +483,7 @@ def parabolic(table, k):
 
 def orthogonal_complement_g(sub, table):
     """Killing-orthogonal complement of a subspace of sl(n), exact."""
-    rows = []
-    for x in sub.elements:
-        row = {}
-        for b in range(table.dim):
-            c = sum(xa * table.killing[a][b] for a, xa in enumerate(x.coords) if xa)
-            if c:
-                row[b] = c
-        rows.append(row)
+    rows = [table.killing_row(x.coords) for x in sub.elements]
     vecs = linalg.nullspace(rows, range(table.dim))
     els = []
     for v in vecs:

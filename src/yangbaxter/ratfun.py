@@ -219,26 +219,6 @@ class Poly:
         terms = {tuple(e[i] for i in order): c for e, c in self.terms.items()}
         return Poly(vars, terms)
 
-    def subst(self, bindings):
-        """Substitute RatFun/Fraction values for variables; exact."""
-        if not any(n in bindings for n in self.vars):
-            return RatFun.from_poly(self)
-        out = RF_ZERO
-        for e, c in self.terms.items():
-            term = RatFun.from_frac(c)
-            for i, name in enumerate(self.vars):
-                if not e[i]:
-                    continue
-                if name in bindings:
-                    val = bindings[name]
-                    if not isinstance(val, RatFun):
-                        val = RatFun.from_frac(Fraction(val))
-                    term = term * val ** e[i]
-                else:
-                    term = term * RatFun.from_poly(Poly.var(name, e[i]))
-            out = out + term
-        return out
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -278,8 +258,9 @@ P_ONE = Poly.const(1)
 
 
 def _poly_divexact(p, d):
-    """Exact polynomial division p / d (asserts the division is exact)."""
-    assert not d.is_zero(), "division by zero polynomial"
+    """Exact polynomial division p / d; ArithmeticError if it is not exact."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
     if d.is_const():
         inv = 1 / d.const_value()
         return p * inv
@@ -294,7 +275,8 @@ def _poly_divexact(p, d):
     while not rem.is_zero():
         rcoe = rem.as_univariate(name)
         rd = max(rcoe)
-        assert rd >= dd, (p, d, rem)
+        if rd < dd:
+            raise ArithmeticError(f"{d} does not divide {p}")
         t = _poly_divexact(rcoe[rd], dlead)
         q[rd - dd] = q.get(rd - dd, _P_ZERO) + t
         sub = Poly.from_univariate(name, {rd - dd: t}) * d
@@ -623,16 +605,6 @@ class RatFun:
             return RatFun.of(self.den, self.num) ** (-n)
         return RatFun.of(self.num ** n, self.den ** n) if n != 1 else self
 
-    def substitute(self, bindings):
-        """Substitute RatFun (or rational) values for variables."""
-        num = self.num.subst(bindings)
-        den = self.den.subst(bindings)
-        if den.is_zero():
-            raise ZeroDivisionError(
-                "substitution makes the denominator identically zero"
-            )
-        return num / den
-
     def rename(self, mapping):
         """Cheap variable renaming (no arithmetic)."""
         num = self.num.rename(mapping)
@@ -781,24 +753,3 @@ def expand_at_infinity(a, var, order):
             coeffs[k] = coeffs.get(k, RF_ZERO) + prf * c[t]
     coeffs = {k: v for k, v in coeffs.items() if k >= -order}
     return LaurentPoly(var, coeffs, floor=-order)
-
-
-def laurent_coeff(p, var, k):
-    """Exact coefficient of var^k.
-
-    Accepts a LaurentPoly in `var`, or a RatFun whose denominator is a
-    monomial in `var` (i.e. already a Laurent polynomial in disguise).
-    """
-    if isinstance(p, LaurentPoly):
-        assert p.var == var, (p.var, var)
-        return p.coeff(k)
-    assert isinstance(p, RatFun), p
-    den_by = p.den.as_univariate(var)
-    if len(den_by) != 1:
-        raise ValueError(f"not a Laurent polynomial in {var}: {p}")
-    (m, d0), = den_by.items()
-    num_by = p.num.as_univariate(var)
-    q = num_by.get(k + m)
-    if q is None:
-        return RF_ZERO
-    return RatFun.from_poly(q) / RatFun.from_poly(d0)

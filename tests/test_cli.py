@@ -283,6 +283,31 @@ def test_frobenius_rejects_open_pair_under_optimisation(tmp_path):
         assert report["verdicts"] == [{"name": "valid_cocycle", "pass": False}]
 
 
+def test_pair_file_with_dependent_basis_exits_2(tmp_path):
+    # The pair file's subspace is built inside its own error handling, so a
+    # dependent basis is a usage error in every command that reads the file.
+    pair = tmp_path / "dependent.json"
+    pair.write_text(json.dumps(
+        {"algebra": 2, "basis": ["e", "e"], "matrix": [[0, 1], [-1, 0]], "k": 0}
+    ))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (
+        ["double", "--check", "lagrangian", "--pair", str(pair)],
+        ["frobenius", "--pair", str(pair)],
+        ["frobenius", "--check-pair", "--pair", str(pair)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "yangbaxter.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: malformed pair file"), (argv, proc.stderr)
+        assert "dependent" in proc.stderr, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
 def test_each_residual_is_computed_once(monkeypatch, capsys):
     # 14 of the calls are the sl(2) Casimir calibration probes and the rest
     # build the catalog (gamma3's convention search); the command itself

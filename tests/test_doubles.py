@@ -26,10 +26,9 @@ from yangbaxter.doubles import (
     dual_basis_check,
     dual_sum_projection,
     embed_polynomial,
+    _pairing_row,
+    ambient_coords,
     embedded_polynomials,
-    evaluation_dual_space,
-    evaluation_embed,
-    evaluation_form,
     invariant_form,
     is_isotropic,
     is_lagrangian_truncated,
@@ -39,9 +38,9 @@ from yangbaxter.doubles import (
     loop_part,
     orth_complement_truncated,
     quotient_image_of_polynomials,
-    residue_form,
     standard_complement,
 )
+from yangbaxter import linalg
 from yangbaxter.lie import GPoly, casimir, make_sl
 
 
@@ -70,9 +69,9 @@ def test_window_basics():
     assert 0 in w and 4 in w and -8 in w
     assert 5 not in w and -9 not in w
     assert list(Window(-1, 1).exponents()) == [-1, 0, 1]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Window(1, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Window(-2, -1)
 
 
@@ -192,6 +191,68 @@ def test_ambient_radical_dimension():
     assert ambient_dim(t, Window(-4, 2)) == 3 * 7 + 6
 
 
+def _ref_ambient_radical_dim(table, window):
+    """The radical as the kernel of the full Gram matrix of Q on the window."""
+    unit_elements = []
+    for d in window.exponents():
+        for x in table.basis():
+            unit_elements.append(DoubleElement.of(table, loop=GPoly.monomial(x, d)))
+    for x in table.basis():
+        unit_elements.append(DoubleElement.of(table, a0=x))
+    for x in table.basis():
+        unit_elements.append(DoubleElement.of(table, a1=x))
+    rows = [_pairing_row(el, window) for el in unit_elements]
+    return len(linalg.nullspace(rows, ambient_coords(table, window)))
+
+
+def test_ambient_radical_matches_gram_nullspace():
+    # Every window with lo in [-6, 0] and hi in [0, 4], over sl(2)-sl(4).
+    for n in (2, 3, 4):
+        t = make_sl(n)
+        for lo in range(-6, 1):
+            for hi in range(0, 5):
+                w = Window(lo, hi)
+                assert ambient_radical_dim(t, w) == _ref_ambient_radical_dim(t, w), (
+                    n, lo, hi)
+
+
+def _ref_pairing_row(el, window):
+    """Q(unit_c, el) built from one basis element and one Killing pair per entry."""
+    table = el.table
+    row = {}
+    for d, y in el.loop.terms.items():
+        t = 1 - d
+        if t in window:
+            for i in range(table.dim):
+                c = table.killing_pair(table.basis_element(i).coords, y.coords)
+                if c:
+                    row[("loop", t, i)] = row.get(("loop", t, i), F(0)) + c
+    for i in range(table.dim):
+        c = table.killing_pair(table.basis_element(i).coords, el.a0.coords)
+        if c:
+            row[("a1", i)] = row.get(("a1", i), F(0)) - c
+        c = table.killing_pair(table.basis_element(i).coords, el.a1.coords)
+        if c:
+            row[("a0", i)] = row.get(("a0", i), F(0)) - c
+    return row
+
+
+def test_pairing_row_matches_reference():
+    rng = random.Random(59)
+    for n in (2, 3, 4):
+        t = make_sl(n)
+        w = Window(-4, 2)
+        els = [DoubleElement.zero(t)] + [_rand_double(t, rng, w) for _ in range(6)]
+        assert any(not el.loop.is_zero() for el in els)
+        for el in els:
+            row = _pairing_row(el, w)
+            assert row == _ref_pairing_row(el, w), (n, str(el))
+            # The row is Q against the element, entry for entry.
+            for key, c in row.items():
+                unit = DoubleElement.from_coords(t, {key: F(1)})
+                assert invariant_form(unit, el) == c
+
+
 def test_transversality_of_standard_complement():
     t = make_sl(2)
     w = Window(-4, 2)
@@ -308,30 +369,11 @@ def test_lagrangian_fails_on_nonisotropic_space():
     assert not is_lagrangian_truncated(sub, w)
 
 
-def test_residue_and_evaluation_models():
-    t = make_sl(2)
-    rng = random.Random(53)
-    # Polynomial loops are residue-isotropic (no u^-1 can appear).
-    for _ in range(5):
-        p = _rand_gpoly(t, rng, 0, 3)
-        q = _rand_gpoly(t, rng, 0, 3)
-        assert residue_form(p, q) == 0
-    # Evaluation model: i(p) = (p, p(0)) is isotropic for the split pairing.
-    for _ in range(5):
-        p = _rand_gpoly(t, rng, 0, 3)
-        q = _rand_gpoly(t, rng, 0, 3)
-        assert evaluation_form(evaluation_embed(p), evaluation_embed(q)) == 0
-    # The dual-side model is itself isotropic.
-    els = evaluation_dual_space(t, Window(-2, 1))
-    for x in els:
-        for y in els:
-            assert evaluation_form(x, y) == 0
-
-
 def test_double_checks_hold_under_optimisation():
-    # Neither check may rest on assert: under `python -O` a dependent
-    # spanning element and a form with no Killing realization (the
-    # subalgebra basis [e, e] asks B(e, e') = 0 and = 1 at once) must raise.
+    # No check may rest on assert: under `python -O` a dependent spanning
+    # element, a form with no Killing realization (the subalgebra basis
+    # [e, e] asks B(e, e') = 0 and = 1 at once) and a window without 0
+    # must raise.
     script = (
         "from yangbaxter import doubles as d\n"
         "from yangbaxter.lie import GPoly, make_sl\n"
@@ -349,6 +391,11 @@ def test_double_checks_hold_under_optimisation():
         "    print('form accepted')\n"
         "except d.UnrealizableForm:\n"
         "    print('form rejected')\n"
+        "try:\n"
+        "    d.Window(1, 0)\n"
+        "    print('window accepted')\n"
+        "except ValueError:\n"
+        "    print('window rejected')\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
@@ -359,5 +406,5 @@ def test_double_checks_hold_under_optimisation():
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, (flags, proc.stderr)
-        assert proc.stdout.split("\n")[:2] == ["dependent rejected", "form rejected"], (
-            flags, proc.stdout)
+        assert proc.stdout.split("\n")[:3] == [
+            "dependent rejected", "form rejected", "window rejected"], (flags, proc.stdout)

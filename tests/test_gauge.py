@@ -1,7 +1,7 @@
 """Tests for polynomial gauge transformations: unimodularity, the adjoint
-action on elements and tensors, group-action functoriality, and the induced
-action on double subspaces.  The cleared-denominator transform is compared,
-entry for entry, with the entrywise RatFun transform it replaces."""
+action on elements and tensors, and group-action functoriality.  The
+cleared-denominator transform is compared, entry for entry, with the
+entrywise RatFun transform it replaces."""
 
 import os
 import random
@@ -14,12 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 import yangbaxter
 from yangbaxter.cybe import catalog, cyb, is_quasi_rational, leading_term
-from yangbaxter.doubles import (
-    DoubleSubspace,
-    Window,
-    WindowOverflow,
-    embed_polynomial,
-)
 from yangbaxter.gauge import (
     GaugeError,
     PolyGroupElement,
@@ -27,7 +21,6 @@ from yangbaxter.gauge import (
     ad_element,
     gauge_transform,
     random_unipotent,
-    transform_subalgebra,
 )
 from yangbaxter.lie import GPoly, calibrate_casimir, casimir, make_sl
 from yangbaxter.ratfun import Poly, RatFun
@@ -184,46 +177,6 @@ def test_gauge_preserves_catalog_solutions():
     # A solution with a pole off the diagonal is moved but stays a solution.
     out = gauge_transform(p, cat["gamma2"])
     assert cyb(out).is_zero()
-
-
-def test_transform_subalgebra_matches_embedding():
-    # Ad(p) of an embedded polynomial equals the embedding of Ad(p) applied
-    # to the polynomial: the jet formula matches the loop action.
-    t = make_sl(2)
-    w = Window(-4, 4)
-    rng = random.Random(71)
-    for _ in range(4):
-        p = random_unipotent(t, rng, max_factors=2, total_degree=1)
-        polys = []
-        for _ in range(3):
-            x = t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)})
-            if not x.is_zero():
-                polys.append(GPoly.monomial(x, rng.randint(0, 1)))
-        if not polys:
-            continue
-        els = []
-        seen = DoubleSubspace(t, w, [])
-        for q in polys:
-            el = embed_polynomial(q, w)
-            if not seen._ech.add(el.coords(w)):
-                continue
-            els.append((q, el))
-        sub = DoubleSubspace(t, w, [el for _, el in els])
-        out = transform_subalgebra(p, sub, w)
-        for (q, _), el in zip(els, out.elements):
-            assert el == embed_polynomial(ad_element(p, q), w)
-
-
-def test_transform_subalgebra_window_overflow():
-    t = make_sl(2)
-    w = Window(-2, 1)
-    p = PolyGroupElement.unip(t, "E(2,1)", 1, 1)
-    sub = DoubleSubspace(
-        t, w, [embed_polynomial(GPoly.monomial(t.basis_element("e"), 1), w)]
-    )
-    with pytest.raises(WindowOverflow) as exc:
-        transform_subalgebra(p, sub, w)
-    assert "needs window" in str(exc.value)
 
 
 def test_random_unipotent_is_seeded_and_bounded():

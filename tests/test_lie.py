@@ -79,6 +79,26 @@ def test_killing_invariance_seeded():
         assert x.bracket(y).killing(z) == x.killing(y.bracket(z))
 
 
+def test_killing_row_matches_killing_pair():
+    # killing_row(x)[b] = K(x, x_b), with absent entries meaning zero.
+    rng = random.Random(13)
+    for n in (2, 3, 4):
+        t = make_sl(n)
+        xs = [t.zero()] + [
+            t.element({i: F(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(t.dim)})
+            for _ in range(5)
+        ]
+        # A sparse element: one root vector pairs only with its opposite.
+        xs.append(t.basis_element("E(1,2)").scale(3))
+        for x in xs:
+            row = t.killing_row(x.coords)
+            assert all(c for c in row.values()), (n, str(x))
+            for b, xb in enumerate(t.basis()):
+                assert row.get(b, 0) == t.killing_pair(x.coords, xb.coords), (n, str(x), b)
+        assert t.killing_row(t.zero().coords) == {}
+        assert t.killing_row(xs[-1].coords) == {t.index["E(2,1)"]: F(6 * n)}
+
+
 def test_coords_of_matrix_round_trip():
     t = make_sl(3)
     for x in t.basis():
