@@ -1,13 +1,21 @@
 """Command-line front end: parse r-matrix documents and run the exact checks.
 
-Document grammar (ASCII; the tensor-product token is `(x)`):
+One forward parser reads documents, elements (pair files, fixtures,
+--element) and gauge expressions (--p); ASCII, `(x)` the tensor token:
 
-    document := header term (('+'|'-') term)*
-    header   := 'algebra' 'sl' '(' INT ')' ';'
-    term     := [coeff '*'] factor
-    coeff    := rational expression in u, v with + - * / ^ ( ) and integers
+    document := 'algebra' 'sl' '(' INT ')' ';' sum(factor)
     factor   := 'Omega' | basis '(x)' basis
-    basis    := 'E' '(' INT ',' INT ')' | 'H' '(' INT ')' | 'e' | 'f' | 'h'
+    element  := sum(basis)                    -- constant coefficients only
+    gauge    := unip ('*' unip)*
+    unip     := 'unip' '(' basis ',' INT ',' expr ')'  -- root E(i,j), constant t
+    sum(F)   := term(F) (('+'|'-') term(F))*
+    term(F)  := ('+'|'-')* [product '*'] F    -- repeated signs multiply
+    basis    := 'e' | 'f' | 'h' | 'E' '(' INT ',' INT ')' | 'H' '(' INT ')'
+    expr     := product (('+'|'-') product)*
+    product  := unary (('*'|'/') unary)*      -- any name but u, v starts F
+    unary    := ('+'|'-') unary | power
+    power    := atom ['^' ['-'] INT]
+    atom     := INT | 'u' | 'v' | '(' expr ')'
 
 `Omega` expands through the calibrated Casimir; the aliases e/f/h are only
 legal over sl(2).  Exit codes: 0 = verified, 1 = a mathematical check
@@ -15,10 +23,11 @@ failed, 2 = usage or parse error.  All rationals print exactly as p/q.
 
 Input is bounded so that no document or argument runs without bound: the
 rank N (header or --n) is at most MAX_RANK, a document at most
-MAX_DOCUMENT_CHARS long, an exponent at most MAX_EXPONENT in size, and
-every coefficient operation is refused before it is computed when its
-unreduced numerator or denominator would pass total degree MAX_DEGREE.
-Past a bound the command exits 2.
+MAX_DOCUMENT_CHARS long, an exponent at most MAX_EXPONENT in size, the unip
+degrees of a gauge expression sum to at most MAX_DEGREE, and every
+coefficient operation is refused before it is computed when its unreduced
+numerator or denominator would pass total degree MAX_DEGREE.  Past a bound
+the command exits 2.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from fractions import Fraction
 
 from .lie import Subspace, calibrate_casimir, casimir, dj_rmatrix, make_sl
 from .ratfun import RatFun
-from .tensors import Tensor2, is_skew
+from .tensors import Tensor2, accumulate, is_skew
 from . import cybe, doubles, frobenius, gauge
 
 
@@ -96,68 +105,140 @@ def _tokenize(text):
     return tokens
 
 
-class _CoeffParser:
-    """Recursive-descent parser for rational coefficient expressions."""
+class _Parser:
+    """Forward recursive-descent parser over the tokens of one text.
 
-    def __init__(self, tokens, text):
-        self.tokens = tokens
+    Documents, elements and gauge expressions share its coefficient rules
+    (`expr` down to `atom`), `basis`, and the signed sum `terms`."""
+
+    def __init__(self, text):
         self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def where(self):
+        """Text position of the next token, or the end of the text."""
+        tok = self._peek()
+        return tok[2] if tok else len(self.text)
+
     def _next(self):
         tok = self._peek()
         if tok is None:
-            raise ParseError(
-                "unexpected end of coefficient", self.text, len(self.text)
-            )
+            raise ParseError("unexpected end of input", self.text, len(self.text))
         self.pos += 1
         return tok
 
-    def _expect_sym(self, s):
-        tok = self._next()
-        if tok[0] != "SYM" or tok[1] != s:
-            raise ParseError(f"expected {s!r}", self.text, tok[2])
-
-    def parse(self):
-        out = self.expr()
+    def accept(self, kind, value):
         tok = self._peek()
-        if tok is not None:
-            raise ParseError("trailing tokens in coefficient", self.text, tok[2])
-        return out
+        if tok and tok[0] == kind and tok[1] == value:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind, value):
+        if not self.accept(kind, value):
+            raise ParseError(f"expected {value!r}", self.text, self.where())
+
+    def integer(self):
+        tok = self._next()
+        if tok[0] != "INT":
+            raise ParseError("expected an integer", self.text, tok[2])
+        return tok[1]
+
+    def end(self):
+        if self._peek() is not None:
+            raise ParseError("unexpected trailing tokens", self.text, self.where())
+
+    def _sign(self):
+        """+1 or -1 if the next token is '+' or '-', else None."""
+        tok = self._peek()
+        if tok and tok[0] == "SYM" and tok[1] in "+-":
+            return 1 if tok[1] == "+" else -1
+        return None
+
+    def _starts_factor(self, i):
+        """Any name but u and v starts a factor, never a coefficient."""
+        return i < len(self.tokens) and self.tokens[i][0] == "NAME" and (
+            self.tokens[i][1] not in ("u", "v")
+        )
+
+    def terms(self, factor):
+        """Yield (coeff, factor(), pos) for each term of a signed sum, where a
+        term is ('+'|'-')* [product '*'] factor and terms after the first
+        start with a sign; repeated signs multiply."""
+        while True:
+            sign = 1
+            while self._sign() is not None:
+                sign *= self._sign()
+                self.pos += 1
+            pos = self.where()
+            if self._starts_factor(self.pos):
+                coeff = RatFun.from_frac(sign)
+            else:
+                coeff = self.product()
+                if not self.accept("SYM", "*"):
+                    raise ParseError(
+                        "expected '*' between coefficient and factor", self.text, self.where()
+                    )
+                coeff = coeff if sign > 0 else -coeff
+            yield coeff, factor(), pos
+            if self._sign() is None:
+                break
+        self.end()
+
+    def basis(self, table):
+        """e | f | h | E(i,j) | H(i), as an index of table's basis."""
+        tok = self._next()
+        if tok[0] == "NAME" and tok[1] in ("e", "f", "h"):
+            if table.n != 2:
+                raise ParseError(
+                    f"alias {tok[1]!r} is only defined over sl(2)", self.text, tok[2]
+                )
+            return table.index[tok[1]]
+        if tok[0] == "NAME" and tok[1] in ("E", "H"):
+            self.expect("SYM", "(")
+            args = [self.integer()]
+            if tok[1] == "E":
+                self.expect("SYM", ",")
+                args.append(self.integer())
+            self.expect("SYM", ")")
+            label = f"{tok[1]}({','.join(map(str, args))})"
+            if label not in table.index:
+                raise ParseError(f"unknown basis symbol {label}", self.text, tok[2])
+            return table.index[label]
+        raise ParseError("expected a basis symbol", self.text, tok[2])
 
     def expr(self):
         out = self.product()
-        while True:
-            tok = self._peek()
-            if tok and tok[0] == "SYM" and tok[1] in "+-":
-                self.pos += 1
-                rhs = self.product()
-                _check_degree(tok[1], out, rhs, self.text, tok[2])
-                out = out + rhs if tok[1] == "+" else out - rhs
-            else:
-                return out
+        while self._sign() is not None:
+            tok = self._next()
+            rhs = self.product()
+            _check_degree(tok[1], out, rhs, self.text, tok[2])
+            out = out + rhs if tok[1] == "+" else out - rhs
+        return out
 
     def product(self):
         out = self.unary()
         while True:
             tok = self._peek()
-            if tok and tok[0] == "SYM" and tok[1] in "*/":
-                self.pos += 1
-                rhs = self.unary()
-                _check_degree(tok[1], out, rhs, self.text, tok[2])
-                if tok[1] == "*":
-                    out = out * rhs
-                else:
-                    if rhs.is_zero():
-                        raise ParseError(
-                            "division by zero in coefficient", self.text, tok[2]
-                        )
-                    out = out / rhs
-            else:
+            if not (tok and tok[0] == "SYM" and tok[1] in "*/"):
                 return out
+            if tok[1] == "*" and self._starts_factor(self.pos + 1):
+                return out  # the '*' between a coefficient and its factor
+            self.pos += 1
+            rhs = self.unary()
+            _check_degree(tok[1], out, rhs, self.text, tok[2])
+            if tok[1] == "*":
+                out = out * rhs
+            else:
+                if rhs.is_zero():
+                    raise ParseError(
+                        "division by zero in coefficient", self.text, tok[2]
+                    )
+                out = out / rhs
 
     def unary(self):
         tok = self._peek()
@@ -169,29 +250,24 @@ class _CoeffParser:
 
     def power(self):
         base = self.atom()
-        tok = self._peek()
-        if tok and tok[0] == "SYM" and tok[1] == "^":
-            self.pos += 1
-            etok = self._next()
-            neg = False
-            if etok[0] == "SYM" and etok[1] == "-":
-                neg = True
-                etok = self._next()
-            if etok[0] != "INT":
-                raise ParseError("exponent must be an integer", self.text, etok[2])
-            e = -etok[1] if neg else etok[1]
-            if e < 0 and base.is_zero():
-                raise ParseError("negative power of zero", self.text, etok[2])
-            if abs(e) > MAX_EXPONENT:
-                raise ParseError(
-                    f"exponent {e} is beyond the bound {MAX_EXPONENT}", self.text, etok[2]
-                )
-            if max(base.num.total_degree(), base.den.total_degree()) * abs(e) > MAX_DEGREE:
-                raise ParseError(
-                    f"power has degree beyond the bound {MAX_DEGREE}", self.text, etok[2]
-                )
-            return base ** e
-        return base
+        if not self.accept("SYM", "^"):
+            return base
+        neg = self.accept("SYM", "-")
+        etok = self._next()
+        if etok[0] != "INT":
+            raise ParseError("exponent must be an integer", self.text, etok[2])
+        e = -etok[1] if neg else etok[1]
+        if e < 0 and base.is_zero():
+            raise ParseError("negative power of zero", self.text, etok[2])
+        if abs(e) > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {e} is beyond the bound {MAX_EXPONENT}", self.text, etok[2]
+            )
+        if max(base.num.total_degree(), base.den.total_degree()) * abs(e) > MAX_DEGREE:
+            raise ParseError(
+                f"power has degree beyond the bound {MAX_DEGREE}", self.text, etok[2]
+            )
+        return base ** e
 
     def atom(self):
         tok = self._next()
@@ -201,7 +277,7 @@ class _CoeffParser:
             return RatFun.var(tok[1])
         if tok[0] == "SYM" and tok[1] == "(":
             out = self.expr()
-            self._expect_sym(")")
+            self.expect("SYM", ")")
             return out
         raise ParseError(f"unexpected token {tok[1]!r} in coefficient", self.text, tok[2])
 
@@ -226,73 +302,6 @@ def _sl(n):
     if not 2 <= n <= MAX_RANK:
         raise UsageError(f"sl({n}) is not supported: N must be in 2..{MAX_RANK}")
     return make_sl(n)
-
-
-def _parse_basis_backwards(tokens, end, table, text):
-    """Parse one basis token group ending at index end-1; returns (index, start)."""
-    if end < 1:
-        raise ParseError("missing basis symbol", text, 0)
-    tok = tokens[end - 1]
-    if tok[0] == "NAME" and tok[1] in ("e", "f", "h"):
-        if table.n != 2:
-            raise ParseError(
-                f"alias {tok[1]!r} is only defined over sl(2)", text, tok[2]
-            )
-        return table.index[tok[1]], end - 1
-    if tok[0] == "SYM" and tok[1] == ")":
-        # E ( i , j )  or  H ( i )
-        if end >= 4 and tokens[end - 3][0] == "SYM" and tokens[end - 3][1] == "(":
-            name_tok, i_tok = tokens[end - 4], tokens[end - 2]
-            if name_tok[0] == "NAME" and name_tok[1] == "H" and i_tok[0] == "INT":
-                label = f"H({i_tok[1]})"
-                if label not in table.index:
-                    raise ParseError(
-                        f"unknown basis symbol {label}", text, name_tok[2]
-                    )
-                return table.index[label], end - 4
-        if (
-            end >= 6
-            and tokens[end - 5][0] == "SYM"
-            and tokens[end - 5][1] == "("
-            and tokens[end - 3][1] == ","
-        ):
-            name_tok = tokens[end - 6]
-            i_tok, j_tok = tokens[end - 4], tokens[end - 2]
-            if (
-                name_tok[0] == "NAME"
-                and name_tok[1] == "E"
-                and i_tok[0] == "INT"
-                and j_tok[0] == "INT"
-            ):
-                label = f"E({i_tok[1]},{j_tok[1]})"
-                if label not in table.index:
-                    raise ParseError(
-                        f"unknown basis symbol {label}", text, name_tok[2]
-                    )
-                return table.index[label], end - 6
-    raise ParseError("expected a basis symbol", text, tok[2])
-
-
-def _parse_basis_forwards(tokens, start, table, text):
-    if start >= len(tokens):
-        raise ParseError("missing basis symbol after (x)", text, len(text))
-    tok = tokens[start]
-    if tok[0] == "NAME" and tok[1] in ("e", "f", "h"):
-        if table.n != 2:
-            raise ParseError(
-                f"alias {tok[1]!r} is only defined over sl(2)", text, tok[2]
-            )
-        return table.index[tok[1]], start + 1
-    if tok[0] == "NAME" and tok[1] in ("E", "H"):
-        # scan to the matching ')'
-        for end in range(start + 1, len(tokens) + 1):
-            if tokens[end - 1][0] == "SYM" and tokens[end - 1][1] == ")":
-                idx, s = _parse_basis_backwards(tokens, end, table, text)
-                if s == start:
-                    return idx, end
-                break
-        raise ParseError("malformed basis symbol", text, tok[2])
-    raise ParseError("expected a basis symbol", text, tok[2])
 
 
 class RMatrixDocument:
@@ -325,97 +334,35 @@ def parse_rmatrix(text, omega=None):
         raise ParseError(
             f"document longer than {MAX_DOCUMENT_CHARS} characters", text, MAX_DOCUMENT_CHARS
         )
-    tokens = _tokenize(text)
-    # header: algebra sl ( INT ) ;
-    if not (
-        len(tokens) >= 6
-        and tokens[0][:2] == ("NAME", "algebra")
-        and tokens[1][:2] == ("NAME", "sl")
-        and tokens[2][1] == "("
-        and tokens[3][0] == "INT"
-        and tokens[4][1] == ")"
-        and tokens[5][1] == ";"
-    ):
-        pos = tokens[0][2] if tokens else 0
-        raise ParseError("expected header 'algebra sl(N);'", text, pos)
-    n = tokens[3][1]
+    p = _Parser(text)
+    for kind, value in (("NAME", "algebra"), ("NAME", "sl"), ("SYM", "(")):
+        p.expect(kind, value)
+    pos = p.where()
+    n = p.integer()
     if not 2 <= n <= MAX_RANK:
-        raise ParseError(
-            f"sl({n}) is not supported: N must be in 2..{MAX_RANK}", text, tokens[3][2]
-        )
+        raise ParseError(f"sl({n}) is not supported: N must be in 2..{MAX_RANK}", text, pos)
+    p.expect("SYM", ")")
+    p.expect("SYM", ";")
     table = make_sl(n)
     if omega is None:
         omega = calibrated_omega(table)
-    body = tokens[6:]
-    if not body:
-        raise ParseError("document has no terms", text, len(text))
-    # split into terms at depth-0 +/- signs, except the sign of an exponent
-    terms = []
-    depth = 0
-    cur = []
-    start_sign = Fraction(1)
-    for tok in body:
-        if tok[0] == "SYM" and tok[1] == "(":
-            depth += 1
-        elif tok[0] == "SYM" and tok[1] == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced ')'", text, tok[2])
-        if depth == 0 and tok[0] == "SYM" and tok[1] in "+-" and cur and cur[-1][1] != "^":
-            terms.append((start_sign, cur))
-            start_sign = Fraction(1 if tok[1] == "+" else -1)
-            cur = []
-            continue
-        cur.append(tok)
-    if depth != 0:
-        raise ParseError("unbalanced '('", text, len(text))
-    if not cur:
-        raise ParseError("trailing operator without a term", text, len(text))
-    terms.append((start_sign, cur))
+    one = RatFun.from_frac(1)
 
-    total = Tensor2.zero(table)
-    for tsign, toks in terms:
-        term = _parse_term(toks, table, omega, text).scale(RatFun.from_frac(tsign))
-        for key, c in term.entries.items():
-            if key in total.entries:
-                _check_degree("+", total.entries[key], c, text, toks[0][2])
-        total = total + term
-    return RMatrixDocument(table, omega, total)
+    def factor():
+        if p.accept("NAME", "Omega"):
+            return omega.tensor().entries
+        a = p.basis(table)
+        p.expect("TENSOR", "(x)")
+        return {(a, p.basis(table)): one}
 
-
-def _parse_term(tokens, table, omega, text):
-    tensor_idx = [i for i, t in enumerate(tokens) if t[0] == "TENSOR"]
-    if len(tensor_idx) > 1:
-        raise ParseError("more than one (x) in a term", text, tokens[tensor_idx[1]][2])
-    if tensor_idx:
-        i = tensor_idx[0]
-        a, astart = _parse_basis_backwards(tokens, i, table, text)
-        b, bend = _parse_basis_forwards(tokens, i + 1, table, text)
-        if bend != len(tokens):
-            raise ParseError(
-                "trailing tokens after basis factor", text, tokens[bend][2]
-            )
-        coeff_toks = tokens[:astart]
-        factor = Tensor2.single(table, a, b)
-    else:
-        last = tokens[-1]
-        if not (last[0] == "NAME" and last[1] == "Omega"):
-            raise ParseError(
-                "term must end in 'Omega' or 'basis (x) basis'", text, last[2]
-            )
-        coeff_toks = tokens[:-1]
-        factor = omega.tensor()
-    if coeff_toks:
-        if not (coeff_toks[-1][0] == "SYM" and coeff_toks[-1][1] == "*"):
-            raise ParseError(
-                "expected '*' between coefficient and factor",
-                text,
-                coeff_toks[-1][2],
-            )
-        coeff = _CoeffParser(coeff_toks[:-1], text).parse()
-    else:
-        coeff = RatFun.from_frac(1)
-    return factor.scale(coeff)
+    entries = {}
+    for coeff, fac, pos in p.terms(factor):
+        for key, c in fac.items():
+            c = c * coeff
+            if key in entries:
+                _check_degree("+", entries[key], c, text, pos)
+            accumulate(entries, key, c)
+    return RMatrixDocument(table, omega, Tensor2(table, entries))
 
 
 def print_rmatrix(doc):
@@ -434,52 +381,13 @@ def print_rmatrix(doc):
 
 
 def parse_element(table, text):
-    """Linear combination of basis symbols: [RAT '*'] basis (('+'|'-') ...)*."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty element expression", text, 0)
+    """Linear combination of basis symbols with constant coefficients."""
+    p = _Parser(text)
     out = table.zero()
-    i = 0
-    sign = Fraction(1)
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok[0] == "SYM" and tok[1] in "+-":
-            sign = Fraction(1 if tok[1] == "+" else -1)
-            i += 1
-            continue
-        # collect tokens up to the next depth-0 +/- into one addend
-        j = i
-        depth = 0
-        while j < len(tokens):
-            t = tokens[j]
-            if t[0] == "SYM" and t[1] == "(":
-                depth += 1
-            elif t[0] == "SYM" and t[1] == ")":
-                depth -= 1
-            elif t[0] == "SYM" and t[1] in "+-" and depth == 0:
-                break
-            j += 1
-        part = tokens[i:j]
-        idx, start = _parse_basis_backwards(part, len(part), table, text)
-        coeff_toks = part[:start]
-        if coeff_toks:
-            if not (coeff_toks[-1][0] == "SYM" and coeff_toks[-1][1] == "*"):
-                raise ParseError(
-                    "expected '*' between coefficient and basis symbol",
-                    text,
-                    coeff_toks[-1][2],
-                )
-            c = _CoeffParser(coeff_toks[:-1], text).parse()
-            if not c.is_const():
-                raise ParseError(
-                    "element coefficients must be constant rationals", text, tok[2]
-                )
-            c = c.const_value()
-        else:
-            c = Fraction(1)
-        out = out + table.basis_element(idx).scale(c * sign)
-        sign = Fraction(1)
-        i = j
+    for coeff, idx, pos in p.terms(lambda: p.basis(table)):
+        if not coeff.is_const():
+            raise ParseError("element coefficients must be constant rationals", text, pos)
+        out = out + table.basis_element(idx).scale(coeff.const_value())
     return out
 
 
@@ -583,20 +491,35 @@ def _builtin_pair(table, k):
     return sub, coc
 
 
-def _pair_from_file(path):
+def _load_json_object(path, what):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot load pair file {path}: {exc}")
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load {what} {path}: {exc}")
+    if not isinstance(data, dict):
+        raise UsageError(f"malformed {what} {path}: the top level must be a JSON object")
+    return data
+
+
+def _pair_from_file(path):
+    data = _load_json_object(path, "pair file")
     try:
         n = int(data["algebra"])
         table = _sl(n)
-        basis = [parse_element(table, s) for s in data["basis"]]
-        matrix = [[Fraction(str(c)) for c in row] for row in data["matrix"]]
+        labels, rows = data["basis"], data["matrix"]
+        if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+            raise ValueError("basis must be a list of strings")
+        d = len(labels)
+        if not (isinstance(rows, list) and len(rows) == d and all(
+            isinstance(row, list) and len(row) == d for row in rows
+        )):
+            raise ValueError(f"matrix must be {d} lists of {d} entries each")
+        basis = [parse_element(table, s) for s in labels]
+        matrix = [[Fraction(str(c)) for c in row] for row in rows]
         k = int(data.get("k", 0))
         sub = Subspace(table, basis)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed pair file {path}: {exc}")
     return table, sub, matrix, k
 
@@ -775,24 +698,26 @@ def cmd_double(args):
 def _subspace_from_file(table, path, window):
     from .lie import GPoly
 
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot load fixture {path}: {exc}")
+    def element(text):
+        if not isinstance(text, str):
+            raise ValueError(f"element {text!r} is not a string")
+        return parse_element(table, text)
+
+    data = _load_json_object(path, "fixture")
     els = []
     try:
         for entry in data["elements"]:
-            terms = {}
-            for deg, expr in entry.get("loop", {}).items():
-                terms[int(deg)] = parse_element(table, expr)
-            loop = GPoly(table, terms)
-            a0 = parse_element(table, entry["a0"]) if "a0" in entry else table.zero()
-            a1 = parse_element(table, entry["a1"]) if "a1" in entry else table.zero()
+            loop = entry.get("loop", {}) if isinstance(entry, dict) else None
+            if not isinstance(loop, dict):
+                raise ValueError(f"element {entry!r} must be an object, and its loop an object")
+            loop = GPoly(table, {int(deg): element(x) for deg, x in loop.items()})
+            a0 = element(entry["a0"]) if "a0" in entry else table.zero()
+            a1 = element(entry["a1"]) if "a1" in entry else table.zero()
             els.append(doubles.DoubleElement(loop, a0, a1))
-    except (KeyError, ValueError) as exc:
+        # DependentElement and WindowOverflow are ValueErrors too
+        return doubles.DoubleSubspace(table, window, els)
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed fixture {path}: {exc}")
-    return doubles.DoubleSubspace(table, window, els)
 
 
 def cmd_cobracket(args):
@@ -855,46 +780,43 @@ def cmd_calibrate(args):
 
 
 def _parse_gauge_expr(table, text):
-    factors = [f.strip() for f in text.split("*")]
+    """unip(root,deg,t) ('*' unip(...))*, read in full and bounded in total
+    degree before any matrix is built."""
+    p = _Parser(text)
+    factors = []
+    total = 0
+    while not factors or p.accept("SYM", "*"):
+        p.expect("NAME", "unip")
+        p.expect("SYM", "(")
+        pos = p.where()
+        root = table.labels[p.basis(table)]
+        if not root.startswith("E("):
+            raise ParseError(f"unip() needs a root vector E(i,j), not {root}", text, pos)
+        p.expect("SYM", ",")
+        pos = p.where()
+        deg = p.integer()
+        total += deg
+        if total > MAX_DEGREE:
+            raise ParseError(f"gauge degree beyond the bound {MAX_DEGREE}", text, pos)
+        p.expect("SYM", ",")
+        pos = p.where()
+        t = p.expr()
+        if not t.is_const():
+            raise ParseError("unip() t must be a constant rational", text, pos)
+        p.expect("SYM", ")")
+        factors.append((root, deg, t.const_value()))
+    p.end()
     out = gauge.PolyGroupElement.identity(table)
-    for fac in factors:
-        if not (fac.startswith("unip(") and fac.endswith(")")):
-            raise UsageError(f"bad gauge factor {fac!r}; expected unip(root,deg,t)")
-        body = fac[5:-1]
-        parts = [p.strip() for p in body.split(",")]
-        if len(parts) == 3:
-            root_text, deg_text, t_text = parts
-        elif len(parts) == 4 and parts[0].startswith("E("):
-            root_text = parts[0] + "," + parts[1]
-            deg_text, t_text = parts[2], parts[3]
-        else:
-            raise UsageError(f"bad gauge factor {fac!r}")
-        if root_text in ("e", "f"):
-            if table.n != 2:
-                raise UsageError("aliases e/f in unip() need sl(2)")
-            root = (1, 2) if root_text == "e" else (2, 1)
-        elif root_text.startswith("E(") and root_text.endswith(")"):
-            i, j = root_text[2:-1].split(",")
-            root = (int(i), int(j))
-        else:
-            raise UsageError(f"bad root {root_text!r} in unip()")
-        try:
-            deg = int(deg_text)
-            t = Fraction(t_text)
-        except ValueError as exc:
-            raise UsageError(f"bad unip() arguments: {exc}")
-        if deg < 0:
-            raise UsageError("unip() degree must be >= 0")
-        if root[0] == root[1] or not (
-            1 <= root[0] <= table.n and 1 <= root[1] <= table.n
-        ):
-            raise UsageError(f"bad root {root} for sl({table.n})")
+    for root, deg, t in factors:
         out = out * gauge.PolyGroupElement.unip(table, root, deg, t)
     return out
 
 
 def cmd_gauge(args):
     table, omega, r = _load_builtin(args.builtin, args.n)
+    if not (args.sweep or args.p):
+        raise UsageError("gauge needs --p EXPR or --sweep N")
+    p = None if args.sweep else _parse_gauge_expr(table, args.p)
     residual = cybe.cyb(r)
     was_solution = residual.is_zero()
     was_qr = cybe.is_quasi_rational(r, omega, residual)
@@ -921,9 +843,6 @@ def cmd_gauge(args):
         )
         report["verdicts"] = [{"name": "sweep_preserves_solutions", "pass": all_ok}]
         return _emit(args, report, lines)
-    if not args.p:
-        raise UsageError("gauge needs --p EXPR or --sweep N")
-    p = _parse_gauge_expr(table, args.p)
     image = gauge.gauge_transform(p, r, check=False)
     residual = cybe.cyb(image)
     now_solution = residual.is_zero()

@@ -1,14 +1,19 @@
 """Tests for the command-line layer: the document grammar, round-trip
-printing, element parsing, gauge expressions, exit-code discipline, and the
-JSON report schema."""
+printing, element parsing, gauge expressions, exit-code discipline, the
+JSON report schema, the README examples, and a differential test of the
+parser against the one it replaced."""
 
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +25,9 @@ from yangbaxter.cli import (
     MAX_RANK,
     ParseError,
     UsageError,
+    _check_degree,
     _parse_gauge_expr,
+    _tokenize,
     calibrated_omega,
     main,
     parse_element,
@@ -192,6 +199,8 @@ def test_parse_gauge_expr():
         _parse_gauge_expr(make_sl(3), "unip(e,0,1)")
     with pytest.raises(UsageError):
         _parse_gauge_expr(t, "unip(E(1,3),0,1)")
+    with pytest.raises(UsageError):
+        _parse_gauge_expr(t, "unip(e,0,0.5)")  # t is a coefficient, not a Fraction() literal
 
 
 def test_main_exit_codes(capsys, tmp_path):
@@ -262,6 +271,17 @@ def test_double_complement_and_wk_commands(capsys):
     capsys.readouterr()
 
 
+def _run_cli(flags, argv):
+    """Run `python [flags] -m yangbaxter.cli argv` on this checkout's package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "yangbaxter.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_frobenius_rejects_open_pair_under_optimisation(tmp_path):
     # span{e, f} is not bracket-closed; the verdict must not rest on assert,
     # so `python -O` reports the same invalid cocycle.
@@ -269,15 +289,8 @@ def test_frobenius_rejects_open_pair_under_optimisation(tmp_path):
     pair.write_text(json.dumps(
         {"algebra": 2, "basis": ["e", "f"], "matrix": [[0, 1], [-1, 0]]}
     ))
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "yangbaxter.cli",
-             "frobenius", "--pair", str(pair), "--json"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_cli(flags, ["frobenius", "--pair", str(pair), "--json"])
         assert proc.returncode == 1, (flags, proc.stderr)
         report = json.loads(proc.stdout)
         assert report["verdicts"] == [{"name": "valid_cocycle", "pass": False}]
@@ -290,22 +303,65 @@ def test_pair_file_with_dependent_basis_exits_2(tmp_path):
     pair.write_text(json.dumps(
         {"algebra": 2, "basis": ["e", "e"], "matrix": [[0, 1], [-1, 0]], "k": 0}
     ))
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for argv in (
         ["double", "--check", "lagrangian", "--pair", str(pair)],
         ["frobenius", "--pair", str(pair)],
         ["frobenius", "--check-pair", "--pair", str(pair)],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "yangbaxter.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_cli([], argv)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error: malformed pair file"), (argv, proc.stderr)
         assert "dependent" in proc.stderr, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
+def test_malformed_input_exits_2_with_and_without_optimisation(tmp_path):
+    # Each file's shape is checked, and each object built, inside the
+    # loader's error handling, and a gauge expression is read and bounded in
+    # full before any matrix is built; no verdict here may rest on assert.
+    files = {
+        "shape": {"algebra": 2, "basis": ["e", "h"], "matrix": [[0]], "k": 0},
+        "top": [1, 2],
+        "labels": {"algebra": 2, "basis": ["e", 1], "matrix": [[0, 1], [-1, 0]]},
+        "dependent": {"elements": [{"a1": "e"}, {"a1": "e"}]},
+        "window": {"elements": [{"loop": {"99": "e"}}]},
+        "entry": {"elements": ["e"]},
+        "fixture-top": [1],
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    pair_commands = (["double", "--check", "lagrangian"],
+                     ["frobenius", "--check-pair", "--k", "1"], ["frobenius"])
+    runs = [[*cmd, "--pair", str(tmp_path / f"{name}.json")]
+            for name in ("shape", "top", "labels") for cmd in pair_commands]
+    runs += [["double", "--check", "transversal", "--trunc", "1",
+              "--fixture", str(tmp_path / f"{name}.json")]
+             for name in ("dependent", "window", "entry", "fixture-top")]
+    runs += [["gauge", "--builtin", "q1", "--p", p]
+             for p in ("unip(e,99999999,1)", "unip(e,0,1/0)")]
+    for flags in ([], ["-O"]):
+        for argv in runs:
+            proc = _run_cli(flags, argv)
+            assert proc.returncode == 2, (flags, argv, proc.stderr)
+            assert proc.stderr.startswith("error: "), (flags, argv, proc.stderr)
+            assert "Traceback" not in proc.stderr, (flags, argv, proc.stderr)
+
+
+def test_fixture_file_matches_builtin_subspace(tmp_path, capsys):
+    # pstar at --trunc 1 (window [-2, 1]): the loops of degree -2..0 and g*eps,
+    # spelled with aliases and explicit labels alike.
+    loops = [{"loop": {str(d): x}} for d in (-2, -1, 0) for x in ("e", "E(2,1)", "h")]
+    eps = [{"a1": x} for x in ("E(1,2)", "f", "2*H(1) - H(1)")]
+    fixture = tmp_path / "pstar.json"
+    fixture.write_text(json.dumps({"elements": loops + eps}))
+    base = ["double", "--check", "transversal", "--trunc", "1", "--json"]
+    assert main(base + ["--subspace", "pstar"]) == 0
+    builtin = json.loads(capsys.readouterr().out)
+    assert main(base + ["--fixture", str(fixture)]) == 0
+    from_file = json.loads(capsys.readouterr().out)
+    assert len(builtin["verdicts"]) == 3
+    assert from_file["verdicts"] == builtin["verdicts"]
+    assert from_file["window"] == builtin["window"] == [-2, 1]
 
 
 def test_each_residual_is_computed_once(monkeypatch, capsys):
@@ -365,7 +421,9 @@ def test_oversized_input_exits_2_quickly(capsys, tmp_path):
     }
     runs = [["verify", "--builtin", "gamma2", "--n", "1000000"],
             ["double", "--check", "wk", "--n", str(MAX_RANK + 1)],
-            ["cobracket", "--gamma", "gamma2", "--element", "e:u^100000"]]
+            ["cobracket", "--gamma", "gamma2", "--element", "e:u^100000"],
+            ["gauge", "--builtin", "q1", "--p", "unip(e,99999999,1)"],
+            ["gauge", "--builtin", "q1", "--p", "unip(e,0,1/0)"]]
     for name, text in docs.items():
         path = tmp_path / f"{name}.rmx"
         path.write_text(text)
@@ -393,6 +451,11 @@ def test_input_bounds_admit_their_limit():
     assert parse_rmatrix(f"algebra sl({MAX_RANK}); Omega").table.n == MAX_RANK
     with pytest.raises(ParseError):
         parse_rmatrix(f"algebra sl({MAX_RANK + 1}); Omega")
+    # gauge degrees are bounded by their sum
+    t = make_sl(2)
+    assert _parse_gauge_expr(t, f"unip(e,{MAX_DEGREE},1)").max_degree() == MAX_DEGREE
+    with pytest.raises(ParseError):
+        _parse_gauge_expr(t, "unip(e,9,1)*unip(f,8,1)")
 
 
 def test_negative_exponent_at_top_level(capsys, tmp_path):
@@ -413,3 +476,613 @@ def test_negative_exponent_at_top_level(capsys, tmp_path):
     path.write_text(f"algebra sl(2); (u-v)^-{MAX_EXPONENT + 1}*e(x)f")
     assert main(["verify", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_readme_examples_replay(capsys):
+    # Every `$ ybx ...` example in the README, run through main(), prints
+    # exactly the lines the README shows under it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"^\$ ybx (.*)\n((?:(?!```).+\n)*)", readme, re.M)
+    assert len(examples) == 5
+    capsys.readouterr()
+    for argv, expected in examples:
+        assert main(shlex.split(argv)) == 0, argv
+        assert capsys.readouterr().out == expected, argv
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the parser the forward parser replaced.  Inputs
+# are seeded texts over the grammar's alphabet; both parsers must give the
+# same value wherever both accept, and every other difference must be one of
+# the intended language changes:
+#   - elements: repeated signs multiply, and a trailing operator is an error;
+#   - documents: signs before a factor, and sign runs between or inside terms,
+#     are read by the grammar instead of cut by a splitter;
+#   - gauge t: a constant coefficient in the grammar's notation, not a
+#     Fraction() literal; and gauge degrees are bounded by their sum.
+
+
+def _outcome(parse, *args):
+    """("ok", value), ("error", None) on a UsageError, or ("crash", exc)."""
+    try:
+        return "ok", parse(*args)
+    except UsageError:
+        return "error", None
+    except Exception as exc:  # the reference's unguarded failures
+        return "crash", exc
+
+
+def _is_sign(tok):
+    return tok[0] == "SYM" and tok[1] in "+-"
+
+
+def _sign_repaired(text):
+    """text with every sign run spelled the way the old splitters read it:
+    a run becomes one sign (the product of its signs); a run before a factor
+    gets an explicit 1*; a run after '*' or '/' becomes a (+1) or (-1) factor
+    of its own; a power with '^-' is parenthesized, since the old element
+    splitter cut at its '-'.  Only called on text the new parser accepts."""
+    toks = _tokenize(text)
+    out = []
+    i = 0
+    while i < len(toks):
+        if not _is_sign(toks[i]):
+            out.append(str(toks[i][1]))
+            i += 1
+            continue
+        if out and out[-1] == "^":
+            j, depth = len(out) - 2, 0
+            while True:  # back to the start of the power's base
+                depth += {")": 1, "(": -1}.get(out[j], 0)
+                if depth == 0:
+                    break
+                j -= 1
+            out.insert(j, "(")
+            out += [str(tok[1]) for tok in toks[i:i + 2]] + [")"]
+            i += 2
+            continue
+        sign = "+"
+        while i < len(toks) and _is_sign(toks[i]):
+            sign = "-" if (sign == "-") != (toks[i][1] == "-") else "+"
+            i += 1
+        if out and out[-1] in ("*", "/"):
+            out += [f"({sign}1)", out[-1]]
+        elif i < len(toks) and toks[i][0] == "NAME" and toks[i][1] not in ("u", "v"):
+            out += [sign, "1", "*"]
+        else:
+            out.append(sign)
+    return " ".join(out)
+
+
+def _sum_difference(new_parse, ref_parse, text, zero):
+    """Which intended change separates the parsers on text; asserts it is one."""
+    new, ref = _outcome(new_parse, text), _outcome(ref_parse, text)
+    assert new[0] != "crash", (text, new[1])
+    if new[0] == "error" and ref[0] != "ok":
+        return "both reject"
+    if new[0] == ref[0] == "ok" and new[1] == ref[1]:
+        return "same value"
+    if new[0] == "ok":
+        # the reference reads the same value once the signs are respelled
+        assert _outcome(ref_parse, _sign_repaired(text)) == ("ok", new[1]), text
+        return "signs"
+    # only the reference accepts: it dropped a trailing run of signs from a
+    # text the new parser reads, maybe with signs of its own
+    toks = _tokenize(text)
+    k = len(toks)
+    while k and _is_sign(toks[k - 1]):
+        k -= 1
+    assert k < len(toks), text
+    head = text[: toks[k][2]]
+    if k:
+        assert _outcome(ref_parse, head) == ref, text
+        assert _sum_difference(new_parse, ref_parse, head, zero) in ("same value", "signs"), text
+    else:
+        assert ref[1] == zero, text
+    return "trailing operator"
+
+
+# Each pool ends with entries that are malformed or out of range (E(1,3)
+# only over sl(2)); `_pick` draws them a tenth of the time.
+_COEFFS = ["2", "1/2", "-3", "+4", "u", "v^2", "u*v", "(u + v)", "(u-v)^-2", "u^-1",
+           "2*-3", "-u*-v", "u/-v", "((1 - u)/(v + 2))", "(-(2))", "2^-1", "--2",
+           "u/u", "0", "1/0", "(2", "2)"]
+_CONST_COEFFS = ["2", "1/2", "-3", "+4", "2*-3", "3/-4", "(-(2))", "2^-1", "--2",
+                 "u/u", "0", "1/0", "(2", "u"]
+_SIGN_RUNS = ["+", "-", "--", "-+", "+ -", "- + -"]
+_LABELS = {2: ["e", "f", "h", "E(1,2)", "E(2,1)", "H(1)", "E(1,3)", "H(2)"],
+           3: ["E(1,3)", "E(3,2)", "E(2,1)", "H(1)", "H(2)", "E(2,2)", "e"]}
+
+
+def _pick(rng, pool, bad):
+    """Mostly one of pool's good entries, sometimes one of its last `bad`."""
+    return rng.choice(pool[:-bad] if rng.random() < 0.9 else pool[-bad:])
+
+
+def _random_sum(rng, factor, coeffs):
+    terms = []
+    for k in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            signs = rng.choice(_SIGN_RUNS)
+        else:
+            signs = rng.choice("+-") if k else ""
+        coeff = _pick(rng, coeffs, 3) + "*" if rng.random() < 0.6 else ""
+        terms.append(f"{signs} {coeff}{factor()}")
+    text = " ".join(terms)
+    if rng.random() < 0.2:
+        i = rng.randrange(len(text) + 1)
+        text = rng.choice([
+            text + " " + rng.choice(["+", "-", "- -"]),
+            text[:i] + text[i + 1:],
+            text[:i] + rng.choice("+-*/^()") + text[i:],
+        ])
+    return text
+
+
+def test_parser_matches_reference_on_seeded_sums():
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.choice((2, 3))
+        table = make_sl(n)
+        labels = _LABELS[n]
+        element = _random_sum(rng, lambda: _pick(rng, labels, 2), _CONST_COEFFS)
+        kind = _sum_difference(
+            lambda s: parse_element(table, s), lambda s: _ref_parse_element(table, s),
+            element, table.zero(),
+        )
+        seen["element " + kind] += 1
+        document = f"algebra sl({n}); " + _random_sum(
+            rng,
+            lambda: rng.choice(["Omega", f"{_pick(rng, labels, 2)}(x){_pick(rng, labels, 2)}"]),
+            _COEFFS,
+        )
+        kind = _sum_difference(
+            lambda s: parse_rmatrix(s).tensor, lambda s: _ref_parse_rmatrix(s).tensor,
+            document, None,
+        )
+        assert kind != "trailing operator", document
+        seen["document " + kind] += 1
+    # every class occurs, and most inputs parse the same either way
+    for kind in ("same value", "both reject", "signs"):
+        assert seen["element " + kind] and seen["document " + kind], seen
+    assert seen["element trailing operator"], seen
+    assert seen["element same value"] + seen["document same value"] > 750, seen
+
+
+_ROOTS = ["e", "f", "E(1,2)", "E(2,1)", "E( 1 , 2 )", "h", "E(1,3)", "H(1)"]
+_DEGREES = ["0", "1", "3", "8", "9", "-1"]
+_T_BOTH = ["1", "-2", "1/2", "-3/4", "0", " 3 "]
+_T_FRACTION_ONLY = ["0.5", "1e3"]  # Fraction() literals the grammar does not have
+_T_GRAMMAR_ONLY = ["(1/2)", "2*3", "2^-1", "--1"]  # coefficients Fraction() rejects
+
+
+def test_parser_matches_reference_on_seeded_gauge_expressions():
+    rng = random.Random(11)
+    ts = _T_BOTH * 3 + _T_FRACTION_ONLY + _T_GRAMMAR_ONLY + ["1/0"]
+    seen = Counter()
+    for _ in range(600):
+        table = make_sl(rng.choice((2, 2, 2, 3)))
+        factors = [(_pick(rng, _ROOTS, 3), _pick(rng, _DEGREES, 1), rng.choice(ts))
+                   for _ in range(rng.randint(1, 3))]
+        text = rng.choice(["*", " * "]).join(f"unip({r},{d},{t})" for r, d, t in factors)
+        if rng.random() < 0.1:
+            text += "*"
+        new = _outcome(lambda: _parse_gauge_expr(table, text).mat)
+        ref = _outcome(lambda: _ref_parse_gauge_expr(table, text).mat)
+        assert new[0] != "crash", (text, new[1])
+        t_texts = {t for _, _, t in factors}
+        if ref[0] == "crash":
+            # the reference divided by zero; the new parser refuses the input
+            assert new[0] == "error" and "1/0" in t_texts, text
+            kind = "reference crash"
+        elif new[0] == ref[0]:
+            assert new[1] == ref[1], text
+            kind = "same value" if new[0] == "ok" else "both reject"
+        elif new[0] == "ok":
+            assert t_texts & set(_T_GRAMMAR_ONLY), text
+            kind = "grammar t"
+        elif t_texts & set(_T_FRACTION_ONLY):
+            kind = "Fraction t"
+        else:
+            assert sum(int(d) for _, d, _ in factors) > MAX_DEGREE, text
+            kind = "degree bound"
+        seen[kind] += 1
+    assert len(seen) == 6 and seen["same value"] > 150, seen
+
+
+def test_parser_language_changes_are_the_intended_ones():
+    # One case per class, each also read by the reference parser.
+    t = make_sl(2)
+    e, f = t.basis_element("e"), t.basis_element("f")
+    # elements: repeated signs multiply; the old splitter kept the last one
+    assert parse_element(t, "e - + f") == e + f.scale(-1)
+    assert _ref_parse_element(t, "e - + f") == e + f
+    # elements: a trailing operator is an error; the old splitter dropped it
+    with pytest.raises(ParseError):
+        parse_element(t, "e +")
+    assert _ref_parse_element(t, "e +") == e
+    # documents: a sign before a factor, and a sign after '*'
+    ef = Tensor2.single(t, "e", "f")
+    for body, value in (("-e(x)f", ef.scale(-1)), ("e(x)f - -e(x)f", ef.scale(2)),
+                        ("2*-3*e(x)f", ef.scale(-6))):
+        assert parse_rmatrix("algebra sl(2); " + body).tensor == value, body
+        with pytest.raises(ParseError):
+            _ref_parse_rmatrix("algebra sl(2); " + body)
+    # gauge t: a coefficient in the grammar's notation, not a Fraction() literal
+    with pytest.raises(ParseError):
+        _parse_gauge_expr(t, "unip(e,0,0.5)")
+    half = _parse_gauge_expr(t, "unip(e,0,1/2)").mat
+    assert _ref_parse_gauge_expr(t, "unip(e,0,0.5)").mat == half
+    assert _parse_gauge_expr(t, "unip(e,0,(1/2))").mat == half
+    with pytest.raises(UsageError):
+        _ref_parse_gauge_expr(t, "unip(e,0,(1/2))")
+
+
+# The reference: the parser of the previous release, verbatim but renamed.
+# It scanned basis symbols backwards from the (x) token, split documents and
+# elements into terms at depth-0 signs, and split gauge expressions as strings.
+
+class _RefCoeffParser:
+    """Recursive-descent parser for rational coefficient expressions."""
+
+    def __init__(self, tokens, text):
+        self.tokens = tokens
+        self.text = text
+        self.pos = 0
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _next(self):
+        tok = self._peek()
+        if tok is None:
+            raise ParseError(
+                "unexpected end of coefficient", self.text, len(self.text)
+            )
+        self.pos += 1
+        return tok
+
+    def _expect_sym(self, s):
+        tok = self._next()
+        if tok[0] != "SYM" or tok[1] != s:
+            raise ParseError(f"expected {s!r}", self.text, tok[2])
+
+    def parse(self):
+        out = self.expr()
+        tok = self._peek()
+        if tok is not None:
+            raise ParseError("trailing tokens in coefficient", self.text, tok[2])
+        return out
+
+    def expr(self):
+        out = self.product()
+        while True:
+            tok = self._peek()
+            if tok and tok[0] == "SYM" and tok[1] in "+-":
+                self.pos += 1
+                rhs = self.product()
+                _check_degree(tok[1], out, rhs, self.text, tok[2])
+                out = out + rhs if tok[1] == "+" else out - rhs
+            else:
+                return out
+
+    def product(self):
+        out = self.unary()
+        while True:
+            tok = self._peek()
+            if tok and tok[0] == "SYM" and tok[1] in "*/":
+                self.pos += 1
+                rhs = self.unary()
+                _check_degree(tok[1], out, rhs, self.text, tok[2])
+                if tok[1] == "*":
+                    out = out * rhs
+                else:
+                    if rhs.is_zero():
+                        raise ParseError(
+                            "division by zero in coefficient", self.text, tok[2]
+                        )
+                    out = out / rhs
+            else:
+                return out
+
+    def unary(self):
+        tok = self._peek()
+        if tok and tok[0] == "SYM" and tok[1] in "+-":
+            self.pos += 1
+            out = self.unary()
+            return out if tok[1] == "+" else -out
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        tok = self._peek()
+        if tok and tok[0] == "SYM" and tok[1] == "^":
+            self.pos += 1
+            etok = self._next()
+            neg = False
+            if etok[0] == "SYM" and etok[1] == "-":
+                neg = True
+                etok = self._next()
+            if etok[0] != "INT":
+                raise ParseError("exponent must be an integer", self.text, etok[2])
+            e = -etok[1] if neg else etok[1]
+            if e < 0 and base.is_zero():
+                raise ParseError("negative power of zero", self.text, etok[2])
+            if abs(e) > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {e} is beyond the bound {MAX_EXPONENT}", self.text, etok[2]
+                )
+            if max(base.num.total_degree(), base.den.total_degree()) * abs(e) > MAX_DEGREE:
+                raise ParseError(
+                    f"power has degree beyond the bound {MAX_DEGREE}", self.text, etok[2]
+                )
+            return base ** e
+        return base
+
+    def atom(self):
+        tok = self._next()
+        if tok[0] == "INT":
+            return RatFun.from_frac(F(tok[1]))
+        if tok[0] == "NAME" and tok[1] in ("u", "v"):
+            return RatFun.var(tok[1])
+        if tok[0] == "SYM" and tok[1] == "(":
+            out = self.expr()
+            self._expect_sym(")")
+            return out
+        raise ParseError(f"unexpected token {tok[1]!r} in coefficient", self.text, tok[2])
+
+
+def _ref_basis_backwards(tokens, end, table, text):
+    """Parse one basis token group ending at index end-1; returns (index, start)."""
+    if end < 1:
+        raise ParseError("missing basis symbol", text, 0)
+    tok = tokens[end - 1]
+    if tok[0] == "NAME" and tok[1] in ("e", "f", "h"):
+        if table.n != 2:
+            raise ParseError(
+                f"alias {tok[1]!r} is only defined over sl(2)", text, tok[2]
+            )
+        return table.index[tok[1]], end - 1
+    if tok[0] == "SYM" and tok[1] == ")":
+        # E ( i , j )  or  H ( i )
+        if end >= 4 and tokens[end - 3][0] == "SYM" and tokens[end - 3][1] == "(":
+            name_tok, i_tok = tokens[end - 4], tokens[end - 2]
+            if name_tok[0] == "NAME" and name_tok[1] == "H" and i_tok[0] == "INT":
+                label = f"H({i_tok[1]})"
+                if label not in table.index:
+                    raise ParseError(
+                        f"unknown basis symbol {label}", text, name_tok[2]
+                    )
+                return table.index[label], end - 4
+        if (
+            end >= 6
+            and tokens[end - 5][0] == "SYM"
+            and tokens[end - 5][1] == "("
+            and tokens[end - 3][1] == ","
+        ):
+            name_tok = tokens[end - 6]
+            i_tok, j_tok = tokens[end - 4], tokens[end - 2]
+            if (
+                name_tok[0] == "NAME"
+                and name_tok[1] == "E"
+                and i_tok[0] == "INT"
+                and j_tok[0] == "INT"
+            ):
+                label = f"E({i_tok[1]},{j_tok[1]})"
+                if label not in table.index:
+                    raise ParseError(
+                        f"unknown basis symbol {label}", text, name_tok[2]
+                    )
+                return table.index[label], end - 6
+    raise ParseError("expected a basis symbol", text, tok[2])
+
+
+def _ref_basis_forwards(tokens, start, table, text):
+    if start >= len(tokens):
+        raise ParseError("missing basis symbol after (x)", text, len(text))
+    tok = tokens[start]
+    if tok[0] == "NAME" and tok[1] in ("e", "f", "h"):
+        if table.n != 2:
+            raise ParseError(
+                f"alias {tok[1]!r} is only defined over sl(2)", text, tok[2]
+            )
+        return table.index[tok[1]], start + 1
+    if tok[0] == "NAME" and tok[1] in ("E", "H"):
+        # scan to the matching ')'
+        for end in range(start + 1, len(tokens) + 1):
+            if tokens[end - 1][0] == "SYM" and tokens[end - 1][1] == ")":
+                idx, s = _ref_basis_backwards(tokens, end, table, text)
+                if s == start:
+                    return idx, end
+                break
+        raise ParseError("malformed basis symbol", text, tok[2])
+    raise ParseError("expected a basis symbol", text, tok[2])
+
+
+def _ref_parse_rmatrix(text, omega=None):
+    """Parse a document to an exact tensor; raises ParseError on bad input."""
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise ParseError(
+            f"document longer than {MAX_DOCUMENT_CHARS} characters", text, MAX_DOCUMENT_CHARS
+        )
+    tokens = _tokenize(text)
+    # header: algebra sl ( INT ) ;
+    if not (
+        len(tokens) >= 6
+        and tokens[0][:2] == ("NAME", "algebra")
+        and tokens[1][:2] == ("NAME", "sl")
+        and tokens[2][1] == "("
+        and tokens[3][0] == "INT"
+        and tokens[4][1] == ")"
+        and tokens[5][1] == ";"
+    ):
+        pos = tokens[0][2] if tokens else 0
+        raise ParseError("expected header 'algebra sl(N);'", text, pos)
+    n = tokens[3][1]
+    if not 2 <= n <= MAX_RANK:
+        raise ParseError(
+            f"sl({n}) is not supported: N must be in 2..{MAX_RANK}", text, tokens[3][2]
+        )
+    table = make_sl(n)
+    if omega is None:
+        omega = calibrated_omega(table)
+    body = tokens[6:]
+    if not body:
+        raise ParseError("document has no terms", text, len(text))
+    # split into terms at depth-0 +/- signs, except the sign of an exponent
+    terms = []
+    depth = 0
+    cur = []
+    start_sign = F(1)
+    for tok in body:
+        if tok[0] == "SYM" and tok[1] == "(":
+            depth += 1
+        elif tok[0] == "SYM" and tok[1] == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced ')'", text, tok[2])
+        if depth == 0 and tok[0] == "SYM" and tok[1] in "+-" and cur and cur[-1][1] != "^":
+            terms.append((start_sign, cur))
+            start_sign = F(1 if tok[1] == "+" else -1)
+            cur = []
+            continue
+        cur.append(tok)
+    if depth != 0:
+        raise ParseError("unbalanced '('", text, len(text))
+    if not cur:
+        raise ParseError("trailing operator without a term", text, len(text))
+    terms.append((start_sign, cur))
+
+    total = Tensor2.zero(table)
+    for tsign, toks in terms:
+        term = _ref_parse_term(toks, table, omega, text).scale(RatFun.from_frac(tsign))
+        for key, c in term.entries.items():
+            if key in total.entries:
+                _check_degree("+", total.entries[key], c, text, toks[0][2])
+        total = total + term
+    return RMatrixDocument(table, omega, total)
+
+
+def _ref_parse_term(tokens, table, omega, text):
+    tensor_idx = [i for i, t in enumerate(tokens) if t[0] == "TENSOR"]
+    if len(tensor_idx) > 1:
+        raise ParseError("more than one (x) in a term", text, tokens[tensor_idx[1]][2])
+    if tensor_idx:
+        i = tensor_idx[0]
+        a, astart = _ref_basis_backwards(tokens, i, table, text)
+        b, bend = _ref_basis_forwards(tokens, i + 1, table, text)
+        if bend != len(tokens):
+            raise ParseError(
+                "trailing tokens after basis factor", text, tokens[bend][2]
+            )
+        coeff_toks = tokens[:astart]
+        factor = Tensor2.single(table, a, b)
+    else:
+        last = tokens[-1]
+        if not (last[0] == "NAME" and last[1] == "Omega"):
+            raise ParseError(
+                "term must end in 'Omega' or 'basis (x) basis'", text, last[2]
+            )
+        coeff_toks = tokens[:-1]
+        factor = omega.tensor()
+    if coeff_toks:
+        if not (coeff_toks[-1][0] == "SYM" and coeff_toks[-1][1] == "*"):
+            raise ParseError(
+                "expected '*' between coefficient and factor",
+                text,
+                coeff_toks[-1][2],
+            )
+        coeff = _RefCoeffParser(coeff_toks[:-1], text).parse()
+    else:
+        coeff = RatFun.from_frac(1)
+    return factor.scale(coeff)
+
+
+def _ref_parse_element(table, text):
+    """Linear combination of basis symbols: [RAT '*'] basis (('+'|'-') ...)*."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty element expression", text, 0)
+    out = table.zero()
+    i = 0
+    sign = F(1)
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok[0] == "SYM" and tok[1] in "+-":
+            sign = F(1 if tok[1] == "+" else -1)
+            i += 1
+            continue
+        # collect tokens up to the next depth-0 +/- into one addend
+        j = i
+        depth = 0
+        while j < len(tokens):
+            t = tokens[j]
+            if t[0] == "SYM" and t[1] == "(":
+                depth += 1
+            elif t[0] == "SYM" and t[1] == ")":
+                depth -= 1
+            elif t[0] == "SYM" and t[1] in "+-" and depth == 0:
+                break
+            j += 1
+        part = tokens[i:j]
+        idx, start = _ref_basis_backwards(part, len(part), table, text)
+        coeff_toks = part[:start]
+        if coeff_toks:
+            if not (coeff_toks[-1][0] == "SYM" and coeff_toks[-1][1] == "*"):
+                raise ParseError(
+                    "expected '*' between coefficient and basis symbol",
+                    text,
+                    coeff_toks[-1][2],
+                )
+            c = _RefCoeffParser(coeff_toks[:-1], text).parse()
+            if not c.is_const():
+                raise ParseError(
+                    "element coefficients must be constant rationals", text, tok[2]
+                )
+            c = c.const_value()
+        else:
+            c = F(1)
+        out = out + table.basis_element(idx).scale(c * sign)
+        sign = F(1)
+        i = j
+    return out
+
+
+def _ref_parse_gauge_expr(table, text):
+    factors = [f.strip() for f in text.split("*")]
+    out = PolyGroupElement.identity(table)
+    for fac in factors:
+        if not (fac.startswith("unip(") and fac.endswith(")")):
+            raise UsageError(f"bad gauge factor {fac!r}; expected unip(root,deg,t)")
+        body = fac[5:-1]
+        parts = [p.strip() for p in body.split(",")]
+        if len(parts) == 3:
+            root_text, deg_text, t_text = parts
+        elif len(parts) == 4 and parts[0].startswith("E("):
+            root_text = parts[0] + "," + parts[1]
+            deg_text, t_text = parts[2], parts[3]
+        else:
+            raise UsageError(f"bad gauge factor {fac!r}")
+        if root_text in ("e", "f"):
+            if table.n != 2:
+                raise UsageError("aliases e/f in unip() need sl(2)")
+            root = (1, 2) if root_text == "e" else (2, 1)
+        elif root_text.startswith("E(") and root_text.endswith(")"):
+            i, j = root_text[2:-1].split(",")
+            root = (int(i), int(j))
+        else:
+            raise UsageError(f"bad root {root_text!r} in unip()")
+        try:
+            deg = int(deg_text)
+            t = F(t_text)
+        except ValueError as exc:
+            raise UsageError(f"bad unip() arguments: {exc}")
+        if deg < 0:
+            raise UsageError("unip() degree must be >= 0")
+        if root[0] == root[1] or not (
+            1 <= root[0] <= table.n and 1 <= root[1] <= table.n
+        ):
+            raise UsageError(f"bad root {root} for sl({table.n})")
+        out = out * PolyGroupElement.unip(table, root, deg, t)
+    return out
