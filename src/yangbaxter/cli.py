@@ -26,8 +26,10 @@ rank N (header or --n) is at most MAX_RANK, a document at most
 MAX_DOCUMENT_CHARS long, an exponent at most MAX_EXPONENT in size, the unip
 degrees of a gauge expression sum to at most MAX_DEGREE, and every
 coefficient operation is refused before it is computed when its unreduced
-numerator or denominator would pass total degree MAX_DEGREE.  Past a bound
-the command exits 2.
+numerator or denominator would pass total degree MAX_DEGREE.  The window top
+and the dual-basis order of `double --trunc` are at most MAX_TRUNC, and a
+transversality tail depth lies in the window, 0..2T.  Past a bound the
+command exits 2.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ MAX_RANK = 6
 MAX_DOCUMENT_CHARS = 20_000
 MAX_EXPONENT = 16
 MAX_DEGREE = 16
+MAX_TRUNC = 12
 
 
 class UsageError(Exception):
@@ -417,8 +420,8 @@ def _report(command, inputs, window=None, seed=None):
 
 def _window(args, default_hi=4):
     hi = args.trunc if args.trunc is not None else default_hi
-    if hi < 0:
-        raise UsageError("--trunc must be >= 0")
+    if not 0 <= hi <= MAX_TRUNC:
+        raise UsageError(f"--trunc must be in 0..{MAX_TRUNC}")
     return doubles.Window(-2 * hi, hi)
 
 
@@ -530,8 +533,8 @@ def cmd_double(args):
     check = args.check
     if check == "dualbasis":
         order = args.trunc if args.trunc is not None else 12
-        if order < 2:
-            raise UsageError("--trunc must be >= 2 for dualbasis")
+        if not 2 <= order <= MAX_TRUNC:
+            raise UsageError(f"--trunc must be in 2..{MAX_TRUNC} for dualbasis")
         ok_pairing = doubles.dual_basis_check(table, order)
         mismatch = None
         try:
@@ -659,6 +662,10 @@ def cmd_double(args):
         return _emit(args, report, detail)
 
     if check == "transversal":
+        if not 0 <= args.tail <= -window.lo:
+            raise UsageError(
+                f"--tail must be in 0..{-window.lo} for the window [{window.lo}, {window.hi}]"
+            )
         if args.fixture:
             w = _subspace_from_file(table, args.fixture, window)
             source = args.fixture

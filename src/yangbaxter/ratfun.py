@@ -1,168 +1,179 @@
 """Exact multivariate rational-function arithmetic over the rationals.
 
-Polynomials are sparse tables from exponent vectors to Fraction
-coefficients, kept in a canonical form, so equality (in particular
-equality to zero) is a structural check.  Rational functions are fully
-reduced num/den pairs whose denominator is normalized to leading
-coefficient 1 under graded-lexicographic order; equal values therefore
-have identical representations.
+Polynomials live in Q[u, v, u1, u2, u3], the only variables the package
+uses.  A monomial is one packed int with a fixed-width exponent field per
+variable, u highest, so integer order is lexicographic order, a monomial
+product is one addition and a division by a monomial one subtraction
+(Monagan & Pearce, CASC 2007).  An exponent that reaches the top (guard)
+bit of its field raises ExponentOverflow; it never carries into the next.
+Coefficients are ints where integral and Fractions otherwise, and zero
+terms are dropped, so equality is a structural check.  Rational functions
+are fully reduced num/den pairs whose denominator has graded-lex leading
+coefficient 1; equal values therefore have identical representations.
 
-Reduction splits a denominator into powers of variables, variable
-differences x - y and a remaining core.  The linear factors are divided
-out on the exponent tables directly: a power by an exponent shift, a
-difference by synthetic division.  Only the non-linear core meets the
-general gcd.
-
-The global variable order is u, v, u1, u2, u3 first, then any other
-names alphabetically.  No floating point is used anywhere.
+Reduction splits a denominator into a monomial, variable differences x - y
+and a remaining core.  The monomial leaves by a subtraction, a difference
+by synthetic division; only the core meets the general gcd.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-_GLOBAL_VARS = {"u": 0, "v": 1, "u1": 2, "u2": 3, "u3": 4}
-
-
-def _var_key(name):
-    """Sort key realizing the global variable order."""
-    return (_GLOBAL_VARS.get(name, len(_GLOBAL_VARS)), name)
-
-
-def _merge_vars(a, b):
-    """Merge two sorted variable tuples into one sorted tuple."""
-    if a == b:
-        return a
-    out = list(a)
-    for name in b:
-        if name not in out:
-            out.append(name)
-    out.sort(key=_var_key)
-    return tuple(out)
+_NAMES = ("u", "v", "u1", "u2", "u3")
+_WIDTH = 12
+_SHIFT = {name: _WIDTH * i for i, name in enumerate(reversed(_NAMES))}
+_FIELD = (1 << _WIDTH) - 1
+_GUARD = sum(1 << (s + _WIDTH - 1) for s in _SHIFT.values())
+MAX_POLY_EXPONENT = (1 << (_WIDTH - 1)) - 1
 
 
-def _embed_terms(terms, oldvars, newvars):
-    """Re-key exponent tuples from oldvars positions to newvars positions."""
-    if oldvars == newvars:
-        return dict(terms)
-    pos = [newvars.index(name) for name in oldvars]
-    width = len(newvars)
-    out = {}
-    for exps, c in terms.items():
-        e = [0] * width
-        for i, x in enumerate(exps):
-            e[pos[i]] = x
-        out[tuple(e)] = c
-    return out
+class ExponentOverflow(OverflowError):
+    """An exponent passed MAX_POLY_EXPONENT, the width of its packed field."""
+
+
+def _shift(name):
+    if name not in _SHIFT:
+        raise ValueError(f"unknown variable {name!r}; the variables are {', '.join(_NAMES)}")
+    return _SHIFT[name]
+
+
+def _monomial(name, exp):
+    """The packed monomial name^exp."""
+    if exp < 0:
+        raise ValueError(f"negative exponent {name}^{exp}")
+    if exp > MAX_POLY_EXPONENT:
+        raise ExponentOverflow(f"exponent {name}^{exp} passes {MAX_POLY_EXPONENT}")
+    return exp << _shift(name)
+
+
+def _exponents(mono):
+    """The exponents of a packed monomial, in the order of _NAMES."""
+    return tuple((mono >> _SHIFT[x]) & _FIELD for x in _NAMES)
+
+
+def _grlex(mono):
+    """Graded-lex sort key of a packed monomial."""
+    return sum(_exponents(mono)), mono
+
+
+def _poly(terms, check=False):
+    """The Poly of {monomial: coefficient}: zeros dropped, integral Fractions
+    made ints.  With check, an exponent that reached its field's guard bit (a
+    sum of two exponents does not carry past it) raises ExponentOverflow."""
+    if check and reduce(or_, terms, 0) & _GUARD:
+        raise ExponentOverflow(f"an exponent passes {MAX_POLY_EXPONENT}")
+    return Poly({
+        m: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+        for m, c in terms.items() if c
+    })
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse polynomial in u, v, u1, u2, u3 with rational coefficients.
 
-    `vars` lists exactly the variables that occur, sorted by the global
-    order; `terms` maps exponent tuples (aligned with `vars`) to nonzero
-    coefficients.  Instances are immutable and always canonical.
+    `terms` maps packed monomials to nonzero int or Fraction coefficients;
+    `vars` lists the variables that occur.  Instances are immutable and
+    always canonical.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars, terms):
+    def __init__(self, terms):
         # raw constructor; use make/const/var to stay canonical
-        self.vars = vars
         self.terms = terms
 
     @staticmethod
     def make(vars, terms):
-        """Canonicalize: drop zero coefficients and unused variables."""
-        terms = {e: c for e, c in terms.items() if c != 0}
-        if not terms:
-            return _P_ZERO
-        used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
-        if len(used) != len(vars):
-            vars = tuple(vars[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-        return Poly(vars, terms)
+        """The Poly of {exponent tuple aligned with vars: coefficient}."""
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"repeated variable in {vars}")
+        packed = {}
+        for exps, c in terms.items():
+            m = sum(_monomial(x, e) for x, e in zip(vars, exps))
+            packed[m] = packed.get(m, 0) + c
+        return _poly(packed)
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
-        if c == 0:
-            return _P_ZERO
-        return Poly((), {(): c})
+        return _poly({0: Fraction(c)})
 
     @staticmethod
     def var(name, exp=1):
-        assert isinstance(name, str) and exp >= 0, (name, exp)
-        if exp == 0:
-            return Poly.const(1)
-        return Poly((name,), {(exp,): Fraction(1)})
+        return Poly({_monomial(name, exp): 1})
+
+    @property
+    def vars(self):
+        """The variables that occur, in the order u, v, u1, u2, u3."""
+        used = reduce(or_, self.terms, 0)
+        return tuple(x for x in _NAMES if (used >> _SHIFT[x]) & _FIELD)
 
     def is_zero(self):
         return not self.terms
 
     def is_const(self):
-        return not self.vars
+        return not any(self.terms)
 
     def const_value(self):
-        assert self.is_const(), self
-        return self.terms.get((), Fraction(0))
+        if any(self.terms):
+            raise ValueError(f"{self} is not constant")
+        return Fraction(self.terms.get(0, 0))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
-        if self.vars == other.vars:
-            terms = dict(self.terms)
-            for e, c in other.terms.items():
-                terms[e] = terms.get(e, Fraction(0)) + c
-            return Poly.make(self.vars, terms)
-        vars = _merge_vars(self.vars, other.vars)
-        terms = _embed_terms(self.terms, self.vars, vars)
-        for e, c in _embed_terms(other.terms, other.vars, vars).items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Poly.make(vars, terms)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        terms = dict(a)
+        get = terms.get
+        for m, c in b.items():
+            terms[m] = get(m, 0) + c
+        return _poly(terms)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return _P_ZERO
-            return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
-        if self.is_zero() or other.is_zero():
+            if other.__class__ is Fraction and other.denominator == 1:
+                other = other.numerator
+            return _poly({m: c * other for m, c in self.terms.items()})
+        a, b = self.terms, other.terms
+        if not a or not b:
             return _P_ZERO
-        vars = _merge_vars(self.vars, other.vars)
-        a = _embed_terms(self.terms, self.vars, vars)
-        b = _embed_terms(other.terms, other.vars, vars)
+        if len(b) == 1:
+            (mb, cb), = b.items()
+            return _poly({ma + mb: ca * cb for ma, ca in a.items()}, check=True)
         terms = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                terms[e] = terms.get(e, Fraction(0)) + ca * cb
-        return Poly.make(vars, terms)
+        get = terms.get
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                terms[m] = get(m, 0) + ca * cb
+        return _poly(terms, check=True)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0, n
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"Poly power {n!r} is not a non-negative int")
         out = Poly.const(1)
         base = self
         while n:
@@ -173,87 +184,79 @@ class Poly:
         return out
 
     def leading(self):
-        """(exponent-tuple key, coefficient) of the graded-lex leading term."""
-        assert not self.is_zero(), "zero polynomial has no leading term"
-        key = max(self.terms, key=lambda e: (sum(e), e))
-        return key, self.terms[key]
+        """(packed monomial, coefficient) of the graded-lex leading term."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        mono = max(self.terms, key=_grlex)
+        return mono, self.terms[mono]
 
     def total_degree(self):
-        if self.is_zero():
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(_exponents(m)) for m in self.terms), default=-1)
 
     def degree_in(self, name):
-        if name not in self.vars:
-            return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms) if self.terms else 0
+        s = _shift(name)
+        return max(((m >> s) & _FIELD for m in self.terms), default=0)
 
     def as_univariate(self, name):
         """Write the poly as {deg in name: Poly in the remaining vars}."""
-        if name not in self.vars:
-            return {0: self} if not self.is_zero() else {}
-        i = self.vars.index(name)
-        rest = tuple(n for n in self.vars if n != name)
+        s = _shift(name)
         buckets = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            re = tuple(x for j, x in enumerate(e) if j != i)
-            buckets.setdefault(d, {})[re] = c
-        return {d: Poly.make(rest, t) for d, t in buckets.items()}
+        for m, c in self.terms.items():
+            d = (m >> s) & _FIELD
+            buckets.setdefault(d, {})[m - (d << s)] = c
+        return {d: Poly(t) for d, t in buckets.items()}
 
     @staticmethod
     def from_univariate(name, coeffs):
-        """Inverse of as_univariate."""
-        out = _P_ZERO
+        """Inverse of as_univariate: sum of p * name^d over {d: p}."""
+        terms = {}
+        get = terms.get
         for d, p in coeffs.items():
-            out = out + p * Poly.var(name, d)
-        return out
+            mono = _monomial(name, d)
+            for m, c in p.terms.items():
+                m += mono
+                terms[m] = get(m, 0) + c
+        return _poly(terms, check=True)
 
     def rename(self, mapping):
         """Rename variables (injective on this poly's variables)."""
-        newnames = tuple(mapping.get(n, n) for n in self.vars)
-        assert len(set(newnames)) == len(newnames), (self.vars, mapping)
-        order = sorted(range(len(newnames)), key=lambda i: _var_key(newnames[i]))
-        vars = tuple(newnames[i] for i in order)
-        terms = {tuple(e[i] for i in order): c for e, c in self.terms.items()}
-        return Poly(vars, terms)
+        old = self.vars
+        new = [mapping.get(x, x) for x in old]
+        if len(set(new)) != len(new):
+            raise ValueError(f"renaming {mapping} is not injective on {old}")
+        moves = [(_SHIFT[x], _shift(y)) for x, y in zip(old, new) if x != y]
+        if not moves:
+            return self
+        terms = {}
+        for m, c in self.terms.items():
+            out = m
+            for a, b in moves:
+                e = (m >> a) & _FIELD
+                out += (e << b) - (e << a)
+            terms[out] = c
+        return Poly(terms)
 
     def __str__(self):
         if self.is_zero():
             return "0"
-        keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
         chunks = []
-        for e in keys:
-            c = self.terms[e]
-            mono = "*".join(
-                n if x == 1 else f"{n}^{x}"
-                for n, x in zip(self.vars, e)
-                if x
-            )
-            if not mono:
-                body = _frac_str(abs(c))
-            elif abs(c) == 1:
+        for m in sorted(self.terms, key=_grlex, reverse=True):
+            c = self.terms[m]
+            mono = "*".join(n if x == 1 else f"{n}^{x}"
+                            for n, x in zip(_NAMES, _exponents(m)) if x)
+            if mono and abs(c) == 1:
                 body = mono
             else:
-                body = f"{_frac_str(abs(c))}*{mono}"
+                body = "*".join(filter(None, (str(abs(c)), mono)))
             chunks.append(("- " if c < 0 else "+ ") + body)
         s = " ".join(chunks)
-        if s.startswith("+ "):
-            s = s[2:]
-        elif s.startswith("- "):
-            s = "-" + s[2:]
-        return s
+        return s[2:] if s[0] == "+" else "-" + s[2:]
 
     def __repr__(self):
         return f"Poly({self})"
 
 
-def _frac_str(c):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-_P_ZERO = Poly((), {})
+_P_ZERO = Poly({})
 P_ONE = Poly.const(1)
 
 
@@ -262,8 +265,7 @@ def _poly_divexact(p, d):
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if d.is_const():
-        inv = 1 / d.const_value()
-        return p * inv
+        return p * (Fraction(1) / d.terms[0])
     if p.is_zero():
         return _P_ZERO
     name = d.vars[0]
@@ -279,8 +281,7 @@ def _poly_divexact(p, d):
             raise ArithmeticError(f"{d} does not divide {p}")
         t = _poly_divexact(rcoe[rd], dlead)
         q[rd - dd] = q.get(rd - dd, _P_ZERO) + t
-        sub = Poly.from_univariate(name, {rd - dd: t}) * d
-        rem = rem - sub
+        rem = rem - Poly.from_univariate(name, {rd - dd: t}) * d
     return Poly.from_univariate(name, q)
 
 
@@ -295,7 +296,6 @@ def _gcd_list(polys):
 
 def _pseudo_rem(a, b, name):
     """Pseudo-remainder of a by b, both univariate in `name` with Poly coeffs."""
-    acoe = a.as_univariate(name)
     bcoe = b.as_univariate(name)
     db = max(bcoe)
     lb = bcoe[db]
@@ -324,8 +324,7 @@ def poly_gcd(p, q):
         return _monic(p)
     if p.is_const() or q.is_const():
         return P_ONE
-    vars = _merge_vars(p.vars, q.vars)
-    name = vars[0]
+    name = min(p.vars[0], q.vars[0], key=_NAMES.index)
     pc = p.as_univariate(name)
     qc = q.as_univariate(name)
     if max(pc) == 0 or max(qc) == 0:
@@ -356,21 +355,28 @@ def _monic(p):
     _, lc = p.leading()
     if lc == 1:
         return p
-    return p * (1 / lc)
+    return p * (Fraction(1) / lc)
 
 
-def _min_exps(p):
-    """Smallest exponent of each of p's variables over its monomials."""
-    return [min(col) for col in zip(*p.terms)]
+def _monomial_gcd(monos):
+    """The field-wise minimum of packed monomials: their gcd."""
+    return sum(min(((m >> s) & _FIELD for m in monos), default=0) << s for s in _SHIFT.values())
 
 
-def _divide_monomial(p, powers):
-    """p divided by the monomial prod(x^powers[x]): an exponent shift."""
-    shift = tuple(powers.get(x, 0) for x in p.vars)
-    if not any(shift):
+def _divide_monomial(p, mono):
+    """p divided by a packed monomial: one subtraction per term, after a
+    field-wise check that mono divides it (a borrow clears a guard bit)."""
+    if not mono:
         return p
-    terms = {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()}
-    return Poly.make(p.vars, terms)
+    if any(((m | _GUARD) - mono) & _GUARD != _GUARD for m in p.terms):
+        raise ArithmeticError(f"monomial does not divide {p}")
+    return Poly({m - mono: c for m, c in p.terms.items()})
+
+
+def _uses(p, *names):
+    """Does every one of the names occur in p?"""
+    used = reduce(or_, p.terms, 0)
+    return all((used >> _shift(x)) & _FIELD for x in names)
 
 
 def _vanishes_on_diagonal(p, x, y):
@@ -378,17 +384,16 @@ def _vanishes_on_diagonal(p, x, y):
 
     One pass: each term's exponent of x moves onto y, and every folded
     coefficient must sum to zero.  A nonzero p that lacks x or y does not
-    vanish there.
+    vanish there.  A folded exponent may reach the guard bit but never
+    carries out of its field, so distinct monomials stay distinct.
     """
-    if x not in p.vars or y not in p.vars:
+    if not _uses(p, x, y):
         return p.is_zero()
-    i, j = p.vars.index(x), p.vars.index(y)
+    sx, sy = _SHIFT[x], _SHIFT[y]
     folded = {}
-    for e, c in p.terms.items():
-        f = list(e)
-        f[j] += f[i]
-        f[i] = 0
-        f = tuple(f)
+    for m, c in p.terms.items():
+        e = (m >> sx) & _FIELD
+        f = m + (e << sy) - (e << sx)
         folded[f] = folded.get(f, 0) + c
     return not any(folded.values())
 
@@ -402,40 +407,38 @@ def _divide_difference(p, x, y):
     """
     if p.is_zero():
         return p
-    if x not in p.vars or y not in p.vars:
+    if not _uses(p, x, y):
         raise ArithmeticError(f"{x} - {y} does not divide {p}")
-    i, j = p.vars.index(x), p.vars.index(y)
+    sx, sy = _SHIFT[x], _SHIFT[y]
     rows = {}
-    for e, c in p.terms.items():
-        rows.setdefault(e[i], {})[e] = c
+    for m, c in p.terms.items():
+        rows.setdefault((m >> sx) & _FIELD, {})[m] = c
+    step = (1 << sy) - (1 << sx)
     quotient = {}
     for k in range(max(rows), 0, -1):
         lower = rows.setdefault(k - 1, {})
-        for e, c in rows.pop(k, {}).items():
+        for m, c in rows.pop(k, {}).items():
             if c:
-                f = list(e)
-                f[i] -= 1
-                quotient[tuple(f)] = c
-                f[j] += 1
-                f = tuple(f)
-                lower[f] = lower.get(f, 0) + c
+                quotient[m - (1 << sx)] = c
+                m += step
+                lower[m] = lower.get(m, 0) + c
     if any(rows[0].values()):
         raise ArithmeticError(f"{x} - {y} does not divide {p}")
-    return Poly.make(p.vars, quotient)
+    return _poly(quotient, check=True)
 
 
 def _reduce_fraction(num, den):
     """Cancel common factors of num/den without coefficient swell.
 
-    The denominator is split into single-variable powers, variable
-    differences, and a residual core.  A power x^m leaves by an exponent
-    shift; a difference x - y is found by folding x's exponent onto y and
-    leaves by synthetic division in x.  Only the core ever meets the
+    The denominator is split into a monomial, variable differences, and a
+    residual core.  The monomial leaves by a subtraction on the packed
+    exponents; a difference x - y is found by folding x's exponent onto y
+    and leaves by synthetic division in x.  Only the core ever meets the
     general pseudo-remainder gcd; in this package the denominators that
     arise internally are products of variables and variable differences,
     so the core is constant and the reduction never calls `poly_gcd`.
     """
-    powers = {x: m for x, m in zip(den.vars, _min_exps(den)) if m}
+    powers = _monomial_gcd(den.terms)
     den = _divide_monomial(den, powers)
     differences = []
     dvars = den.vars
@@ -453,11 +456,10 @@ def _reduce_fraction(num, den):
         if not g.is_const():
             num = _poly_divexact(num, g)
             den = _poly_divexact(den, g)
-    shared = {x: min(powers[x], e) for x, e in zip(num.vars, _min_exps(num)) if x in powers}
+    shared = _monomial_gcd((powers, _monomial_gcd(num.terms)))
     num = _divide_monomial(num, shared)
-    rest = {x: m - shared.get(x, 0) for x, m in powers.items() if m > shared.get(x, 0)}
-    if rest:
-        den = den * Poly(tuple(rest), {tuple(rest.values()): Fraction(1)})
+    if powers != shared:
+        den = den * Poly({powers - shared: 1})
     for x, y, m in differences:
         while m and _vanishes_on_diagonal(num, x, y):
             num = _divide_difference(num, x, y)
@@ -491,16 +493,11 @@ class RatFun:
             c = den.const_value()
             if c == 1:
                 return RatFun(num, P_ONE)
-            return RatFun(num * (1 / c), P_ONE)
+            return RatFun(num * (Fraction(1) / c), P_ONE)
         num, den = _reduce_fraction(num, den)
         if den.is_const():
             return RatFun.of(num, den)
-        _, lc = den.leading()
-        if lc != 1:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
-        return RatFun(num, den)
+        return _monic_den(num, den)
 
     @staticmethod
     def from_poly(p):
@@ -555,15 +552,12 @@ class RatFun:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
         return RatFun(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.from_frac(Fraction(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -584,15 +578,14 @@ class RatFun:
         b, d1 = _cross(other.num, self.den)
         return RatFun.of(a * b, d1 * d2)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
                 raise ZeroDivisionError("division by zero")
-            return RatFun(self.num * (1 / c), self.den)
+            return RatFun(self.num * (Fraction(1) / c), self.den)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return self * RatFun.of(other.den, other.num)
@@ -612,11 +605,7 @@ class RatFun:
         # renaming can change which term is leading; re-normalize
         if den.is_const():
             return RatFun.of(num, den)
-        _, lc = den.leading()
-        if lc != 1:
-            inv = 1 / lc
-            num, den = num * inv, den * inv
-        return RatFun(num, den)
+        return _monic_den(num, den)
 
     def __str__(self):
         if self.den.is_const():
@@ -628,6 +617,15 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self})"
+
+
+def _monic_den(num, den):
+    """RatFun num/den, both scaled so den's leading coefficient is 1."""
+    _, lc = den.leading()
+    if lc == 1:
+        return RatFun(num, den)
+    inv = Fraction(1) / lc
+    return RatFun(num * inv, den * inv)
 
 
 def _cross(num, den):

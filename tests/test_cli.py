@@ -23,6 +23,7 @@ from yangbaxter.cli import (
     MAX_DOCUMENT_CHARS,
     MAX_EXPONENT,
     MAX_RANK,
+    MAX_TRUNC,
     ParseError,
     UsageError,
     _check_degree,
@@ -436,6 +437,28 @@ def test_oversized_input_exits_2_quickly(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_double_window_bounds_exit_2_quickly(capsys):
+    # Past MAX_TRUNC the window or the dual-basis order is refused before it
+    # is built; both runs below went on past 15 s before the bound.  A tail
+    # depth outside the window [-2T, T]'s 0..2T either checked no element and
+    # passed (9) or checked elements outside the window and failed (-5).
+    runs = [["double", "--check", "transversal", "--trunc", "2000"],
+            ["double", "--check", "dualbasis", "--trunc", "100000"],
+            ["double", "--check", "transversal", "--tail", "9"],
+            ["double", "--check", "transversal", "--tail", "-5"],
+            ["double", "--check", "wk", "--trunc", str(MAX_TRUNC + 1)],
+            ["double", "--check", "dualbasis", "--trunc", "1"]]
+    for argv in runs:
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+    # the ends of the tail range are accepted
+    for tail in ("0", "8"):
+        assert main(["double", "--check", "transversal", "--tail", tail]) == 0, tail
+    assert "contains_tail: ok" in capsys.readouterr().out
+
+
 def test_input_bounds_admit_their_limit():
     top = f"algebra sl(2); ((u+v)^{MAX_DEGREE})*e(x)f"
     assert parse_rmatrix(top).tensor.coeff("e", "f") == (U + V) ** MAX_DEGREE
@@ -456,6 +479,7 @@ def test_input_bounds_admit_their_limit():
     assert _parse_gauge_expr(t, f"unip(e,{MAX_DEGREE},1)").max_degree() == MAX_DEGREE
     with pytest.raises(ParseError):
         _parse_gauge_expr(t, "unip(e,9,1)*unip(f,8,1)")
+    assert main(["double", "--check", "dualbasis", "--trunc", str(MAX_TRUNC)]) == 0
 
 
 def test_negative_exponent_at_top_level(capsys, tmp_path):

@@ -9,10 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import yangbaxter
 from yangbaxter.ratfun import (
+    MAX_POLY_EXPONENT,
+    ExponentOverflow,
     LaurentPoly,
     Poly,
     RatFun,
     _divide_difference,
+    _exponents,
+    _monic,
     _poly_divexact,
     _reduce_fraction,
     _vanishes_on_diagonal,
@@ -166,12 +170,13 @@ def _ref_min_exp(p, name):
 
 
 def _ref_subst_var(p, x, y):
-    out = Poly.const(0)
-    ypow = Poly.const(1)
+    P = type(p)
+    out = P.const(0)
+    ypow = P.const(1)
     coeffs = p.as_univariate(x)
     for k in range(max(coeffs) + 1):
         if k:
-            ypow = ypow * Poly.var(y)
+            ypow = ypow * P.var(y)
         if k in coeffs:
             out = out + coeffs[k] * ypow
     return out
@@ -184,32 +189,35 @@ def _ref_divides_linear(f, p):
 
 
 def _ref_reduce_fraction(num, den):
+    # on Poly or _RefPoly, with that class's division and gcd
+    P = type(num)
+    divexact, gcd = (_poly_divexact, poly_gcd) if P is Poly else (_ref_divexact, _ref_gcd)
     linear = []
     for x in den.vars:
         m = _ref_min_exp(den, x)
         if m:
-            f = Poly.var(x)
-            den = _poly_divexact(den, f ** m)
+            f = P.var(x)
+            den = divexact(den, f ** m)
             linear.append([f, m])
     dvars = den.vars
     for i in range(len(dvars)):
         for j in range(i + 1, len(dvars)):
             x, y = dvars[i], dvars[j]
-            f = Poly.var(x) - Poly.var(y)
+            f = P.var(x) - P.var(y)
             m = 0
             while not den.is_const() and _ref_subst_var(den, x, y).is_zero():
-                den = _poly_divexact(den, f)
+                den = divexact(den, f)
                 m += 1
             if m:
                 linear.append([f, m])
     if not den.is_const():
-        g = poly_gcd(num, den)
+        g = gcd(num, den)
         if not g.is_const():
-            num = _poly_divexact(num, g)
-            den = _poly_divexact(den, g)
+            num = divexact(num, g)
+            den = divexact(den, g)
     for f, m in linear:
         while m and _ref_divides_linear(f, num):
-            num = _poly_divexact(num, f)
+            num = divexact(num, f)
             m -= 1
         if m:
             den = den * f ** m
@@ -329,11 +337,14 @@ def test_reduction_matches_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     syms = {n: sympy.Symbol(n) for n in NAMES}
 
-    def to_sympy(p):
+    def to_sympy(p, names=NAMES):
+        # exponents through the public API: one variable at a time
+        if not names:
+            c = p.const_value()
+            return sympy.Rational(c.numerator, c.denominator)
         return sum(
-            (sympy.Rational(c.numerator, c.denominator)
-             * sympy.Mul(*[syms[n] ** k for n, k in zip(p.vars, e)])
-             for e, c in p.terms.items()),
+            (to_sympy(c, names[1:]) * syms[names[0]] ** k
+             for k, c in p.as_univariate(names[0]).items()),
             sympy.Integer(0),
         )
 
@@ -388,3 +399,404 @@ def test_inexact_synthetic_division_raises_under_optimisation():
         )
         assert proc.returncode == 0, (flags, proc.stderr)
         assert proc.stdout.splitlines() == ["inexact rejected"] * 2, (flags, proc.stdout)
+
+
+# ---------------------------------------------------------------------------
+# The packed-monomial Poly against the tuple-keyed one it replaced.
+# `_RefPoly` keeps the old layout: exponent tuples aligned with the sorted
+# names that occur, Fraction coefficients, re-keyed on every mixed-variable
+# operation.  Its gcd is the old primitive remainder sequence.
+
+_REF_ORDER = {n: i for i, n in enumerate(NAMES)}
+
+
+def _ref_var_key(name):
+    return (_REF_ORDER.get(name, len(NAMES)), name)
+
+
+def _ref_merge_vars(a, b):
+    if a == b:
+        return a
+    out = list(a)
+    for name in b:
+        if name not in out:
+            out.append(name)
+    out.sort(key=_ref_var_key)
+    return tuple(out)
+
+
+def _ref_embed_terms(terms, oldvars, newvars):
+    if oldvars == newvars:
+        return dict(terms)
+    pos = [newvars.index(name) for name in oldvars]
+    out = {}
+    for exps, c in terms.items():
+        e = [0] * len(newvars)
+        for i, x in enumerate(exps):
+            e[pos[i]] = x
+        out[tuple(e)] = c
+    return out
+
+
+class _RefPoly:
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, vars, terms):
+        self.vars = vars
+        self.terms = terms
+
+    @staticmethod
+    def make(vars, terms):
+        terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
+        if not terms:
+            return _RefPoly((), {})
+        used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
+        if len(used) != len(vars):
+            vars = tuple(vars[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        return _RefPoly(vars, terms)
+
+    @staticmethod
+    def const(c):
+        return _RefPoly.make((), {(): Fraction(c)})
+
+    @staticmethod
+    def var(name, exp=1):
+        return _RefPoly.make((name,), {(exp,): 1})
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_const(self):
+        return not self.vars
+
+    def __eq__(self, other):
+        return self.vars == other.vars and self.terms == other.terms
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _RefPoly.const(other)
+        vars = _ref_merge_vars(self.vars, other.vars)
+        terms = _ref_embed_terms(self.terms, self.vars, vars)
+        for e, c in _ref_embed_terms(other.terms, other.vars, vars).items():
+            terms[e] = terms.get(e, Fraction(0)) + c
+        return _RefPoly.make(vars, terms)
+
+    def __neg__(self):
+        return _RefPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _RefPoly.make(self.vars, {e: k * other for e, k in self.terms.items()})
+        vars = _ref_merge_vars(self.vars, other.vars)
+        a = _ref_embed_terms(self.terms, self.vars, vars)
+        b = _ref_embed_terms(other.terms, other.vars, vars)
+        terms = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                terms[e] = terms.get(e, Fraction(0)) + ca * cb
+        return _RefPoly.make(vars, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = _RefPoly.const(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def leading(self):
+        key = max(self.terms, key=lambda e: (sum(e), e))
+        return key, self.terms[key]
+
+    def total_degree(self):
+        return max((sum(e) for e in self.terms), default=-1)
+
+    def degree_in(self, name):
+        if name not in self.vars:
+            return 0
+        i = self.vars.index(name)
+        return max(e[i] for e in self.terms)
+
+    def as_univariate(self, name):
+        if name not in self.vars:
+            return {0: self} if not self.is_zero() else {}
+        i = self.vars.index(name)
+        rest = tuple(n for n in self.vars if n != name)
+        buckets = {}
+        for e, c in self.terms.items():
+            buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
+        return {d: _RefPoly.make(rest, t) for d, t in buckets.items()}
+
+    @staticmethod
+    def from_univariate(name, coeffs):
+        out = _RefPoly.const(0)
+        for d, p in coeffs.items():
+            out = out + p * _RefPoly.var(name, d)
+        return out
+
+    def rename(self, mapping):
+        newnames = tuple(mapping.get(n, n) for n in self.vars)
+        order = sorted(range(len(newnames)), key=lambda i: _ref_var_key(newnames[i]))
+        vars = tuple(newnames[i] for i in order)
+        return _RefPoly(vars, {tuple(e[i] for i in order): c for e, c in self.terms.items()})
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        chunks = []
+        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            c = self.terms[e]
+            mono = "*".join(n if x == 1 else f"{n}^{x}" for n, x in zip(self.vars, e) if x)
+            a = str(abs(c).numerator) if abs(c).denominator == 1 else str(abs(c))
+            body = mono if mono and abs(c) == 1 else "*".join(filter(None, (a, mono)))
+            chunks.append(("- " if c < 0 else "+ ") + body)
+        s = " ".join(chunks)
+        return s[2:] if s[0] == "+" else "-" + s[2:]
+
+
+def _ref_monic(p):
+    return p if p.is_zero() else p * (1 / p.leading()[1])
+
+
+def _ref_divexact(p, d):
+    if d.is_const():
+        return p * (1 / d.terms[()])
+    name = d.vars[0]
+    dcoe = d.as_univariate(name)
+    dd = max(dcoe)
+    q = {}
+    rem = p
+    while not rem.is_zero():
+        rcoe = rem.as_univariate(name)
+        rd = max(rcoe)
+        assert rd >= dd, "inexact reference division"
+        t = _ref_divexact(rcoe[rd], dcoe[dd])
+        q[rd - dd] = q.get(rd - dd, _RefPoly.const(0)) + t
+        rem = rem - _RefPoly.from_univariate(name, {rd - dd: t}) * d
+    return _RefPoly.from_univariate(name, q)
+
+
+def _ref_gcd_list(polys):
+    g = _RefPoly.const(0)
+    for p in polys:
+        g = _ref_gcd(g, p)
+        if g.is_const() and not g.is_zero():
+            return _RefPoly.const(1)
+    return g
+
+
+def _ref_pseudo_rem(a, b, name):
+    bcoe = b.as_univariate(name)
+    db = max(bcoe)
+    rem = a
+    while not rem.is_zero():
+        rcoe = rem.as_univariate(name)
+        dr = max(rcoe)
+        if dr < db:
+            break
+        rem = bcoe[db] * rem - _RefPoly.from_univariate(name, {dr - db: rcoe[dr]}) * b
+    return rem
+
+
+def _ref_gcd(p, q):
+    if p.is_zero():
+        return _ref_monic(q)
+    if q.is_zero():
+        return _ref_monic(p)
+    if p.is_const() or q.is_const():
+        return _RefPoly.const(1)
+    name = _ref_merge_vars(p.vars, q.vars)[0]
+    pc, qc = p.as_univariate(name), q.as_univariate(name)
+    cont_p, cont_q = _ref_gcd_list(pc.values()), _ref_gcd_list(qc.values())
+    cont = _ref_gcd(cont_p, cont_q)
+    if max(pc) == 0 or max(qc) == 0:
+        return _ref_monic(cont)
+    a, b = _ref_divexact(p, cont_p), _ref_divexact(q, cont_q)
+    if a.degree_in(name) < b.degree_in(name):
+        a, b = b, a
+    while not b.is_zero():
+        r = _ref_pseudo_rem(a, b, name)
+        if r.is_zero():
+            a, b = b, r
+            break
+        rc = _ref_gcd_list(r.as_univariate(name).values())
+        a, b = b, _ref_monic(_ref_divexact(r, rc))
+    return _ref_monic(cont * a)
+
+
+def _exponent_terms(p, names=NAMES, exps=()):
+    """{exponent tuple over NAMES: coefficient}, read through as_univariate."""
+    if not names:
+        return {exps: p.const_value()}
+    out = {}
+    for k, c in p.as_univariate(names[0]).items():
+        out.update(_exponent_terms(c, names[1:], exps + (k,)))
+    return out
+
+
+def _to_ref(p):
+    return _RefPoly.make(NAMES, _exponent_terms(p))
+
+
+def _assert_canonical(p):
+    """Coefficients are nonzero ints where integral and Fractions otherwise."""
+    for c in p.terms.values():
+        assert c and (type(c) is int or (type(c) is Fraction and c.denominator != 1)), (p, c)
+
+
+_COEFF = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_POLY_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(NAMES)), _COEFF, max_size=5
+)
+
+
+def _pair(terms):
+    return Poly.make(NAMES, terms), _RefPoly.make(NAMES, terms)
+
+
+def _agree(p, ref):
+    _assert_canonical(p)
+    assert _to_ref(p) == ref, (str(p), str(ref))
+    assert str(p) == str(ref)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    a=_POLY_TERMS,
+    b=_POLY_TERMS,
+    scalar=_COEFF,
+    n=st.integers(0, 3),
+    perm=st.permutations(NAMES),
+    name=st.sampled_from(NAMES),
+)
+def test_poly_matches_tuple_keyed_reference(a, b, scalar, n, perm, name):
+    (p, rp), (q, rq) = _pair(a), _pair(b)
+    _agree(p, rp)
+    _agree(p + q, rp + rq)
+    _agree(p - q, rp - rq)
+    _agree(p * q, rp * rq)
+    _agree(p * scalar, rp * scalar)
+    _agree(p * scalar.numerator, rp * scalar.numerator)
+    _agree(p ** n, rp ** n)
+    mapping = dict(zip(NAMES, perm))
+    _agree(p.rename(mapping), rp.rename(mapping))
+    got = p.as_univariate(name)
+    want = rp.as_univariate(name)
+    assert sorted(got) == sorted(want)
+    for d, c in got.items():
+        _agree(c, want[d])
+    assert Poly.from_univariate(name, got) == p
+    assert p.total_degree() == rp.total_degree()
+    assert p.degree_in(name) == rp.degree_in(name)
+    assert p.vars == rp.vars
+    if not p.is_zero():
+        mono, c = p.leading()
+        rmono, rc = rp.leading()
+        assert c == rc
+        assert dict(zip(NAMES, _exponents(mono))) == {
+            x: dict(zip(rp.vars, rmono)).get(x, 0) for x in NAMES
+        }
+
+
+# small polynomials in u, v, u1 for the gcd, whose sequence swells fast
+_SMALL_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3).map(lambda e: e + (0, 0)), _COEFF, max_size=3
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    den_mults=_MULTS,
+    num_mults=_MULTS,
+    cofactor=_POLY_TERMS,
+    core=st.booleans(),
+    gcd_terms=st.tuples(_SMALL_TERMS, _SMALL_TERMS, _SMALL_TERMS),
+)
+def test_reduction_and_gcd_match_tuple_keyed_reference(den_mults, num_mults, cofactor, core, gcd_terms):
+    den = _product(dict([(f, m) for f, m in zip(FACTORS, den_mults) if m][:3]))
+    num = _product(dict([(f, m) for f, m in zip(FACTORS, num_mults) if m][:3]))
+    cof = Poly.make(NAMES, cofactor)
+    if not cof.is_zero():
+        num = num * cof
+    if core:
+        den = den * CORE
+    got = _reduce_fraction(num, den)
+    want = _ref_reduce_fraction(_to_ref(num), _to_ref(den))
+    for p, ref in zip(got, want):
+        _agree(p, ref)
+    # two cofactors and a shared factor that the gcd must find
+    a, b, g = (Poly.make(NAMES, t) for t in gcd_terms)
+    for x, y in ((a * g, b * g), (a, b), (a * g, g)):
+        _agree(poly_gcd(x, y), _ref_gcd(_to_ref(x), _to_ref(y)))
+
+
+def test_coefficients_are_never_floats():
+    u, v = X["u"], X["v"]
+    p = _monic(2 * u + 1)
+    assert p.terms and all(type(c) in (int, Fraction) for c in p.terms.values())
+    assert str(p) == "u + 1/2"
+    _assert_canonical(p)
+    # an integral Fraction product or sum comes back an int
+    half = p * Fraction(2)
+    assert all(type(c) is int for c in half.terms.values())
+    assert all(type(c) is int for c in (p + p).terms.values())
+    f = RatFun.of(u + 1, 2 * v - 2 * u)
+    for part in (f.num, f.den, _poly_divexact(6 * u, 3 * u), _poly_divexact(u, 2 * u)):
+        _assert_canonical(part)
+    assert Poly.const(Fraction(4, 2)).terms == {0: 2}
+    assert Poly.const(3).const_value() == Fraction(3)
+    assert type(Poly.const(3).const_value()) is Fraction
+
+
+def test_unknown_variable_and_bad_exponent_raise_value_error():
+    for bad in (
+        lambda: Poly.var("x"),
+        lambda: Poly.var("u", -1),
+        lambda: Poly.make(("w",), {(1,): 1}),
+        lambda: Poly.make(("u", "u"), {(1, 1): 1}),
+        lambda: X["u"].rename({"u": "x"}),
+        lambda: (X["u"] + X["v"]).rename({"u": "v"}),
+        lambda: X["u"].degree_in("x"),
+        lambda: X["u"].as_univariate("t"),
+        lambda: Poly.const(0).leading(),
+        lambda: X["u"].const_value(),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_exponent_overflow_raises_under_optimisation():
+    script = (
+        "from yangbaxter.ratfun import ExponentOverflow, MAX_POLY_EXPONENT as M, Poly\n"
+        "top = Poly.var('u3', M - 1) * Poly.var('u3')\n"
+        "assert top.degree_in('u3') == M and top.vars == ('u3',), 'limit refused'\n"
+        "cases = [\n"
+        "    lambda: top * Poly.var('u3'),\n"
+        "    lambda: (top + Poly.var('u2')) ** 2,\n"
+        "    lambda: Poly.var('u', M + 1),\n"
+        "    lambda: Poly.make(('v',), {(M + 1,): 1}),\n"
+        "    lambda: Poly.from_univariate('u3', {1: top}),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        p = case()\n"
+        "        print('wrapped', p.vars)\n"
+        "    except ExponentOverflow:\n"
+        "        print('overflow')\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+        assert proc.stdout.splitlines() == ["overflow"] * 5, (flags, proc.stdout)
+    assert issubclass(ExponentOverflow, OverflowError) and MAX_POLY_EXPONENT >= 1000
