@@ -325,10 +325,27 @@ def ambient_radical_dim(table, window):
 
 
 def is_isotropic(sub):
+    """Q vanishes on every pair of spanning elements.
+
+    Q is graded: loop degree t pairs only with 1 - t, and the jet's a0
+    (grade 0) only with its a1 (grade 1).  Q is evaluated on the pairs
+    j >= i whose grades meet; every other pair is zero by definition."""
     els = sub.elements
+    grades = [
+        [("loop", d) for d in x.loop.terms]
+        + [("jet", t) for t, a in enumerate((x.a0, x.a1)) if not a.is_zero()]
+        for x in els
+    ]
+    holders = {}
+    for j, keys in enumerate(grades):
+        for key in keys:
+            holders.setdefault(key, set()).add(j)
     for i, x in enumerate(els):
-        for y in els[i:]:
-            if invariant_form(x, y) != 0:
+        partners = set()
+        for part, t in grades[i]:
+            partners.update(j for j in holders.get((part, 1 - t), ()) if j >= i)
+        for j in sorted(partners):
+            if invariant_form(x, els[j]) != 0:
                 return False
     return True
 
@@ -351,13 +368,15 @@ def is_lagrangian_truncated(sub, window):
 def is_subalgebra(sub, window=None):
     """Closure under double_bracket, checked for in-window results.
 
+    One bracket per unordered pair, as [y, x] = -[x, y] and [x, x] = 0.
     Pairs whose bracket leaves the window are skipped: truncation cannot
     decide them.  With the default deep windows every decidable pair of
     the built-in spaces is checked.
     """
     window = window or sub.window
-    for x in sub.elements:
-        for y in sub.elements:
+    els = sub.elements
+    for i, x in enumerate(els):
+        for y in els[i + 1:]:
             z = double_bracket(x, y)
             if z.loop.terms:
                 degs = z.loop.degrees()

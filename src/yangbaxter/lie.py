@@ -51,11 +51,7 @@ class LieTable:
                 tup = tuple((k, c) for k, c in enumerate(entry) if c)
                 if tup:
                     self.structure[(a, b)] = tup
-        self._ad = [self._ad_matrix(a) for a in range(self.dim)]
-        self.killing = [
-            [_trace_prod(self._ad[a], self._ad[b]) for b in range(self.dim)]
-            for a in range(self.dim)
-        ]
+        self.killing = self._killing_matrix()
         self.killing_inv = linalg.inverse_dense(self.killing)
 
     def _register(self, label):
@@ -92,12 +88,20 @@ class LieTable:
             pos += 1
         return coords
 
-    def _ad_matrix(self, a):
-        ad = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for b in range(self.dim):
-            for k, c in self.structure.get((a, b), ()):
-                ad[k][b] = c
-        return ad
+    def _killing_matrix(self):
+        """K(a, b) = tr(ad_a ad_b) = sum of [x_a, x_m]_k [x_b, x_k]_m over the
+        sparse structure entries; into[(k, m)] lists the b with [x_b, x_k]_m."""
+        into = {}
+        for (b, k), entry in self.structure.items():
+            for m, c in entry:
+                into.setdefault((k, m), []).append((b, c))
+        killing = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for (a, m), entry in self.structure.items():
+            row = killing[a]
+            for k, c in entry:
+                for b, d in into.get((k, m), ()):
+                    row[b] += c * d
+        return killing
 
     def basis_element(self, key):
         """Unit basis GElement from an index or a label (aliases allowed)."""
@@ -186,15 +190,15 @@ class LieTable:
 
 
 def _mat_comm(a, b):
-    n = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
-
-
-def _trace_prod(a, b):
-    n = len(a)
-    return sum(a[i][k] * b[k][i] for i in range(n) for k in range(n))
+    """ab - ba, summed over the nonzero entries of the (sparse) basis matrices."""
+    sa, sb = ([(i, k, c) for i, r in enumerate(m) for k, c in enumerate(r) if c] for m in (a, b))
+    out = [[Fraction(0)] * len(a) for _ in a]
+    for x, y, s in ((sa, sb, 1), (sb, sa, -1)):
+        for i, k, c in x:
+            for k2, j, d in y:
+                if k == k2:
+                    out[i][j] += s * c * d
+    return out
 
 
 _SL_TABLES = {}
@@ -216,7 +220,7 @@ class GElement:
     def __init__(self, table, coords):
         assert len(coords) == table.dim, (len(coords), table.dim)
         self.table = table
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -278,10 +282,6 @@ class GElement:
 
     def __repr__(self):
         return f"GElement({self})"
-
-
-def bracket(x, y):
-    return x.bracket(y)
 
 
 class GPoly:
@@ -419,8 +419,10 @@ class Subspace:
         return self._ech.rows == other._ech.rows
 
     def is_subalgebra(self):
-        for x in self.elements:
-            for y in self.elements:
+        """Bracket-closed; one pair each, as [y, x] = -[x, y], [x, x] = 0."""
+        els = self.elements
+        for i, x in enumerate(els):
+            for y in els[i + 1:]:
                 if not self.contains(x.bracket(y)):
                     return False
         return True

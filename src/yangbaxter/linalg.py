@@ -2,8 +2,8 @@
 
 Vectors are dicts mapping a column key (int, or any ordered hashable)
 to a nonzero Fraction.  The Echelon class maintains a reduced row
-echelon form incrementally, which makes rank, membership, span equality
-and nullspace computations structural and exact.
+echelon form incrementally, touching only nonzero entries, which makes
+rank, membership, span equality and nullspace structural and exact.
 """
 
 from __future__ import annotations
@@ -11,37 +11,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def vec_scale(v, c):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {k: x * c for k, x in v.items()}
-
-
-def vec_add(a, b):
-    out = dict(a)
-    for k, x in b.items():
-        y = out.get(k, Fraction(0)) + x
-        if y == 0:
-            out.pop(k, None)
-        else:
-            out[k] = y
-    return out
-
-
-def vec_sub(a, b):
-    return vec_add(a, vec_scale(b, -1))
-
-
 class Echelon:
-    """Reduced row echelon form, built incrementally.
+    """Reduced row echelon form, built incrementally and sparsely.
 
     rows[p] is the unique stored row with pivot column p; each stored row
-    has coefficient 1 at its pivot and zeros at every other pivot column.
+    has coefficient 1 at its pivot and zeros at every other pivot column,
+    so `rows` is the RREF of the span whatever the insertion order.
+    cols[k] is the set of pivots whose rows hold the non-pivot column k:
+    a new pivot is back-substituted only into the rows that hold it.
+    Both are updated in place, and no step reads a zero entry.
     """
 
     def __init__(self):
         self.rows = {}
+        self.cols = {}
 
     @property
     def rank(self):
@@ -50,19 +33,24 @@ class Echelon:
     def reduce(self, v):
         """Return v reduced modulo the current row space.
 
-        One pass suffices: every stored row is zero at the other rows'
-        pivot columns, so eliminating pivot p cannot reintroduce pivot q.
+        Only the pivots that are keys of v are eliminated, in one pass:
+        every stored row is zero at the other rows' pivot columns, so
+        eliminating pivot p cannot bring back a pivot q.
         """
         v = dict(v)
-        for p, row in self.rows.items():
-            c = v.get(p)
-            if c:
-                for k, x in row.items():
-                    y = v.get(k, Fraction(0)) - c * x
-                    if y == 0:
-                        v.pop(k, None)
-                    else:
+        rows = self.rows
+        for p in [k for k in v if k in rows]:
+            c = v[p]
+            for k, x in rows[p].items():
+                y = v.get(k)
+                if y is None:
+                    v[k] = -c * x
+                else:
+                    y -= c * x
+                    if y:
                         v[k] = y
+                    else:
+                        del v[k]
         return v
 
     def add(self, v):
@@ -71,20 +59,32 @@ class Echelon:
         if not v:
             return False
         p = min(v)
-        inv = 1 / v[p]
-        row = {k: x * inv for k, x in v.items()}
-        for q, other in self.rows.items():
-            c = other.get(p)
-            if c:
-                self.rows[q] = vec_sub(other, vec_scale(row, c))
-        self.rows[p] = row
+        inv = 1 / v.pop(p)
+        row = v if inv == 1 else {k: x * inv for k, x in v.items()}
+        rows, cols = self.rows, self.cols
+        for k in row:
+            cols.setdefault(k, set()).add(p)
+        for q in cols.pop(p, ()):
+            other = rows[q]
+            c = other.pop(p)
+            for k, x in row.items():
+                y = other.get(k)
+                if y is None:
+                    other[k] = -c * x
+                    cols[k].add(q)
+                else:
+                    y -= c * x
+                    if y:
+                        other[k] = y
+                    else:
+                        del other[k]
+                        cols[k].discard(q)
+        row[p] = Fraction(1)
+        rows[p] = row
         return True
 
     def contains(self, v):
         return not self.reduce(v)
-
-    def pivots(self):
-        return sorted(self.rows)
 
 
 def echelon_of(vectors):
@@ -94,22 +94,6 @@ def echelon_of(vectors):
     return e
 
 
-def rank(vectors):
-    return echelon_of(vectors).rank
-
-
-def span_equal(vectors_a, vectors_b):
-    ea = echelon_of(vectors_a)
-    eb = echelon_of(vectors_b)
-    return ea.rows == eb.rows
-
-
-def span_contains_all(vectors_a, vectors_b):
-    """True iff span(A) contains every vector of B."""
-    ea = echelon_of(vectors_a)
-    return all(ea.contains(v) for v in vectors_b)
-
-
 def nullspace(rows, cols):
     """Basis of {x : for every row r, sum_k r[k]*x[k] = 0}.
 
@@ -117,15 +101,11 @@ def nullspace(rows, cols):
     the result is a list of sparse vectors over the same columns.
     """
     ech = echelon_of(rows)
-    pivot_cols = set(ech.pivots())
-    free = [c for c in cols if c not in pivot_cols]
     out = []
-    for f in free:
+    for f in (c for c in cols if c not in ech.rows):
         x = {f: Fraction(1)}
-        for p, row in ech.rows.items():
-            c = row.get(f)
-            if c:
-                x[p] = -c
+        for p in sorted(ech.cols.get(f, ())):
+            x[p] = -ech.rows[p][f]
         out.append(x)
     return out
 
@@ -171,19 +151,15 @@ _RHS = _Rhs()
 
 def intersect_spans(vectors_a, vectors_b):
     """Basis of span(A) ∩ span(B) (Zassenhaus block reduction)."""
-    rows = []
-    for a in vectors_a:
-        v = {(0, k): x for k, x in a.items()}
-        v.update({(1, k): x for k, x in a.items()})
-        rows.append(v)
-    for b in vectors_b:
-        rows.append({(0, k): x for k, x in b.items()})
+    rows = [{(i, k): x for i in (0, 1) for k, x in a.items()} for a in vectors_a]
+    rows += [{(0, k): x for k, x in b.items()} for b in vectors_b]
     ech = echelon_of(rows)
     out = []
     for p in sorted(ech.rows):
         if p[0] == 1:
             row = ech.rows[p]
-            assert all(k[0] == 1 for k in row), row
+            if any(k[0] != 1 for k in row):
+                raise ArithmeticError(f"Zassenhaus row {p} leaves the second block")
             out.append({k[1]: x for k, x in row.items()})
     return out
 

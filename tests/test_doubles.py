@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yangbaxter
 
@@ -40,7 +41,7 @@ from yangbaxter.doubles import (
     quotient_image_of_polynomials,
     standard_complement,
 )
-from yangbaxter import linalg
+from yangbaxter import doubles, linalg
 from yangbaxter.lie import GPoly, casimir, make_sl
 
 
@@ -408,3 +409,127 @@ def test_double_checks_hold_under_optimisation():
         assert proc.returncode == 0, (flags, proc.stderr)
         assert proc.stdout.split("\n")[:3] == [
             "dependent rejected", "form rejected", "window rejected"], (flags, proc.stdout)
+
+
+# --- Graded isotropy and unordered-pair closure against the all-pairs checks.
+
+
+def _all_pairs_isotropic(sub):
+    els = sub.elements
+    return all(invariant_form(x, y) == 0 for i, x in enumerate(els) for y in els[i:])
+
+
+def _ordered_pairs_subalgebra(sub, window):
+    for x in sub.elements:
+        for y in sub.elements:
+            z = double_bracket(x, y)
+            degs = z.loop.degrees()
+            if degs and (degs[0] < window.lo or degs[-1] > window.hi):
+                continue
+            if not sub.contains(z):
+                return False
+    return True
+
+
+def _seeded_lagrangian(t, rng, window, skew):
+    """lagrangian_from_pair over a seeded L; a non-skew form has B(x0, x0) != 0."""
+    size = rng.randint(1, min(4, t.dim))
+    basis = [t.basis_element(a) for a in rng.sample(range(t.dim), size)]
+    form = [[F(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            c = F(rng.randint(-3, 3))
+            form[i][j], form[j][i] = c, -c
+    if not skew:
+        form[0][0] = F(rng.choice([-2, -1, 1, 2]))
+    k = rng.randrange(t.n)
+    return lagrangian_from_pair(t, k, basis, lambda i, j: form[i][j], window)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 4)), st.booleans(), st.integers(0, 2**16))
+def test_graded_isotropy_matches_all_pairs_on_lagrangians(n, skew, seed):
+    t = make_sl(n)
+    w = Window(-4, 2)
+    lag = _seeded_lagrangian(t, random.Random(seed), w, skew)
+    assert is_isotropic(lag) == _all_pairs_isotropic(lag) == skew
+    assert is_lagrangian_truncated(lag, w) == skew
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3)), st.integers(1, 4), st.integers(0, 2**16))
+def test_graded_isotropy_matches_all_pairs_on_random_spaces(n, size, seed):
+    """Sparse random elements: single loop terms, jet parts, or both."""
+    t = make_sl(n)
+    w = Window(-3, 3)
+    rng = random.Random(seed)
+    els = []
+    ech = linalg.Echelon()
+    while len(els) < size:
+        x = t.basis_element(rng.randrange(t.dim)).scale(rng.choice([-2, -1, 1, 3]))
+        parts = rng.choice(("loop", "a0", "a1", "jet", "mixed"))
+        loop = GPoly.monomial(x, rng.randint(w.lo, w.hi)) if parts in ("loop", "mixed") else None
+        a0 = x if parts in ("a0", "jet", "mixed") else None
+        a1 = t.basis_element(rng.randrange(t.dim)) if parts in ("a1", "jet") else None
+        el = DoubleElement.of(t, loop=loop, a0=a0, a1=a1)
+        if ech.add(el.coords(w)):
+            els.append(el)
+    sub = DoubleSubspace(t, w, els)
+    assert is_isotropic(sub) == _all_pairs_isotropic(sub)
+
+
+def test_graded_isotropy_negative_controls():
+    t = make_sl(2)
+    w = Window(-4, 4)
+    e, f, h = (t.basis_element(s) for s in "efh")
+    # Loop degrees t and 1 - t pair: K(e, f) = 4.
+    for d in range(-2, 5):
+        pair = [DoubleElement.of(t, loop=GPoly.monomial(e, d)),
+                DoubleElement.of(t, loop=GPoly.monomial(f, 1 - d))]
+        assert not is_isotropic(DoubleSubspace(t, w, pair)), d
+        shifted = [pair[0], DoubleElement.of(t, loop=GPoly.monomial(f, 2 - d))]
+        assert is_isotropic(DoubleSubspace(t, w, shifted)), d
+    # a0 pairs with a1 across two elements; a0 with a0 does not.
+    cross = [DoubleElement.of(t, a0=e), DoubleElement.of(t, a1=f)]
+    assert not is_isotropic(DoubleSubspace(t, w, cross))
+    same = [DoubleElement.of(t, a0=e), DoubleElement.of(t, a0=f)]
+    assert is_isotropic(DoubleSubspace(t, w, same))
+    # The graph of a non-skew form: one element pairs with itself.
+    diagonal = [DoubleElement.of(t, a0=h, a1=h)]
+    assert not is_isotropic(DoubleSubspace(t, w, diagonal))
+    lag = lagrangian_from_pair(t, 0, [e, h], lambda i, j: F(1 if i == j == 0 else 0), w)
+    assert not is_isotropic(lag) and not _all_pairs_isotropic(lag)
+
+
+def test_isotropy_pairs_only_graded_partners(monkeypatch):
+    """The sl(4) Lagrangian at [-32, 16] needs few Q evaluations, not n^2/2."""
+    t = make_sl(4)
+    w = Window(-32, 16)
+    lag = _seeded_lagrangian(t, random.Random(5), w, skew=True)
+    calls = []
+    form = doubles.invariant_form
+
+    def counted(x, y):
+        calls.append((x, y))
+        return form(x, y)
+
+    monkeypatch.setattr(doubles, "invariant_form", counted)
+    assert is_lagrangian_truncated(lag, w)
+    all_pairs = lag.dim * (lag.dim + 1) // 2
+    assert 0 < len(calls) < lag.dim < all_pairs // 100, (len(calls), lag.dim)
+
+
+def test_subalgebra_unordered_pairs_match_ordered_reference():
+    w = Window(-4, 2)
+    t2, t3 = make_sl(2), make_sl(3)
+    spaces = [embedded_polynomials(t2, w), standard_complement(t2, w)]
+    spaces += [diagonal_twist_space(t, k, w) for t in (t2, t3) for k in range(t.n)]
+    rng = random.Random(12)
+    spaces += [_seeded_lagrangian(t2, rng, w, skew) for skew in (True, False, True)]
+    # Negative control: span{E(1,2), E(2,1)} in the constant loops misses [e, f].
+    open_pair = [DoubleElement.of(t3, loop=GPoly.monomial(t3.basis_element(s)))
+                 for s in ("E(1,2)", "E(2,1)")]
+    spaces.append(DoubleSubspace(t3, w, open_pair))
+    verdicts = [is_subalgebra(sub) for sub in spaces]
+    assert verdicts == [_ordered_pairs_subalgebra(sub, w) for sub in spaces]
+    assert verdicts[-1] is False and verdicts[0] is True

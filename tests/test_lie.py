@@ -67,6 +67,33 @@ def test_killing_is_trace_multiple():
             assert x.killing(y) == 2 * n * tr
 
 
+def test_killing_matrix_is_trace_form_on_every_basis_pair():
+    # The sparse structure-constant sum gives K = 2n * tr(x_a x_b) exactly.
+    for n in (2, 3, 4, 5):
+        t = make_sl(n)
+        for a, ma in enumerate(t.mats):
+            for b, mb in enumerate(t.mats):
+                tr = sum(ma[i][j] * mb[j][i] for i in range(n) for j in range(n))
+                assert t.killing[a][b] == 2 * n * tr, (n, a, b)
+
+
+def test_subalgebra_unordered_pairs_match_ordered_reference():
+    def ordered(sub):
+        return all(sub.contains(x.bracket(y)) for x in sub.elements for y in sub.elements)
+
+    rng = random.Random(4)
+    for n in (2, 3):
+        t = make_sl(n)
+        spaces = [cartan(t), borel_plus(t), borel_minus(t)]
+        spaces += [parabolic(t, k) for k in range(1, n)]
+        spaces += [span(t, rng.sample(t.basis(), rng.randint(1, t.dim))) for _ in range(6)]
+        # Negative control: [E(1,2), E(2,1)] = H(1) is missing.
+        spaces.append(Subspace(t, [t.basis_element("E(1,2)"), t.basis_element("E(2,1)")]))
+        verdicts = [sub.is_subalgebra() for sub in spaces]
+        assert verdicts == [ordered(sub) for sub in spaces]
+        assert verdicts[-1] is False and verdicts[1] is True
+
+
 def test_killing_invariance_seeded():
     # K([x, y], z) == K(x, [y, z]) exactly.
     t = make_sl(3)

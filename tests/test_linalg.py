@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangbaxter.linalg import (
     Echelon,
@@ -10,15 +11,26 @@ from yangbaxter.linalg import (
     intersect_spans,
     inverse_dense,
     nullspace,
-    rank,
     solve,
-    span_contains_all,
-    span_equal,
 )
 
 
 def F(x):
     return Fraction(x)
+
+
+def rank(vectors):
+    return echelon_of(vectors).rank
+
+
+def span_equal(vectors_a, vectors_b):
+    return echelon_of(vectors_a).rows == echelon_of(vectors_b).rows
+
+
+def span_contains_all(vectors_a, vectors_b):
+    """True iff span(A) contains every vector of B."""
+    ea = echelon_of(vectors_a)
+    return all(ea.contains(v) for v in vectors_b)
 
 
 def test_echelon_rank_and_contains():
@@ -148,4 +160,150 @@ def test_echelon_incremental():
     assert not ech.add({0: F(2), 1: F(2)})
     assert ech.add({1: F(1)})
     assert ech.rank == 2
-    assert ech.pivots() == [0, 1]
+    assert sorted(ech.rows) == [0, 1]
+
+
+# --- Differential tests: the sparse Echelon against the row-scanning one.
+
+
+def _vec_add(a, b, c=1):
+    """a + c*b with zero entries dropped."""
+    out = dict(a)
+    for k, x in b.items():
+        y = out.get(k, F(0)) + c * x
+        if y == 0:
+            out.pop(k, None)
+        else:
+            out[k] = y
+    return out
+
+
+class _RefEchelon:
+    """The reference RREF: reduce and back-substitute over every row."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, v):
+        v = dict(v)
+        for p, row in self.rows.items():
+            c = v.get(p)
+            if c:
+                v = _vec_add(v, row, -c)
+        return v
+
+    def add(self, v):
+        v = self.reduce(v)
+        if not v:
+            return False
+        p = min(v)
+        inv = 1 / v[p]
+        row = {k: x * inv for k, x in v.items()}
+        for q, other in self.rows.items():
+            c = other.get(p)
+            if c:
+                self.rows[q] = _vec_add(other, row, -c)
+        self.rows[p] = row
+        return True
+
+
+def _ref_nullspace(rows, cols):
+    ech = _RefEchelon()
+    for r in rows:
+        ech.add(r)
+    out = []
+    for f in cols:
+        if f in ech.rows:
+            continue
+        x = {f: F(1)}
+        for p, row in ech.rows.items():
+            if row.get(f):
+                x[p] = -row[f]
+        out.append(x)
+    return out
+
+
+def _ref_intersect(vectors_a, vectors_b):
+    ech = _RefEchelon()
+    for a in vectors_a:
+        v = {(0, k): x for k, x in a.items()}
+        v.update({(1, k): x for k, x in a.items()})
+        ech.add(v)
+    for b in vectors_b:
+        ech.add({(0, k): x for k, x in b.items()})
+    return [
+        {k[1]: x for k, x in ech.rows[p].items()}
+        for p in sorted(ech.rows)
+        if p[0] == 1
+    ]
+
+
+def _assert_index_exact(ech):
+    """cols[k] holds exactly the pivots whose rows have the non-pivot k."""
+    expect = {}
+    for p, row in ech.rows.items():
+        assert row[p] == 1
+        for k, x in row.items():
+            assert x != 0
+            if k != p:
+                assert k not in ech.rows
+                expect.setdefault(k, set()).add(p)
+    assert {k: q for k, q in ech.cols.items() if q} == expect
+    assert all(ech.cols[k] for k in ech.cols), "empty index entry kept"
+
+
+_COLS = 8
+_entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_sparse_vec = st.dictionaries(
+    st.integers(0, _COLS - 1), _entry, max_size=4
+).map(lambda d: {k: x for k, x in d.items() if x})
+
+
+@st.composite
+def _vector_lists(draw):
+    """Sparse vectors with dependent combinations and exact duplicates mixed in."""
+    vecs = draw(st.lists(_sparse_vec, min_size=1, max_size=10))
+    extra = []
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(vecs) - 1))
+        j = draw(st.integers(0, len(vecs) - 1))
+        c = draw(_entry)
+        extra.append(dict(vecs[i]) if draw(st.booleans()) else _vec_add(vecs[i], vecs[j], c))
+    out = vecs + extra
+    draw(st.randoms(use_true_random=False)).shuffle(out)
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_vector_lists(), st.lists(_sparse_vec, max_size=4))
+def test_echelon_matches_row_scanning_reference(vectors, probes):
+    ech, ref = Echelon(), _RefEchelon()
+    for v in vectors:
+        assert ech.add(v) == ref.add(v)
+        assert ech.rows == ref.rows
+        _assert_index_exact(ech)
+    for w in vectors + probes:
+        assert ech.reduce(w) == ref.reduce(w)
+    assert ech.contains(vectors[0])
+    cols = list(range(_COLS))
+    assert nullspace(vectors, cols) == _ref_nullspace(vectors, cols)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_vector_lists(), _vector_lists())
+def test_intersect_spans_matches_reference(va, vb):
+    inter = intersect_spans(va, vb)
+    assert inter == _ref_intersect(va, vb)
+    assert len(inter) == rank(va) + rank(vb) - rank(va + vb)
+    assert span_contains_all(va, inter) and span_contains_all(vb, inter)
+
+
+def test_echelon_index_negative_control():
+    """The exactness check catches an index that misses a holder."""
+    ech = Echelon()
+    ech.add({0: F(1), 2: F(1)})
+    ech.add({1: F(1), 2: F(3)})
+    _assert_index_exact(ech)
+    ech.cols[2].discard(1)
+    with pytest.raises(AssertionError):
+        _assert_index_exact(ech)
