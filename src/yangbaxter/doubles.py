@@ -128,32 +128,29 @@ class DoubleElement:
                 raise WindowOverflow(
                     f"loop exponent {d} outside window [{window.lo}, {window.hi}]"
                 )
-            for i, c in enumerate(x.coords):
-                if c:
-                    out[("loop", d, i)] = c
-        for i, c in enumerate(self.a0.coords):
-            if c:
-                out[("a0", i)] = c
-        for i, c in enumerate(self.a1.coords):
-            if c:
-                out[("a1", i)] = c
+            for i, c in x.terms.items():
+                out[("loop", d, i)] = c
+        for i, c in self.a0.terms.items():
+            out[("a0", i)] = c
+        for i, c in self.a1.terms.items():
+            out[("a1", i)] = c
         return out
 
     @staticmethod
     def from_coords(table, vec):
         loop = {}
-        a0 = [Fraction(0)] * table.dim
-        a1 = [Fraction(0)] * table.dim
+        a0 = {}
+        a1 = {}
         for key, c in vec.items():
             if key[0] == "loop":
                 _, d, i = key
-                loop.setdefault(d, [Fraction(0)] * table.dim)[i] = c
+                loop.setdefault(d, {})[i] = c
             elif key[0] == "a0":
                 a0[key[1]] = c
             else:
                 a1[key[1]] = c
-        gp = GPoly(table, {d: GElement(table, tuple(v)) for d, v in loop.items()})
-        return DoubleElement(gp, GElement(table, tuple(a0)), GElement(table, tuple(a1)))
+        gp = GPoly(table, {d: GElement(table, v) for d, v in loop.items()})
+        return DoubleElement(gp, GElement(table, a0), GElement(table, a1))
 
     def __str__(self):
         parts = []
@@ -200,9 +197,9 @@ def invariant_form(x, y):
     for d1, xe in x.loop.terms.items():
         ye = y.loop.terms.get(1 - d1)
         if ye is not None:
-            total += table.killing_pair(xe.coords, ye.coords)
-    total -= table.killing_pair(x.a0.coords, y.a1.coords)
-    total -= table.killing_pair(x.a1.coords, y.a0.coords)
+            total += table.killing_pair(xe.terms, ye.terms)
+    total -= table.killing_pair(x.a0.terms, y.a1.terms)
+    total -= table.killing_pair(x.a1.terms, y.a0.terms)
     return total
 
 
@@ -296,11 +293,11 @@ def _pairing_row(el, window):
     for d, y in el.loop.terms.items():
         t = 1 - d
         if t in window:
-            for i, c in table.killing_row(y.coords).items():
+            for i, c in table.killing_row(y.terms).items():
                 row[("loop", t, i)] = c
-    for i, c in table.killing_row(el.a0.coords).items():
+    for i, c in table.killing_row(el.a0.terms).items():
         row[("a1", i)] = -c
-    for i, c in table.killing_row(el.a1.coords).items():
+    for i, c in table.killing_row(el.a1.terms).items():
         row[("a0", i)] = -c
     return row
 
@@ -432,10 +429,10 @@ def _dual_pair_bases(table, order):
     """
     assert order >= 2, order
     window = Window(-(order + 2), order + 1)
-    dual_basis = []
-    for j in range(table.dim):
-        coords = tuple(table.killing_inv[i][j] for i in range(table.dim))
-        dual_basis.append(GElement(table, coords))
+    dual_basis = [
+        table.element({i: table.killing_inv[i][j] for i in range(table.dim)})
+        for j in range(table.dim)
+    ]
     primal = []
     dual = []
     for k in range(2, order + 1):
@@ -621,17 +618,13 @@ def lagrangian_from_pair(table, k, subalg, form, window):
     """
     els = list(loop_part(diagonal_twist_space(table, k, window)).elements)
     basis = list(subalg)
-    rows = [table.killing_row(y.coords) for y in basis]
+    rows = [table.killing_row(y.terms) for y in basis]
     for i, x in enumerate(basis):
         rhs = [Fraction(form(i, j)) for j in range(len(basis))]
         sol = linalg.solve(rows, rhs)
         if sol is None:
             raise UnrealizableForm("form not realizable against the Killing pairing")
-        coords = [Fraction(0)] * table.dim
-        for b, c in sol.items():
-            coords[b] = c
-        xi = GElement(table, tuple(coords))
-        els.append(DoubleElement.of(table, a0=x, a1=xi))
+        els.append(DoubleElement.of(table, a0=x, a1=GElement(table, sol)))
     comp = orthogonal_complement_g(Subspace(table, basis), table)
     for eta in comp.elements:
         els.append(DoubleElement.of(table, a1=eta))

@@ -22,60 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .lie import Subspace, parabolic
+from .lie import GElement, Subspace, parabolic
 from .tensors import Tensor2
-
-
-def coords_in_basis(basis, x):
-    """Coefficients of x over a list of independent GElements, or None."""
-    if not basis:
-        return [] if x.is_zero() else None
-    dim = basis[0].table.dim
-    rows = []
-    rhs = []
-    for i in range(dim):
-        row = {j: y.coords[i] for j, y in enumerate(basis) if y.coords[i]}
-        rows.append(row)
-        rhs.append(x.coords[i])
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    return [sol.get(j, Fraction(0)) for j in range(len(basis))]
-
-
-def cocycle_residual(sub, matrix):
-    """First failing triple of the 2-cocycle identity, or None if it holds.
-
-    Requires every bracket of basis elements to lie back in the span; a
-    bracket escaping the span is reported as the failure.
-    """
-    basis = sub.elements
-
-    def b_form(coeffs, j):
-        return sum(
-            (c * matrix[i][j] for i, c in enumerate(coeffs) if c), Fraction(0)
-        )
-
-    n = len(basis)
-    bracket_coords = {}
-    for i in range(n):
-        for j in range(n):
-            w = basis[i].bracket(basis[j])
-            cw = coords_in_basis(basis, w)
-            if cw is None:
-                return (i, j, None, "bracket leaves the span")
-            bracket_coords[(i, j)] = cw
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = (
-                    b_form(bracket_coords[(i, j)], k)
-                    + b_form(bracket_coords[(j, k)], i)
-                    + b_form(bracket_coords[(k, i)], j)
-                )
-                if total != 0:
-                    return (i, j, k, total)
-    return None
 
 
 class InvalidCocycle(ValueError):
@@ -84,6 +32,82 @@ class InvalidCocycle(ValueError):
 
 class LiftError(ValueError):
     """A constructed r-matrix or lift fails the check it must pass."""
+
+
+def basis_coordinates(sub):
+    """Coordinates over the basis of a Subspace, from one elimination.
+
+    Returns coords(x): {j: coefficient of sub.elements[j]} without zeros,
+    or None if x is outside the span.  Each basis element x_j is tagged
+    with the column dim + j.  Reducing x by the RREF of the tagged rows
+    leaves no column below dim exactly when x is in the span, and then the
+    tag columns hold minus the coordinates.
+    """
+    dim = sub.table.dim
+    ech = linalg.echelon_of(
+        {**x.terms, dim + j: Fraction(1)} for j, x in enumerate(sub.elements)
+    )
+
+    def coords(x):
+        v = ech.reduce(x.terms)
+        if any(k < dim for k in v):
+            return None
+        return {k - dim: -c for k, c in v.items()}
+
+    return coords
+
+
+def _skew_failure(matrix):
+    """First (i, j), i <= j, with matrix[i][j] != -matrix[j][i], or None."""
+    n = len(matrix)
+    return next(
+        ((i, j) for i in range(n) for j in range(i, n) if matrix[i][j] != -matrix[j][i]),
+        None,
+    )
+
+
+def cocycle_residual(sub, matrix):
+    """First failing triple of the 2-cocycle identity, or None if it holds.
+
+    Requires every bracket of basis elements to lie back in the span; a
+    bracket escaping the span is reported as the failure.  Raises
+    InvalidCocycle unless the matrix is skew.
+
+    For a skew B the cyclic sum c(i, j, k) = B([x_i,x_j],x_k) +
+    B([x_j,x_k],x_i) + B([x_k,x_i],x_j) is alternating: it is cyclic by
+    construction, and swapping two indices negates it because the bracket
+    and B are both skew.  So c vanishes when two indices agree and is
+    +-c(sorted triple) otherwise, and the first failing ordered triple in
+    lex order is sorted.  Only the brackets [x_i, x_j] with i < j are
+    solved, only the triples i < j < k are summed, and with
+    beta[i, j][k] = B([x_i, x_j], x_k) the sum is
+    beta[i, j][k] + beta[j, k][i] - beta[i, k][j].  Likewise [x_j, x_i]
+    leaves the span exactly when [x_i, x_j] does, so the witnesses are
+    those of the all-triples loop.
+    """
+    bad = _skew_failure(matrix)
+    if bad is not None:
+        raise InvalidCocycle(f"form is not skew at {bad}")
+    basis = sub.elements
+    n = len(basis)
+    coords = basis_coordinates(sub)
+    beta = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            cw = coords(basis[i].bracket(basis[j]))
+            if cw is None:
+                return (i, j, None, "bracket leaves the span")
+            beta[i, j] = [
+                sum((c * matrix[a][k] for a, c in cw.items()), Fraction(0))
+                for k in range(n)
+            ]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = beta[i, j][k] + beta[j, k][i] - beta[i, k][j]
+                if total != 0:
+                    return (i, j, k, total)
+    return None
 
 
 class TwoCocycle:
@@ -98,10 +122,9 @@ class TwoCocycle:
         assert len(matrix) == n and all(len(row) == n for row in matrix), matrix
         self.sub = sub
         self.matrix = [[Fraction(c) for c in row] for row in matrix]
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] != -self.matrix[j][i]:
-                    raise InvalidCocycle(f"form is not skew at ({i}, {j})")
+        bad = _skew_failure(self.matrix)
+        if bad is not None:
+            raise InvalidCocycle(f"form is not skew at {bad}")
         if not sub.is_subalgebra():
             raise InvalidCocycle("the subspace is not bracket-closed")
         bad = cocycle_residual(sub, self.matrix)
@@ -158,12 +181,8 @@ def skew_r_from_frobenius(cocycle):
             m = inv[j][i]  # transpose orientation, pinned by the q1 lift
             if not m:
                 continue
-            for a, ca in enumerate(basis[i].coords):
-                if not ca:
-                    continue
-                for b, cb in enumerate(basis[j].coords):
-                    if not cb:
-                        continue
+            for a, ca in basis[i].terms.items():
+                for b, cb in basis[j].terms.items():
                     key = (a, b)
                     entries[key] = entries.get(key, Fraction(0)) + m * ca * cb
     r = Tensor2.make(table, entries)
@@ -196,10 +215,7 @@ def check_parabolic_pair(table, sub, matrix, k):
     a skew 2-cocycle on sub; and the form restricted to sub ∩ parabolic(k)
     is nondegenerate.  Returns the booleans without raising.
     """
-    n = sub.dim
-    skew = all(
-        matrix[i][j] == -matrix[j][i] for i in range(n) for j in range(n)
-    )
+    skew = _skew_failure(matrix) is None
     closed = sub.is_subalgebra()
     cocycle = skew and closed and cocycle_residual(sub, matrix) is None
     par = parabolic(table, k)
@@ -213,36 +229,24 @@ def check_parabolic_pair(table, sub, matrix, k):
         [x.as_vector() for x in sub.elements],
         [x.as_vector() for x in par.elements],
     )
-    inter_basis = []
-    from .lie import GElement
-
-    for vec in inter:
-        coords = [Fraction(0)] * table.dim
-        for i, c in vec.items():
-            coords[i] = c
-        inter_basis.append(GElement(table, tuple(coords)))
+    inter_basis = [GElement(table, vec) for vec in inter]
     nondeg = True
     if inter_basis:
-        gram = []
-        cc = [coords_in_basis(sub.elements, x) for x in inter_basis]
+        coords = basis_coordinates(sub)
+        cc = [coords(x) for x in inter_basis]
         if any(c is None for c in cc):
             nondeg = False
         else:
-            for cx in cc:
-                gram.append(
-                    [
-                        sum(
-                            (
-                                cx[i] * cy[j] * matrix[i][j]
-                                for i in range(n)
-                                for j in range(n)
-                                if cx[i] and cy[j]
-                            ),
-                            Fraction(0),
-                        )
-                        for cy in cc
-                    ]
-                )
+            gram = [
+                [
+                    sum(
+                        (a * b * matrix[i][j] for i, a in cx.items() for j, b in cy.items()),
+                        Fraction(0),
+                    )
+                    for cy in cc
+                ]
+                for cx in cc
+            ]
             nondeg = linalg.det_dense(gram) != 0
     return {
         "subalgebra": closed,

@@ -157,10 +157,9 @@ def ad_element(p, x):
         xmat = [[Poly.const(c) for c in row] for row in xe.to_matrix()]
         conj = _poly_matmul(_poly_matmul(p.mat, xmat), p.inv)
         for dd, m in _collect_degrees(conj).items():
-            coords = table.coords_of_matrix(m)
             tgt = d + dd
             cur = out.get(tgt)
-            el = GElement(table, coords)
+            el = GElement(table, table.coords_of_matrix(m))
             out[tgt] = el if cur is None else cur + el
     return GPoly(table, out)
 
@@ -174,9 +173,8 @@ def _ad_coordinate_matrix(p):
         img = ad_element(p, table.basis_element(a))
         col = {}
         for d, el in img.terms.items():
-            for c, coeff in enumerate(el.coords):
-                if coeff:
-                    col.setdefault(c, {})[d] = coeff
+            for c, coeff in el.terms.items():
+                col.setdefault(c, {})[d] = coeff
         cols.append(
             {
                 c: Poly.from_univariate("u", {d: Poly.const(v) for d, v in ds.items()})

@@ -46,11 +46,9 @@ class LieTable:
             for b in range(self.dim):
                 if a == b:
                     continue
-                m = _mat_comm(self.mats[a], self.mats[b])
-                entry = self.coords_of_matrix(m)
-                tup = tuple((k, c) for k, c in enumerate(entry) if c)
-                if tup:
-                    self.structure[(a, b)] = tup
+                entry = self.coords_of_matrix(_mat_comm(self.mats[a], self.mats[b]))
+                if entry:
+                    self.structure[(a, b)] = tuple(entry.items())
         self.killing = self._killing_matrix()
         self.killing_inv = linalg.inverse_dense(self.killing)
 
@@ -71,20 +69,23 @@ class LieTable:
         return m
 
     def coords_of_matrix(self, m):
-        """Coordinates over the basis of a traceless n x n matrix."""
+        """Sparse coordinates {index: nonzero Fraction} of a traceless n x n
+        matrix, inserted in index order."""
         n = self.n
         assert sum(m[i][i] for i in range(n)) == 0, "matrix is not traceless"
-        coords = [Fraction(0)] * self.dim
+        coords = {}
         pos = 0
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
+        for i in range(n):
+            for j in range(n):
                 if i != j:
-                    coords[pos] = Fraction(m[i - 1][j - 1])
+                    if m[i][j]:
+                        coords[pos] = Fraction(m[i][j])
                     pos += 1
         partial = Fraction(0)
-        for i in range(1, n):
-            partial += m[i - 1][i - 1]
-            coords[pos] = partial
+        for i in range(n - 1):
+            partial += m[i][i]
+            if partial:
+                coords[pos] = partial
             pos += 1
         return coords
 
@@ -103,87 +104,74 @@ class LieTable:
                     row[b] += c * d
         return killing
 
-    def basis_element(self, key):
-        """Unit basis GElement from an index or a label (aliases allowed)."""
+    def _key(self, key):
+        """Basis index of a label (aliases allowed) or an index in range(dim)."""
         if isinstance(key, str):
             if key not in self.index:
                 raise KeyError(f"unknown basis symbol {key!r} for sl({self.n})")
-            key = self.index[key]
-        coords = [Fraction(0)] * self.dim
-        coords[key] = Fraction(1)
-        return GElement(self, tuple(coords))
+            return self.index[key]
+        if not 0 <= key < self.dim:
+            raise KeyError(f"basis index {key!r} outside range({self.dim}) for sl({self.n})")
+        return key
+
+    def basis_element(self, key):
+        """Unit basis GElement from an index or a label (aliases allowed)."""
+        return GElement(self, {self._key(key): Fraction(1)})
 
     def element(self, coeffs):
         """GElement from {label or index: rational coefficient}."""
-        coords = [Fraction(0)] * self.dim
+        terms = {}
         for key, c in coeffs.items():
-            idx = self.index[key] if isinstance(key, str) else key
-            coords[idx] += Fraction(c)
-        return GElement(self, tuple(coords))
+            idx = self._key(key)
+            terms[idx] = terms.get(idx, 0) + Fraction(c)
+        return GElement(self, {k: c for k, c in terms.items() if c})
 
     def zero(self):
-        return GElement(self, tuple([Fraction(0)] * self.dim))
+        return GElement(self, {})
 
     def basis(self):
         return [self.basis_element(i) for i in range(self.dim)]
 
-    def ad_on_basis(self, coords, b):
-        """[x, x_b] for x with the given coordinates, as (index, coeff) pairs."""
+    def ad_on_basis(self, x, b):
+        """[x, x_b] for x's sparse coordinates, as (index, coeff) pairs."""
         out = {}
-        for a, xa in enumerate(coords):
-            if not xa:
-                continue
+        for a, xa in x.items():
             for k, c in self.structure.get((a, b), ()):
-                out[k] = out.get(k, Fraction(0)) + xa * c
+                out[k] = out.get(k, 0) + xa * c
         return [(k, c) for k, c in out.items() if c]
 
     def bracket_coords(self, x, y):
-        out = [Fraction(0)] * self.dim
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            for b, yb in enumerate(y):
-                if not yb:
-                    continue
-                for k, c in self.structure.get((a, b), ()):
-                    out[k] += xa * yb * c
-        return out
+        """Sparse coordinates of [x, y] from sparse coordinates x and y."""
+        out = {}
+        structure = self.structure
+        for a, xa in x.items():
+            for b, yb in y.items():
+                entry = structure.get((a, b))
+                if entry:
+                    c0 = xa * yb
+                    for k, c in entry:
+                        out[k] = out.get(k, 0) + c0 * c
+        return {k: c for k, c in out.items() if c}
 
     def killing_pair(self, x, y):
-        """K(x, y) for coordinate vectors."""
+        """K(x, y) for sparse coordinate maps."""
         out = Fraction(0)
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
+        for a, xa in x.items():
             row = self.killing[a]
-            for b, yb in enumerate(y):
-                if yb:
-                    out += xa * yb * row[b]
+            for b, yb in y.items():
+                k = row[b]
+                if k:
+                    out += xa * yb * k
         return out
 
-    def killing_row(self, coords):
+    def killing_row(self, x):
         """Sparse row {b: K(x, x_b)} of the Killing form at x."""
         row = {}
-        for a, xa in enumerate(coords):
-            if not xa:
-                continue
+        for a, xa in x.items():
             for b, k in enumerate(self.killing[a]):
                 if k:
                     row[b] = row.get(b, 0) + xa * k
         return {b: c for b, c in row.items() if c}
-
-    def check_jacobi(self):
-        """Exact Jacobi identity on all basis triples."""
-        basis = self.basis()
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    s = x.bracket(y).bracket(z)
-                    s = s + y.bracket(z).bracket(x)
-                    s = s + z.bracket(x).bracket(y)
-                    if not s.is_zero():
-                        return False
-        return True
 
     def __repr__(self):
         return f"LieTable(sl({self.n}))"
@@ -213,71 +201,85 @@ def make_sl(n):
 
 
 class GElement:
-    """Element of sl(n) as a coordinate vector over the LieTable basis."""
+    """Element of sl(n) as the sparse map {basis index: nonzero Fraction}.
 
-    __slots__ = ("table", "coords")
+    The map is never mutated once the element is built, so `as_vector`
+    hands it out as it is.
+    """
 
-    def __init__(self, table, coords):
-        assert len(coords) == table.dim, (len(coords), table.dim)
+    __slots__ = ("table", "terms")
+
+    def __init__(self, table, terms):
         self.table = table
-        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        self.terms = terms
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, GElement):
             return NotImplemented
-        return self.table is other.table and self.coords == other.coords
+        return self.table is other.table and self.terms == other.terms
+
+    def _plus(self, items):
+        out = dict(self.terms)
+        for k, c in items:
+            c = out.get(k, 0) + c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return GElement(self.table, out)
 
     def __add__(self, other):
         assert self.table is other.table
-        return GElement(self.table, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other.terms.items())
 
     def __sub__(self, other):
         assert self.table is other.table
-        return GElement(self.table, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._plus((k, -c) for k, c in other.terms.items())
 
     def __neg__(self):
-        return GElement(self.table, tuple(-a for a in self.coords))
+        return GElement(self.table, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         c = Fraction(c)
-        return GElement(self.table, tuple(a * c for a in self.coords))
+        if not c:
+            return GElement(self.table, {})
+        return GElement(self.table, {k: a * c for k, a in self.terms.items()})
 
     def bracket(self, other):
         assert self.table is other.table, "mismatched algebras"
-        return GElement(self.table, tuple(self.table.bracket_coords(self.coords, other.coords)))
+        return GElement(self.table, self.table.bracket_coords(self.terms, other.terms))
 
     def killing(self, other):
         assert self.table is other.table, "mismatched algebras"
-        return self.table.killing_pair(self.coords, other.coords)
+        return self.table.killing_pair(self.terms, other.terms)
 
     def as_vector(self):
-        """Sparse dict view for the linalg routines."""
-        return {i: c for i, c in enumerate(self.coords) if c}
+        """Sparse dict view for the linalg routines (read-only)."""
+        return self.terms
 
     def to_matrix(self):
         """The element in the defining representation."""
         n = self.table.n
         m = [[Fraction(0)] * n for _ in range(n)]
-        for idx, c in enumerate(self.coords):
-            if c:
-                mat = self.table.mats[idx]
-                for i in range(n):
-                    for j in range(n):
-                        if mat[i][j]:
-                            m[i][j] += c * mat[i][j]
+        for idx, c in self.terms.items():
+            mat = self.table.mats[idx]
+            for i in range(n):
+                for j in range(n):
+                    if mat[i][j]:
+                        m[i][j] += c * mat[i][j]
         return m
 
     def __str__(self):
-        if self.is_zero():
+        if not self.terms:
             return "0"
         parts = []
-        for i, c in enumerate(self.coords):
-            if c:
-                lbl = self.table.labels[i]
-                parts.append(lbl if c == 1 else f"{c}*{lbl}")
+        for i in sorted(self.terms):
+            c = self.terms[i]
+            lbl = self.table.labels[i]
+            parts.append(lbl if c == 1 else f"{c}*{lbl}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -485,15 +487,9 @@ def parabolic(table, k):
 
 def orthogonal_complement_g(sub, table):
     """Killing-orthogonal complement of a subspace of sl(n), exact."""
-    rows = [table.killing_row(x.coords) for x in sub.elements]
+    rows = [table.killing_row(x.terms) for x in sub.elements]
     vecs = linalg.nullspace(rows, range(table.dim))
-    els = []
-    for v in vecs:
-        coords = [Fraction(0)] * table.dim
-        for i, c in v.items():
-            coords[i] = c
-        els.append(GElement(table, tuple(coords)))
-    return Subspace(table, els)
+    return Subspace(table, [GElement(table, v) for v in vecs])
 
 
 CANDIDATE_SCALES = (

@@ -247,10 +247,10 @@ def ad2_action(p, t):
         v_pow = Poly.make(("u", "v"), {(s, deg + s): Fraction(1)})
         for (a, b), f in cleared.entries.items():
             fu = f * u_pow
-            for k, c in table.ad_on_basis(x.coords, a):
+            for k, c in table.ad_on_basis(x.terms, a):
                 accumulate(out, (k, b), fu * c)
             fv = f * v_pow
-            for k, c in table.ad_on_basis(x.coords, b):
+            for k, c in table.ad_on_basis(x.terms, b):
                 accumulate(out, (a, k), fv * c)
     if s:
         d = d * Poly.make(("u", "v"), {(s, s): Fraction(1)})

@@ -225,14 +225,14 @@ def _ref_pairing_row(el, window):
         t = 1 - d
         if t in window:
             for i in range(table.dim):
-                c = table.killing_pair(table.basis_element(i).coords, y.coords)
+                c = table.killing_pair(table.basis_element(i).terms, y.terms)
                 if c:
                     row[("loop", t, i)] = row.get(("loop", t, i), F(0)) + c
     for i in range(table.dim):
-        c = table.killing_pair(table.basis_element(i).coords, el.a0.coords)
+        c = table.killing_pair(table.basis_element(i).terms, el.a0.terms)
         if c:
             row[("a1", i)] = row.get(("a1", i), F(0)) - c
-        c = table.killing_pair(table.basis_element(i).coords, el.a1.coords)
+        c = table.killing_pair(table.basis_element(i).terms, el.a1.terms)
         if c:
             row[("a0", i)] = row.get(("a0", i), F(0)) - c
     return row

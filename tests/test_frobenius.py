@@ -2,25 +2,36 @@
 constant skew solutions, quasi-rational lifts, and the parabolic pair
 report."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yangbaxter
+from yangbaxter import linalg
 from yangbaxter.cybe import catalog
 from yangbaxter.frobenius import (
     InvalidCocycle,
     TwoCocycle,
     check_parabolic_pair,
+    basis_coordinates,
     cocycle_residual,
-    coords_in_basis,
     quasi_rational_lift,
     skew_r_from_frobenius,
 )
-from yangbaxter.lie import Subspace, borel_plus, calibrate_casimir, make_sl, span
+from yangbaxter.lie import (
+    Subspace,
+    borel_plus,
+    calibrate_casimir,
+    make_sl,
+    parabolic,
+    span,
+)
 from yangbaxter.tensors import Tensor2
 
 
@@ -155,10 +166,16 @@ def test_coords_in_basis():
     e = t.basis_element("e")
     h = t.basis_element("h")
     x = e.scale(F(2, 3)) + h.scale(-1)
-    assert coords_in_basis([e, h], x) == [F(2, 3), F(-1)]
-    assert coords_in_basis([e, h], t.basis_element("f")) is None
-    assert coords_in_basis([], t.zero()) == []
-    assert coords_in_basis([], e) is None
+    coords = basis_coordinates(Subspace(t, [e, h]))
+    assert coords(x) == {0: F(2, 3), 1: F(-1)}
+    assert coords(h) == {1: F(1)}
+    assert coords(t.basis_element("f")) is None
+    assert coords(x + t.basis_element("f")) is None
+    assert basis_coordinates(Subspace(t, []))(t.zero()) == {}
+    assert basis_coordinates(Subspace(t, []))(e) is None
+    # A basis that is not in echelon form: x = 2*(e + h) - 3*h.
+    coords = basis_coordinates(Subspace(t, [e + h, h]))
+    assert coords(e.scale(2) - h) == {0: F(2), 1: F(-3)}
 
 
 def test_lift_checks_hold_under_optimisation():
@@ -203,3 +220,148 @@ def test_lift_checks_hold_under_optimisation():
         )
         assert proc.returncode == 0, (flags, proc.stderr)
         assert proc.stdout.splitlines() == expected, (flags, proc.stdout)
+
+
+def test_cocycle_residual_rejects_non_skew_form_under_optimisation():
+    # The alternating loop reads only i < j, so a non-skew form must be
+    # refused by a typed raise, not an assert that `python -O` drops.
+    script = (
+        "from yangbaxter import frobenius as fr\n"
+        "from yangbaxter.lie import borel_plus, make_sl\n"
+        "sub = borel_plus(make_sl(3))\n"
+        "sym = [[0] * 5 for _ in range(5)]\n"
+        "sym[1][3] = sym[3][1] = 1\n"
+        "diag = [[0] * 5 for _ in range(5)]\n"
+        "diag[2][2] = 1\n"
+        "for m in (sym, diag):\n"
+        "    try:\n"
+        "        print('accepted', fr.cocycle_residual(sub, m))\n"
+        "    except fr.InvalidCocycle as exc:\n"
+        "        print(f'InvalidCocycle: {exc}')\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    expected = [
+        "InvalidCocycle: form is not skew at (1, 3)",
+        "InvalidCocycle: form is not skew at (2, 2)",
+    ]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+        assert proc.stdout.splitlines() == expected, (flags, proc.stdout)
+
+
+def _ref_coords(basis, x):
+    """Coordinates over `basis` by one dense solve over all dim rows."""
+    if not basis:
+        return [] if x.is_zero() else None
+    dim = basis[0].table.dim
+    rows = [{j: y.terms[i] for j, y in enumerate(basis) if i in y.terms} for i in range(dim)]
+    sol = linalg.solve(rows, [x.terms.get(i, 0) for i in range(dim)])
+    return None if sol is None else [sol.get(j, F(0)) for j in range(len(basis))]
+
+
+def _ref_cocycle_residual(sub, matrix):
+    """The all-ordered-triples loop: n^2 bracket solves and n^3 cyclic sums."""
+    basis = sub.elements
+    n = len(basis)
+
+    def b_form(coeffs, j):
+        return sum((c * matrix[i][j] for i, c in enumerate(coeffs) if c), F(0))
+
+    brackets = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        cw = _ref_coords(basis, basis[i].bracket(basis[j]))
+        if cw is None:
+            return (i, j, None, "bracket leaves the span")
+        brackets[i, j] = cw
+    for i, j, k in itertools.product(range(n), repeat=3):
+        total = (b_form(brackets[i, j], k) + b_form(brackets[j, k], i)
+                 + b_form(brackets[k, i], j))
+        if total != 0:
+            return (i, j, k, total)
+    return None
+
+
+def _spaces():
+    """Borel, parabolic and full sl(3), sl(4), each also in a mixed basis,
+    plus spans that are not bracket-closed."""
+    out = []
+    for n in (3, 4):
+        t = make_sl(n)
+        for sub in (borel_plus(t), parabolic(t, 1), parabolic(t, n - 1), Subspace(t, t.basis())):
+            els = sub.elements
+            mixed = [x + els[i + 1].scale(i - 1) for i, x in enumerate(els[:-1])] + [els[-1]]
+            out += [sub, Subspace(t, mixed)]
+        out.append(span(t, [t.basis_element("E(1,2)"), t.basis_element("E(2,3)"),
+                            t.basis_element("H(1)")]))
+        out.append(span(t, borel_plus(t).elements[1:] + [t.basis_element(f"E({n},1)")]))
+    return out
+
+
+_SPACES = _spaces()
+
+
+def _seeded_form(sub, rng, kind):
+    """A skew form on sub: a coboundary phi([x, y]) (a cocycle), a
+    coboundary with one entry perturbed, a sparse random form, or zero."""
+    n = sub.dim
+    if kind == "zero":
+        return [[F(0)] * n for _ in range(n)]
+    if kind == "random":
+        m = [[F(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.3:
+                m[i][j] = F(rng.randint(-3, 3), rng.randint(1, 2))
+                m[j][i] = -m[i][j]
+        return m
+    t = sub.table
+    phi = {a: F(rng.randint(-2, 2)) for a in range(t.dim)}
+    els = sub.elements
+    m = [[sum((c * phi[a] for a, c in x.bracket(y).terms.items()), F(0)) for y in els]
+         for x in els]
+    if kind == "perturbed":
+        i, j = sorted(rng.sample(range(n), 2))
+        m[i][j] += 1
+        m[j][i] -= 1
+    return m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(_SPACES) - 1),
+       st.sampled_from(("coboundary", "perturbed", "random", "zero")),
+       st.integers(0, 2**16))
+def test_cocycle_residual_matches_all_triples_reference(space, kind, seed):
+    sub = _SPACES[space]
+    matrix = _seeded_form(sub, random.Random(seed), kind)
+    assert cocycle_residual(sub, matrix) == _ref_cocycle_residual(sub, matrix), (
+        space, kind, seed)
+
+
+def test_cocycle_residual_reference_controls():
+    # Each verdict kind occurs, with the same witness from both loops: the
+    # coboundaries pass, a perturbed coboundary on a closed space fails at
+    # a sorted triple, and an open span fails at its first escaping bracket.
+    rng = random.Random(71)
+    verdicts = set()
+    for sub in _SPACES:
+        for kind in ("coboundary", "perturbed", "random"):
+            matrix = _seeded_form(sub, rng, kind)
+            got = cocycle_residual(sub, matrix)
+            assert got == _ref_cocycle_residual(sub, matrix), (str(sub), kind)
+            if got is None:
+                verdicts.add("holds")
+                assert sub.is_subalgebra()
+            elif got[2] is None:
+                verdicts.add("leaves the span")
+                assert not sub.is_subalgebra() and got[0] < got[1]
+            else:
+                verdicts.add("fails")
+                assert got[0] < got[1] < got[2] and got[3] != 0
+        if sub.is_subalgebra():
+            assert cocycle_residual(sub, _seeded_form(sub, rng, "coboundary")) is None
+    assert verdicts == {"holds", "leaves the span", "fails"}

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangbaxter.lie import (
     CalibrationError,
+    GElement,
     GPoly,
     Subspace,
     borel_minus,
@@ -35,9 +37,23 @@ def test_sl2_structure_constants():
     assert e.bracket(e).is_zero()
 
 
+def _check_jacobi(table):
+    """Exact Jacobi identity on all basis triples."""
+    basis = table.basis()
+    for x in basis:
+        for y in basis:
+            for z in basis:
+                s = x.bracket(y).bracket(z)
+                s = s + y.bracket(z).bracket(x)
+                s = s + z.bracket(x).bracket(y)
+                if not s.is_zero():
+                    return False
+    return True
+
+
 def test_jacobi_identity():
-    assert make_sl(2).check_jacobi()
-    assert make_sl(3).check_jacobi()
+    assert _check_jacobi(make_sl(2))
+    assert _check_jacobi(make_sl(3))
 
 
 def test_killing_form_sl2():
@@ -118,20 +134,20 @@ def test_killing_row_matches_killing_pair():
         # A sparse element: one root vector pairs only with its opposite.
         xs.append(t.basis_element("E(1,2)").scale(3))
         for x in xs:
-            row = t.killing_row(x.coords)
+            row = t.killing_row(x.terms)
             assert all(c for c in row.values()), (n, str(x))
             for b, xb in enumerate(t.basis()):
-                assert row.get(b, 0) == t.killing_pair(x.coords, xb.coords), (n, str(x), b)
-        assert t.killing_row(t.zero().coords) == {}
-        assert t.killing_row(xs[-1].coords) == {t.index["E(2,1)"]: F(6 * n)}
+                assert row.get(b, 0) == t.killing_pair(x.terms, xb.terms), (n, str(x), b)
+        assert t.killing_row(t.zero().terms) == {}
+        assert t.killing_row(xs[-1].terms) == {t.index["E(2,1)"]: F(6 * n)}
 
 
 def test_coords_of_matrix_round_trip():
     t = make_sl(3)
     for x in t.basis():
-        assert tuple(t.coords_of_matrix(x.to_matrix())) == x.coords
+        assert t.coords_of_matrix(x.to_matrix()) == x.terms
     mixed = t.element({"E(1,3)": F(2), "E(3,1)": F(-1, 2), "H(2)": 3})
-    assert tuple(t.coords_of_matrix(mixed.to_matrix())) == mixed.coords
+    assert t.coords_of_matrix(mixed.to_matrix()) == mixed.terms
     with pytest.raises(AssertionError):
         t.coords_of_matrix([[F(1), F(0), F(0)]] * 3)  # not traceless
 
@@ -276,3 +292,126 @@ def test_gpoly_bracket_collects_degrees():
     out = bracket_poly(p, q)
     assert out.coeff(1) == e.scale(-2)
     assert out.coeff(2) == f.scale(2)
+
+
+def test_basis_indices_are_bounded():
+    # An index outside range(dim) raises KeyError, as an unknown label
+    # does; a negative index no longer wraps round to the last basis element.
+    for n in (2, 3):
+        t = make_sl(n)
+        for bad in (-1, -2, t.dim):
+            with pytest.raises(KeyError):
+                t.basis_element(bad)
+            with pytest.raises(KeyError):
+                t.element({bad: 1})
+        with pytest.raises(KeyError):
+            t.element({0: 1, t.dim: 0})
+        for i in (0, t.dim - 1):
+            assert t.basis_element(i) == t.element({i: 1}) == t.element({t.labels[i]: 1})
+            assert str(t.basis_element(i)) == t.labels[i]
+
+
+class _RefGElement:
+    """Dense reference element: a coordinate tuple of length dim, every
+    operation scanning all of it, as GElement did before it held a sparse map."""
+
+    def __init__(self, table, coords):
+        self.table = table
+        self.coords = tuple(F(c) for c in coords)
+
+    @staticmethod
+    def of(x):
+        return _RefGElement(x.table, [x.terms.get(i, 0) for i in range(x.table.dim)])
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coords)
+
+    def __eq__(self, other):
+        return self.table is other.table and self.coords == other.coords
+
+    def __add__(self, other):
+        return _RefGElement(self.table, [a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other):
+        return _RefGElement(self.table, [a - b for a, b in zip(self.coords, other.coords)])
+
+    def scale(self, c):
+        return _RefGElement(self.table, [a * F(c) for a in self.coords])
+
+    def bracket(self, other):
+        out = [F(0)] * self.table.dim
+        for a, xa in enumerate(self.coords):
+            for b, yb in enumerate(other.coords):
+                for k, c in self.table.structure.get((a, b), ()):
+                    out[k] += xa * yb * c
+        return _RefGElement(self.table, out)
+
+    def killing(self, other):
+        km = self.table.killing
+        return sum((xa * yb * km[a][b] for a, xa in enumerate(self.coords)
+                    for b, yb in enumerate(other.coords)), F(0))
+
+    def killing_row(self):
+        km = self.table.killing
+        row = [sum((xa * km[a][b] for a, xa in enumerate(self.coords)), F(0))
+               for b in range(self.table.dim)]
+        return {b: c for b, c in enumerate(row) if c}
+
+    def ad_on_basis(self, b):
+        out = [F(0)] * self.table.dim
+        for a, xa in enumerate(self.coords):
+            for k, c in self.table.structure.get((a, b), ()):
+                out[k] += xa * c
+        return {k: c for k, c in enumerate(out) if c}
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        return " + ".join(
+            self.table.labels[i] if c == 1 else f"{c}*{self.table.labels[i]}"
+            for i, c in enumerate(self.coords) if c
+        )
+
+
+_FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _matrix_bracket(x, y):
+    a, b = x.to_matrix(), y.to_matrix()
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 4)), st.data())
+def test_sparse_element_matches_dense_reference(n, data):
+    t = make_sl(n)
+    coeffs = st.dictionaries(st.integers(0, t.dim - 1), _FRACS, max_size=t.dim)
+    x, y = t.element(data.draw(coeffs)), t.element(data.draw(coeffs))
+    c = data.draw(_FRACS)
+    rx, ry = _RefGElement.of(x), _RefGElement.of(y)
+    results = {
+        "+": (x + y, rx + ry),
+        "-": (x - y, rx - ry),
+        "neg": (-x, rx.scale(-1)),
+        "scale": (x.scale(c), rx.scale(c)),
+        "bracket": (x.bracket(y), rx.bracket(ry)),
+        "bracket zero": (x.bracket(t.zero()), rx.scale(0)),
+        "x - x": (x - x, rx.scale(0)),
+    }
+    for what, (got, ref) in results.items():
+        assert all(type(v) is F and v for v in got.terms.values()), what  # no stored zero
+        assert _RefGElement.of(got) == ref, what
+        assert str(got) == str(ref), what
+        assert got.is_zero() == ref.is_zero(), what
+    assert x.killing(y) == rx.killing(ry)
+    assert t.killing_row(x.terms) == rx.killing_row()
+    for b in range(t.dim):
+        assert dict(t.ad_on_basis(x.terms, b)) == rx.ad_on_basis(b), b
+    assert (x == y) == (rx == ry)
+    # The map is compared and printed independently of insertion order.
+    shuffled = GElement(t, dict(reversed(list(x.terms.items()))))
+    assert shuffled == x and str(shuffled) == str(rx)
+    # An independent oracle: the commutator of the defining matrices.
+    assert x.bracket(y).to_matrix() == _matrix_bracket(x, y)

@@ -230,9 +230,9 @@ def _ref_ad2_action(p, t):
     for d, x in p.terms.items():
         add = {}
         for (a, b), f in t.entries.items():
-            for k, c in table.ad_on_basis(x.coords, a):
+            for k, c in table.ad_on_basis(x.terms, a):
                 add[(k, b)] = add.get((k, b), RatFun.from_frac(0)) + f * c * U ** d
-            for k, c in table.ad_on_basis(x.coords, b):
+            for k, c in table.ad_on_basis(x.terms, b):
                 add[(a, k)] = add.get((a, k), RatFun.from_frac(0)) + f * c * V ** d
         out = out + Tensor2.make(table, add)
     return out
