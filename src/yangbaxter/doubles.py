@@ -24,6 +24,7 @@ partner 1-t falls outside the window.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg
@@ -56,6 +57,9 @@ class Window:
         return (
             isinstance(other, Window) and self.lo == other.lo and self.hi == other.hi
         )
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     def __repr__(self):
         return f"Window({self.lo}, {self.hi})"
@@ -193,7 +197,7 @@ def invariant_form(x, y):
     """Q(x, y): u^1-coefficient of K(loops) minus the crossed jet pairings."""
     assert x.table is y.table, "mismatched algebras"
     table = x.table
-    total = Fraction(0)
+    total = 0
     for d1, xe in x.loop.terms.items():
         ye = y.loop.terms.get(1 - d1)
         if ye is not None:
@@ -234,16 +238,21 @@ def ambient_dim(table, window):
 
 
 class DoubleSubspace:
-    """Finite-rank subspace of the truncated double, hand-checked independent."""
+    """Finite-rank subspace of the truncated double, hand-checked independent.
+
+    `elements` is a tuple and `span_rows()` returns their window coordinates
+    as computed once here, so a shared subspace cannot change.
+    """
 
     def __init__(self, table, window, elements):
         self.table = table
         self.window = window
-        self.elements = list(elements)
+        self.elements = tuple(elements)
+        self._rows = tuple(el.coords(window) for el in self.elements)
         self._ech = linalg.Echelon()
-        for el in self.elements:
+        for el, row in zip(self.elements, self._rows):
             assert el.table is table
-            if not self._ech.add(el.coords(window)):
+            if not self._ech.add(row):
                 raise DependentElement(f"dependent spanning element {el}")
 
     @property
@@ -254,7 +263,7 @@ class DoubleSubspace:
         return self._ech.contains(el.coords(self.window))
 
     def span_rows(self):
-        return [el.coords(self.window) for el in self.elements]
+        return self._rows
 
     def equals(self, other):
         return self._ech.rows == other._ech.rows
@@ -266,8 +275,11 @@ class DoubleSubspace:
         )
 
 
+@functools.lru_cache(maxsize=8)
 def embedded_polynomials(table, window):
-    """i(g[u]) at the window: the embeddings of x * u^m, 0 <= m <= hi."""
+    """i(g[u]) at the window: the embeddings of x * u^m, 0 <= m <= hi.
+
+    Built once per (table, window) and shared; DoubleSubspace is immutable."""
     els = []
     for m in range(window.hi + 1):
         for x in table.basis():
@@ -358,7 +370,7 @@ def is_lagrangian_truncated(sub, window):
     if not is_isotropic(sub):
         return False
     total = ambient_dim(sub.table, window) + ambient_radical_dim(sub.table, window)
-    assert total % 2 == 0, total
+    # Even: t -> 1-t has no fixed point, so the t with 1-t in the window pair up.
     return sub.dim == total // 2
 
 
@@ -390,17 +402,15 @@ def check_transversality(w, window, tail_depth=1):
     1. W intersects the embedded polynomial part trivially.
     2. W + i(g[u]) spans the whole window ambient.
     3. W contains the deep tail x * u^t, lo <= t <= -tail_depth.
+    Both spanning sets are independent (a DoubleSubspace raises
+    DependentElement otherwise), so dim(W + i(g[u])) is
+    dim W + dim i(g[u]) - dim(W ∩ i(g[u])), with no second elimination.
     Returns a report dict; window and tail depth are echoed for the caller.
     """
     table = w.table
     ip = embedded_polynomials(table, window)
     inter = linalg.intersect_spans(w.span_rows(), ip.span_rows())
-    ech = linalg.Echelon()
-    for row in w.span_rows():
-        ech.add(row)
-    for row in ip.span_rows():
-        ech.add(row)
-    spans = ech.rank == ambient_dim(table, window)
+    spans = w.dim + ip.dim - len(inter) == ambient_dim(table, window)
     tail = True
     for t in range(window.lo, -tail_depth + 1):
         for x in table.basis():
@@ -427,7 +437,8 @@ def _dual_pair_bases(table, order):
     basis (K(x_i, x^j) = delta).  Over the rationals no Killing-orthonormal
     basis of sl(n) exists, so dual pairs replace orthonormal expansions.
     """
-    assert order >= 2, order
+    if order < 2:
+        raise ValueError(f"dual pair bases need order >= 2, got {order}")
     window = Window(-(order + 2), order + 1)
     dual_basis = [
         table.element({i: table.killing_inv[i][j] for i in range(table.dim)})
@@ -486,7 +497,8 @@ def dual_sum_projection(table, order, omega=None):
     from .lie import casimir
     from .ratfun import LaurentPoly, Poly, RatFun, expand_at_infinity
 
-    assert order >= 1, order
+    if order < 1:
+        raise ValueError(f"dual-sum projection needs order >= 1, got {order}")
     if omega is None:
         omega = casimir(table, 1)
     u = RatFun.var("u")
@@ -563,9 +575,10 @@ def diagonal_twist_space(table, k, window):
 
 
 def loop_part(sub):
-    """The loop-only elements of a subspace basis, as a new subspace."""
+    """The loop-only elements of a subspace basis, as a new subspace.
+
+    No element is zero, as the basis is independent."""
     els = [el for el in sub.elements if el.a0.is_zero() and el.a1.is_zero()]
-    assert all(not el.loop.is_zero() for el in els)
     return DoubleSubspace(sub.table, sub.window, els)
 
 

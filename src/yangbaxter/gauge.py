@@ -113,12 +113,6 @@ class PolyGroupElement:
         assert isinstance(other, PolyGroupElement) and other.table is self.table
         return PolyGroupElement(self.table, _poly_matmul(self.mat, other.mat))
 
-    def max_degree(self):
-        return max(
-            (p.degree_in("u") for row in self.mat for p in row if not p.is_zero()),
-            default=0,
-        )
-
     def __repr__(self):
         return f"PolyGroupElement({self.mat})"
 

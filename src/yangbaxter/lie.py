@@ -58,18 +58,18 @@ class LieTable:
 
     def _defining_matrix(self, label):
         n = self.n
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         if label.startswith("E"):
             i, j = label[2:-1].split(",")
-            m[int(i) - 1][int(j) - 1] = Fraction(1)
+            m[int(i) - 1][int(j) - 1] = 1
         else:
             i = int(label[2:-1])
-            m[i - 1][i - 1] = Fraction(1)
-            m[i][i] = Fraction(-1)
+            m[i - 1][i - 1] = 1
+            m[i][i] = -1
         return m
 
     def coords_of_matrix(self, m):
-        """Sparse coordinates {index: nonzero Fraction} of a traceless n x n
+        """Sparse coordinates {index: nonzero entry} of a traceless n x n
         matrix, inserted in index order."""
         n = self.n
         assert sum(m[i][i] for i in range(n)) == 0, "matrix is not traceless"
@@ -79,9 +79,9 @@ class LieTable:
             for j in range(n):
                 if i != j:
                     if m[i][j]:
-                        coords[pos] = Fraction(m[i][j])
+                        coords[pos] = m[i][j]
                     pos += 1
-        partial = Fraction(0)
+        partial = 0
         for i in range(n - 1):
             partial += m[i][i]
             if partial:
@@ -96,7 +96,7 @@ class LieTable:
         for (b, k), entry in self.structure.items():
             for m, c in entry:
                 into.setdefault((k, m), []).append((b, c))
-        killing = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        killing = [[0] * self.dim for _ in range(self.dim)]
         for (a, m), entry in self.structure.items():
             row = killing[a]
             for k, c in entry:
@@ -116,7 +116,7 @@ class LieTable:
 
     def basis_element(self, key):
         """Unit basis GElement from an index or a label (aliases allowed)."""
-        return GElement(self, {self._key(key): Fraction(1)})
+        return GElement(self, {self._key(key): 1})
 
     def element(self, coeffs):
         """GElement from {label or index: rational coefficient}."""
@@ -155,7 +155,7 @@ class LieTable:
 
     def killing_pair(self, x, y):
         """K(x, y) for sparse coordinate maps."""
-        out = Fraction(0)
+        out = 0
         for a, xa in x.items():
             row = self.killing[a]
             for b, yb in y.items():
@@ -180,7 +180,7 @@ class LieTable:
 def _mat_comm(a, b):
     """ab - ba, summed over the nonzero entries of the (sparse) basis matrices."""
     sa, sb = ([(i, k, c) for i, r in enumerate(m) for k, c in enumerate(r) if c] for m in (a, b))
-    out = [[Fraction(0)] * len(a) for _ in a]
+    out = [[0] * len(a) for _ in a]
     for x, y, s in ((sa, sb, 1), (sb, sa, -1)):
         for i, k, c in x:
             for k2, j, d in y:
@@ -201,7 +201,7 @@ def make_sl(n):
 
 
 class GElement:
-    """Element of sl(n) as the sparse map {basis index: nonzero Fraction}.
+    """Element of sl(n) as the sparse map {basis index: nonzero int or Fraction}.
 
     The map is never mutated once the element is built, so `as_vector`
     hands it out as it is.
@@ -445,26 +445,6 @@ def span(table, elements):
 
 def cartan(table):
     return Subspace(table, [table.basis_element(f"H({i})") for i in range(1, table.n)])
-
-
-def borel_plus(table):
-    els = [
-        table.basis_element(f"E({i},{j})")
-        for (i, j) in table.root_pairs
-        if i < j
-    ]
-    els += [table.basis_element(f"H({i})") for i in range(1, table.n)]
-    return Subspace(table, els)
-
-
-def borel_minus(table):
-    els = [
-        table.basis_element(f"E({i},{j})")
-        for (i, j) in table.root_pairs
-        if i > j
-    ]
-    els += [table.basis_element(f"H({i})") for i in range(1, table.n)]
-    return Subspace(table, els)
 
 
 def parabolic(table, k):

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors are dicts mapping a column key (int, or any ordered hashable)
-to a nonzero Fraction.  The Echelon class maintains a reduced row
+to a nonzero int or Fraction.  The Echelon class maintains a reduced row
 echelon form incrementally, touching only nonzero entries, which makes
 rank, membership, span equality and nullspace structural and exact.
+Integral entries stay ints: a pivot of 1 or -1 divides nothing.
 """
 
 from __future__ import annotations
@@ -59,8 +60,14 @@ class Echelon:
         if not v:
             return False
         p = min(v)
-        inv = 1 / v.pop(p)
-        row = v if inv == 1 else {k: x * inv for k, x in v.items()}
+        piv = v.pop(p)
+        if piv == 1:
+            row = v
+        elif piv == -1:
+            row = {k: -x for k, x in v.items()}
+        else:
+            inv = Fraction(1) / piv
+            row = {k: x * inv for k, x in v.items()}
         rows, cols = self.rows, self.cols
         for k in row:
             cols.setdefault(k, set()).add(p)
@@ -79,7 +86,7 @@ class Echelon:
                     else:
                         del other[k]
                         cols[k].discard(q)
-        row[p] = Fraction(1)
+        row[p] = 1
         rows[p] = row
         return True
 
@@ -103,7 +110,7 @@ def nullspace(rows, cols):
     ech = echelon_of(rows)
     out = []
     for f in (c for c in cols if c not in ech.rows):
-        x = {f: Fraction(1)}
+        x = {f: 1}
         for p in sorted(ech.cols.get(f, ())):
             x[p] = -ech.rows[p][f]
         out.append(x)

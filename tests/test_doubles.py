@@ -374,7 +374,7 @@ def test_double_checks_hold_under_optimisation():
     # No check may rest on assert: under `python -O` a dependent spanning
     # element, a form with no Killing realization (the subalgebra basis
     # [e, e] asks B(e, e') = 0 and = 1 at once) and a window without 0
-    # must raise.
+    # must raise, and so must a dual-pair order below its minimum.
     script = (
         "from yangbaxter import doubles as d\n"
         "from yangbaxter.lie import GPoly, make_sl\n"
@@ -397,6 +397,12 @@ def test_double_checks_hold_under_optimisation():
         "    print('window accepted')\n"
         "except ValueError:\n"
         "    print('window rejected')\n"
+        "for fn, order in ((d._dual_pair_bases, 1), (d.dual_sum_projection, 0)):\n"
+        "    try:\n"
+        "        fn(t, order)\n"
+        "        print('order accepted')\n"
+        "    except ValueError:\n"
+        "        print('order rejected')\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
@@ -407,8 +413,9 @@ def test_double_checks_hold_under_optimisation():
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, (flags, proc.stderr)
-        assert proc.stdout.split("\n")[:3] == [
-            "dependent rejected", "form rejected", "window rejected"], (flags, proc.stdout)
+        assert proc.stdout.split("\n")[:5] == [
+            "dependent rejected", "form rejected", "window rejected",
+            "order rejected", "order rejected"], (flags, proc.stdout)
 
 
 # --- Graded isotropy and unordered-pair closure against the all-pairs checks.
@@ -533,3 +540,99 @@ def test_subalgebra_unordered_pairs_match_ordered_reference():
     verdicts = [is_subalgebra(sub) for sub in spaces]
     assert verdicts == [_ordered_pairs_subalgebra(sub, w) for sub in spaces]
     assert verdicts[-1] is False and verdicts[0] is True
+
+
+# --- Transversality by the dimension formula against one joint elimination.
+
+
+def _ref_check_transversality(w, window, tail_depth=1):
+    """The report with a freshly built i(g[u]) and the rank of W + i(g[u])
+    taken from one Echelon over both spanning sets."""
+    table = w.table
+    ip = embedded_polynomials.__wrapped__(table, window)
+    rows_w = [el.coords(window) for el in w.elements]
+    rows_ip = [el.coords(window) for el in ip.elements]
+    inter = linalg.intersect_spans(rows_w, rows_ip)
+    joint = linalg.echelon_of(rows_w + rows_ip)
+    tail = all(
+        w.contains(DoubleElement.of(table, loop=GPoly.monomial(x, t)))
+        for t in range(window.lo, -tail_depth + 1)
+        for x in table.basis()
+    )
+    return {
+        "trivial_intersection": len(inter) == 0,
+        "spans_with_polynomials": joint.rank == ambient_dim(table, window),
+        "contains_tail": tail,
+        "window": (window.lo, window.hi),
+        "tail_depth": tail_depth,
+    }
+
+
+def test_transversality_matches_joint_rank_on_builtin_spaces():
+    w = Window(-4, 2)
+    t2, t3 = make_sl(2), make_sl(3)
+    rng = random.Random(5)
+    spaces = [standard_complement(t, w) for t in (t2, t3)]
+    spaces += [embedded_polynomials(t, w) for t in (t2, t3)]
+    spaces += [diagonal_twist_space(t, k, w) for t in (t2, t3) for k in range(t.n)]
+    spaces += [loop_part(diagonal_twist_space(t3, 1, w))]
+    spaces += [orth_complement_truncated(diagonal_twist_space(t2, 1, w), w)]
+    spaces += [_seeded_lagrangian(t, rng, w, True) for t in (t2, t3)]
+    spans = []
+    for sub in spaces:
+        for depth in (0, 1, 3):
+            rep = check_transversality(sub, w, depth)
+            assert rep == _ref_check_transversality(sub, w, depth), (sub, depth)
+        spans.append(rep["spans_with_polynomials"])
+    assert True in spans and False in spans
+
+
+@st.composite
+def _perturbed_complements(draw):
+    """Subsets of P* (sl(2), window [-2, 1]) shifted by integral combinations
+    of i(g[u]), plus some elements of i(g[u]) itself: all of P* kept spans,
+    a dropped element does not, and an added i(g[u]) element meets it."""
+    t = make_sl(2)
+    window = Window(-2, 1)
+    ip = embedded_polynomials(t, window).elements
+    drop, shift = draw(st.booleans()), draw(st.booleans())
+    els = []
+    for p in standard_complement(t, window).elements:
+        if drop and draw(st.integers(0, 3)) == 0:
+            continue
+        for q in ip if shift else ():
+            c = draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
+            if c:
+                p = p + q.scale(c)
+        els.append(p)
+    els += draw(st.lists(st.sampled_from(ip), max_size=2, unique_by=id))
+    ech = linalg.Echelon()
+    picked = [el for el in els if ech.add(el.coords(window))]
+    return DoubleSubspace(t, window, picked), window
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_perturbed_complements(), st.integers(0, 2))
+def test_transversality_matches_joint_rank_on_random_subspaces(space, depth):
+    sub, window = space
+    assert check_transversality(sub, window, depth) == _ref_check_transversality(
+        sub, window, depth
+    )
+
+
+def test_transversality_with_shared_polynomial_part_is_repeatable():
+    t = make_sl(3)
+    w = Window(-4, 2)
+    embedded_polynomials.cache_clear()
+    first_ip = embedded_polynomials(t, w)
+    rows = [dict(r) for r in first_ip.span_rows()]
+    pstar = standard_complement(t, w)
+    reports = [check_transversality(pstar, Window(-4, 2)) for _ in range(2)]
+    reports.append(check_transversality(first_ip, w))
+    assert embedded_polynomials.cache_info().hits >= 3
+    assert embedded_polynomials(t, Window(-4, 2)) is first_ip
+    assert reports[0] == reports[1] == _ref_check_transversality(pstar, w)
+    assert reports[2] == _ref_check_transversality(first_ip, w)
+    assert isinstance(first_ip.elements, tuple)
+    assert list(first_ip.span_rows()) == rows == [el.coords(w) for el in first_ip.elements]
+    assert hash(Window(-4, 2)) == hash(w) and Window(-4, 2) == w != Window(-4, 1)

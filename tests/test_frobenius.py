@@ -26,13 +26,18 @@ from yangbaxter.frobenius import (
 )
 from yangbaxter.lie import (
     Subspace,
-    borel_plus,
     calibrate_casimir,
     make_sl,
     parabolic,
     span,
 )
 from yangbaxter.tensors import Tensor2
+
+
+def borel_plus(table):
+    els = [table.basis_element(f"E({i},{j})") for (i, j) in table.root_pairs if i < j]
+    els += [table.basis_element(f"H({i})") for i in range(1, table.n)]
+    return Subspace(table, els)
 
 
 def _eh_pair():
@@ -227,8 +232,10 @@ def test_cocycle_residual_rejects_non_skew_form_under_optimisation():
     # refused by a typed raise, not an assert that `python -O` drops.
     script = (
         "from yangbaxter import frobenius as fr\n"
-        "from yangbaxter.lie import borel_plus, make_sl\n"
-        "sub = borel_plus(make_sl(3))\n"
+        "from yangbaxter.lie import Subspace, make_sl\n"
+        "t = make_sl(3)\n"
+        "labels = ('E(1,2)', 'E(1,3)', 'E(2,3)', 'H(1)', 'H(2)')\n"
+        "sub = Subspace(t, [t.basis_element(s) for s in labels])\n"
         "sym = [[0] * 5 for _ in range(5)]\n"
         "sym[1][3] = sym[3][1] = 1\n"
         "diag = [[0] * 5 for _ in range(5)]\n"

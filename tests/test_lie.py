@@ -12,8 +12,6 @@ from yangbaxter.lie import (
     GElement,
     GPoly,
     Subspace,
-    borel_minus,
-    borel_plus,
     bracket_poly,
     calibrate_casimir,
     cartan,
@@ -24,6 +22,17 @@ from yangbaxter.lie import (
     parabolic,
     span,
 )
+
+
+def borel(table, sign=1):
+    """The positive (sign 1) or negative (sign -1) Borel subalgebra."""
+    els = [
+        table.basis_element(f"E({i},{j})")
+        for (i, j) in table.root_pairs
+        if (j - i) * sign > 0
+    ]
+    els += [table.basis_element(f"H({i})") for i in range(1, table.n)]
+    return Subspace(table, els)
 
 
 def test_sl2_structure_constants():
@@ -100,7 +109,7 @@ def test_subalgebra_unordered_pairs_match_ordered_reference():
     rng = random.Random(4)
     for n in (2, 3):
         t = make_sl(n)
-        spaces = [cartan(t), borel_plus(t), borel_minus(t)]
+        spaces = [cartan(t), borel(t), borel(t, -1)]
         spaces += [parabolic(t, k) for k in range(1, n)]
         spaces += [span(t, rng.sample(t.basis(), rng.randint(1, t.dim))) for _ in range(6)]
         # Negative control: [E(1,2), E(2,1)] = H(1) is missing.
@@ -211,8 +220,8 @@ def test_dj_constant_rmatrix():
 def test_cartan_and_borel():
     t = make_sl(3)
     assert cartan(t).dim == 2
-    bp = borel_plus(t)
-    bm = borel_minus(t)
+    bp = borel(t)
+    bm = borel(t, -1)
     assert bp.dim == 5 and bm.dim == 5
     assert bp.is_subalgebra() and bm.is_subalgebra()
     assert bp.contains(t.basis_element("E(1,3)"))

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from yangbaxter import linalg
 from yangbaxter.linalg import (
     Echelon,
     det_dense,
@@ -307,3 +309,154 @@ def test_echelon_index_negative_control():
     ech.cols[2].discard(1)
     with pytest.raises(AssertionError):
         _assert_index_exact(ech)
+
+
+# --- Differential tests: integer-valued Echelon against the all-Fraction one.
+
+
+class _ref_Echelon:
+    """The sparse Echelon over Fractions only: every entry becomes a Fraction
+    and each new row is scaled by `1 / pivot`.  The reference for Echelon."""
+
+    def __init__(self):
+        self.rows = {}
+        self.cols = {}
+
+    def reduce(self, v):
+        v = {k: F(x) for k, x in v.items()}
+        rows = self.rows
+        for p in [k for k in v if k in rows]:
+            c = v[p]
+            for k, x in rows[p].items():
+                y = v.get(k, F(0)) - c * x
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+        return v
+
+    def add(self, v):
+        v = self.reduce(v)
+        if not v:
+            return False
+        p = min(v)
+        inv = 1 / v.pop(p)
+        row = {k: x * inv for k, x in v.items()}
+        rows, cols = self.rows, self.cols
+        for k in row:
+            cols.setdefault(k, set()).add(p)
+        for q in cols.pop(p, ()):
+            other = rows[q]
+            c = other.pop(p)
+            for k, x in row.items():
+                y = other.get(k, F(0)) - c * x
+                if y:
+                    other[k] = y
+                    cols[k].add(q)
+                else:
+                    del other[k]
+                    cols[k].discard(q)
+        row[p] = F(1)
+        rows[p] = row
+        return True
+
+    def contains(self, v):
+        return not self.reduce(v)
+
+
+def _assert_same_rref(ech, ref):
+    """Equal rows and column index, and every entry a nonzero int or Fraction."""
+    assert ech.rows == ref.rows
+    assert {k: q for k, q in ech.cols.items() if q} == {k: q for k, q in ref.cols.items() if q}
+    for row in ech.rows.values():
+        for x in row.values():
+            assert type(x) in (int, Fraction) and x != 0, x
+
+
+def _with_reference_echelon(fn, *args):
+    """Run a linalg routine with the all-Fraction Echelon in place."""
+    with mock.patch.object(linalg, "Echelon", _ref_Echelon):
+        return fn(*args)
+
+
+# Entries mix ints and Fractions; +-1 (as int and as Fraction) are drawn
+# often, so pivots of 1, of -1 and of other values all occur.
+_mixed_entry = st.one_of(
+    st.sampled_from([1, -1, F(1), F(-1)]),
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+_mixed_vec = st.dictionaries(st.integers(0, _COLS - 1), _mixed_entry, max_size=5).map(
+    lambda d: {k: x for k, x in d.items() if x}
+)
+
+
+@st.composite
+def _mixed_lists(draw):
+    vecs = draw(st.lists(_mixed_vec, min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(vecs) - 1))
+        j = draw(st.integers(0, len(vecs) - 1))
+        vecs.append(_vec_add(vecs[i], vecs[j], draw(st.sampled_from([1, -1, 2]))))
+    return vecs
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_mixed_lists(), st.lists(_mixed_vec, max_size=4))
+def test_integer_echelon_matches_fraction_reference(vectors, probes):
+    ech, ref = Echelon(), _ref_Echelon()
+    for v in vectors:
+        assert ech.add(v) == ref.add(v)
+        _assert_same_rref(ech, ref)
+        _assert_index_exact(ech)
+    for w in vectors + probes:
+        assert ech.reduce(w) == ref.reduce(w)
+        assert ech.contains(w) == ref.contains(w)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_mixed_lists(), _mixed_lists(), st.lists(_mixed_entry, min_size=10, max_size=10))
+def test_nullspace_solve_intersect_match_fraction_reference(va, vb, rhs):
+    cols = list(range(_COLS))
+    assert nullspace(va, cols) == _with_reference_echelon(nullspace, va, cols)
+    rhs = rhs[: len(va)]
+    assert solve(va, rhs) == _with_reference_echelon(solve, va, rhs)
+    # A consistent right-hand side: rhs = va @ x for an integral x.
+    x = {k: k - 3 for k in cols}
+    b = [sum((c * x[k] for k, c in r.items()), 0) for r in va]
+    sol = solve(va, b)
+    assert sol == _with_reference_echelon(solve, va, b) and sol is not None
+    inter = intersect_spans(va, vb)
+    assert inter == _with_reference_echelon(intersect_spans, va, vb)
+    entries = [c for vec in nullspace(va, cols) + inter for c in vec.values()]
+    assert all(type(c) in (int, Fraction) and c != 0 for c in entries + list(sol.values()))
+
+
+def test_integer_echelon_pivots():
+    """A pivot of 1 keeps the row, -1 negates it (ints stay ints), any other
+    pivot divides; the stored pivot entry is the int 1."""
+    ech = Echelon()
+    ech.add({0: 1, 3: 4, 5: Fraction(1, 2)})
+    ech.add({1: -1, 3: 2, 4: -5})
+    ech.add({2: 2, 3: 3})
+    assert ech.rows[0] == {0: 1, 3: 4, 5: Fraction(1, 2)}
+    assert ech.rows[1] == {1: 1, 3: -2, 4: 5}
+    assert ech.rows[2] == {2: 1, 3: Fraction(3, 2)}
+    assert [type(x) for x in ech.rows[1].values()] == [int] * 3
+    assert all(type(ech.rows[p][p]) is int for p in ech.rows)
+    assert all(type(x) is int for x in nullspace([{0: 1, 1: 2}], [0, 1])[0].values())
+
+
+def test_integer_echelon_comparison_negative_control():
+    """One entry off in one row makes the reference comparison fail."""
+    vectors = [{0: 1, 2: 3}, {1: -1, 2: 2, 3: Fraction(1, 3)}, {0: 2, 3: 5}]
+    ech, ref = Echelon(), _ref_Echelon()
+    for v in vectors:
+        ech.add(v)
+        ref.add(v)
+    _assert_same_rref(ech, ref)
+    p, row = next((p, r) for p, r in sorted(ech.rows.items()) if len(r) > 1)
+    k = next(k for k in row if k != p)
+    row[k] += 1
+    with pytest.raises(AssertionError):
+        _assert_same_rref(ech, ref)
