@@ -14,7 +14,10 @@ P = d*r a polynomial tensor,
 so the three commutators and their sum need no gcd.  Since d12*d13*d23 is
 a nonzero polynomial, an entry of the cleared sum is zero exactly when the
 entry of cyb(r) is, and dividing the nonzero entries back gives cyb(r)
-itself: every verdict and residual term count is the symbolic one.
+itself: every verdict and residual term count is the symbolic one.  The
+commutators multiply ints: d and P (which holds Fractions such as Omega's
+1/2) are scaled by the lcm L of their coefficient denominators.  That puts
+the same constant L^3 on the cleared sum and on D, and RatFun.of cancels it.
 
 The co-bracket attached to a kernel Gamma is
 delta(p) = [Gamma, p(u)(x)1 + 1(x)p(v)]; for the built-in kernels the pole
@@ -43,6 +46,8 @@ from the leading term u*v*Omega/(v-u) has a pole.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .lie import GPoly, bracket_poly
 from .ratfun import RatFun
 from .tensors import (
@@ -68,12 +73,16 @@ def cyb(r):
     """The Yang-Baxter residual [r12,r13] + [r12,r23] + [r13,r23].
 
     Computed in the polynomial ring as [P12,P13]*d23 + [P12,P23]*d13 +
-    [P13,P23]*d12 with (d, P) = clear_denominators(r); each nonzero entry is
-    then divided by D = d12*d13*d23 once.  D is nonzero, so the result is
-    the reduced symbolic residual, entry for entry.
+    [P13,P23]*d12 with (d, P) = clear_denominators(r) made integral (times
+    L, see the module docstring); each nonzero entry is then divided by
+    D = d12*d13*d23 once.  D is nonzero, so the result is the reduced
+    symbolic residual, entry for entry.
     """
-    assert isinstance(r, Tensor2), r
+    if not isinstance(r, Tensor2):
+        raise ValueError(f"cyb needs a Tensor2, not {type(r).__name__}")
     d, p = clear_denominators(r)
+    scale = lcm(*(c.denominator for f in (d, *p.entries.values()) for c in f.terms.values()))
+    d, p = d * scale, Tensor2(r.table, {key: f * scale for key, f in p.entries.items()})
     d12, d13, d23 = (d.rename(_LEGS[legs]) for legs in ("12", "13", "23"))
     out = {}
     for pair, weight in (("12^13", d23), ("12^23", d13), ("13^23", d12)):

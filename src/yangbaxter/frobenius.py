@@ -91,20 +91,21 @@ def cocycle_residual(sub, matrix):
     basis = sub.elements
     n = len(basis)
     coords = basis_coordinates(sub)
+    rows = [{k: x for k, x in enumerate(row) if x} for row in matrix]
     beta = {}
     for i in range(n):
         for j in range(i + 1, n):
             cw = coords(basis[i].bracket(basis[j]))
             if cw is None:
                 return (i, j, None, "bracket leaves the span")
-            beta[i, j] = [
-                sum((c * matrix[a][k] for a, c in cw.items()), Fraction(0))
-                for k in range(n)
-            ]
+            beta[i, j] = b = {}  # sparse: k -> B([x_i, x_j], x_k), zeros left out
+            for a, c in cw.items():
+                for k, x in rows[a].items():
+                    b[k] = b.get(k, 0) + c * x
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                total = beta[i, j][k] + beta[j, k][i] - beta[i, k][j]
+                total = beta[i, j].get(k, 0) + beta[j, k].get(i, 0) - beta[i, k].get(j, 0)
                 if total != 0:
                     return (i, j, k, total)
     return None

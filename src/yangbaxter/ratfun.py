@@ -179,8 +179,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit: u^1024 must not build u^2048
+                base = base * base
         return out
 
     def leading(self):

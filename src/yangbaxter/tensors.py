@@ -7,14 +7,17 @@ under which u*v*Omega/(v-u) is itself skew.
 
 Both kinds share one sparse core: a coefficient table keyed by basis-index
 tuples in which zero coefficients are never stored.  `accumulate` is the
-single add-and-drop-zeros step behind tensor addition, the leg commutators
-r12, r13, r23 of `leg_bracket`, and the adjoint action `ad2_action`.
+single add-and-drop-zeros step behind tensor addition and the adjoint
+action `ad2_action`.
 
 Coefficients are RatFun, or Poly for a tensor whose denominators have been
 cleared: `clear_denominators(r)` gives (d, d*r) with d the lcm of r's
-denominators.  The sparse core and `leg_bracket` use only `rename`, `*`,
-`+` and `is_zero` on coefficients, so they run unchanged in the polynomial
-ring; `make` and `scale` build RatFun tensors.
+denominators.  The sparse core uses only `rename`, `*`, `+` and `is_zero`
+on coefficients, so it runs unchanged in the polynomial ring; `make` and
+`scale` build RatFun tensors.  `leg_bracket`, the leg commutators r12, r13,
+r23, takes cleared (Poly) tensors only: it sums the monomial products of
+each output entry into one {monomial: coefficient} dict and builds one Poly
+per entry (the sparse accumulation of Monagan & Pearce).
 
 `ad2_action(p, t)` works on the cleared form too.  With (d, P) =
 clear_denominators(t) and s = max(0, -min degree of p), p's term x*u^k acts
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfun import P_ONE, Poly, RatFun, _poly_divexact, poly_gcd
+from .ratfun import P_ONE, Poly, RatFun, _poly, _poly_divexact, poly_gcd
 
 _SWAP_UV = {"u": "v", "v": "u"}
 _ROTATE = {"u1": "u2", "u2": "u3", "u3": "u1"}
@@ -63,7 +66,8 @@ class _SparseTensor:
     def make(cls, table, entries):
         clean = {}
         for key, c in entries.items():
-            assert len(key) == cls.legs and all(0 <= i < table.dim for i in key), key
+            if len(key) != cls.legs or not all(0 <= i < table.dim for i in key):
+                raise ValueError(f"bad {cls.__name__} key {key} for a {table.dim}-dim algebra")
             c = _as_rf(c)
             if not c.is_zero():
                 clean[key] = c
@@ -82,7 +86,8 @@ class _SparseTensor:
         return self.table is other.table and self.entries == other.entries
 
     def __add__(self, other):
-        assert type(other) is type(self) and self.table is other.table, other
+        if type(other) is not type(self) or self.table is not other.table:
+            raise ValueError("adding tensors of another kind or algebra")
         out = dict(self.entries)
         for key, c in other.entries.items():
             accumulate(out, key, c)
@@ -204,25 +209,33 @@ def leg_bracket(r, s, pair):
     [r12, s13] = sum r_ab(u1,u2) s_cd(u1,u3) [x_a,x_c] (x) x_b (x) x_d,
     [r12, s23] = sum r_ab(u1,u2) s_cd(u2,u3) x_a (x) [x_b,x_c] (x) x_d,
     [r13, s23] = sum r_ab(u1,u3) s_cd(u2,u3) x_a (x) x_c (x) [x_b,x_d].
+
+    r and s carry Poly coefficients (a cleared form).  An exponent past
+    MAX_POLY_EXPONENT raises ExponentOverflow.
     """
-    assert isinstance(r, Tensor2) and isinstance(s, Tensor2), (r, s)
-    assert r.table is s.table, "mismatched algebras"
+    if not (isinstance(r, Tensor2) and isinstance(s, Tensor2)) or r.table is not s.table:
+        raise ValueError("leg_bracket needs two Tensor2s over one algebra")
     table = r.table
     ren_r, ren_s, r_leg, s_leg, slot = _PAIR_PLANS[pair]
-    # Each term as (bracketed index, free index, renamed coefficient).
-    r_terms = [(k[r_leg], k[1 - r_leg], f.rename(ren_r)) for k, f in r.entries.items()]
-    s_terms = [(k[s_leg], k[1 - s_leg], g.rename(ren_s)) for k, g in s.entries.items()]
-    out = {}
+    # Each term as (bracketed index, free index, renamed monomial terms).
+    r_terms = [(k[r_leg], k[1 - r_leg], f.rename(ren_r).terms.items())
+               for k, f in r.entries.items()]
+    s_terms = [(k[s_leg], k[1 - s_leg], g.rename(ren_s).terms.items())
+               for k, g in s.entries.items()]
+    sums = {}
     for x, a, f in r_terms:
         for y, b, g in s_terms:
-            pairs = table.structure.get((x, y))
-            if not pairs:
-                continue
-            coeff = f * g
             free = (a, b)
-            for k, sc in pairs:
-                accumulate(out, free[:slot] + (k,) + free[slot:], coeff * sc)
-    return Tensor3(table, out)
+            for k, sc in table.structure.get((x, y), ()):
+                terms = sums.setdefault(free[:slot] + (k,) + free[slot:], {})
+                get = terms.get
+                for ma, ca in f:
+                    c = ca * sc
+                    for mb, cb in g:
+                        m = ma + mb
+                        terms[m] = get(m, 0) + c * cb
+    polys = ((key, _poly(terms, check=True)) for key, terms in sums.items())
+    return Tensor3(table, {key: p for key, p in polys if p.terms})
 
 
 def ad2_action(p, t):
@@ -236,9 +249,9 @@ def ad2_action(p, t):
     entry is divided by d*(u*v)^s once.  The entries are reduced RatFuns,
     equal to the entrywise expansion.
     """
-    assert isinstance(t, Tensor2), t
+    if not isinstance(t, Tensor2) or p.table is not t.table:
+        raise ValueError("ad2_action needs a Tensor2 over p's algebra")
     table = t.table
-    assert p.table is table, "mismatched algebras"
     d, cleared = clear_denominators(t)
     s = max(0, -min(p.terms, default=0))
     out = {}

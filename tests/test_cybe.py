@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from yangbaxter import cybe as cybe_module
 from yangbaxter.cybe import (
     PoleCancellationError,
     catalog,
@@ -30,6 +31,7 @@ from yangbaxter.tensors import (
     leg_bracket,
     swap,
 )
+from reference import ref_leg_bracket
 from test_tensors import _kernels, _ref_ad2_action
 
 U = RatFun.var("u")
@@ -183,11 +185,12 @@ def test_cyb_detects_non_solutions():
 
 
 def _symbolic_cyb(r):
-    """Reference residual: the three leg commutators in RatFun arithmetic."""
+    """Reference residual: the three leg commutators in RatFun arithmetic,
+    with no code shared with cyb's cleared, integral path."""
     return (
-        leg_bracket(r, r, "12^13")
-        + leg_bracket(r, r, "12^23")
-        + leg_bracket(r, r, "13^23")
+        ref_leg_bracket(r, r, "12^13")
+        + ref_leg_bracket(r, r, "12^23")
+        + ref_leg_bracket(r, r, "13^23")
     )
 
 
@@ -201,6 +204,14 @@ def _mixed_denominators(t, cat):
         t, {(t.index["e"], t.index["f"]): U / (U - V) + V,
             (t.index["h"], t.index["h"]): (U + V) ** -2}
     )
+
+
+def _nonlinear(t, a=2):
+    """e(x)f/(a*u^2 + v) - f(x)e/(a*v^2 + u): skew, not a solution, and for
+    a > 1 the monic denominator u^2 + v/a puts Fractions into the cleared
+    form."""
+    half = Tensor2.single(t, "e", "f", (a * U ** 2 + V) ** -1)
+    return half - swap(half)
 
 
 def test_clear_denominators():
@@ -272,6 +283,10 @@ def test_cyb_matches_symbolic_on_sl2_gauge_images():
 _SL2 = make_sl(2)
 _SL2_OMEGA = casimir(_SL2, 4)
 _Q0 = leading_term(_SL2_OMEGA)
+_SL2_CAT = catalog(_SL2, _SL2_OMEGA)
+_MIXED = _mixed_denominators(_SL2, _SL2_CAT)
+# gamma4 + 2(e(x)h - h(x)e) + e(x)f: linear denominators, not a solution.
+_CONTROL = _SL2_CAT["gamma4"] + _constant_skew(_SL2, "e", "h", 2) + Tensor2.single(_SL2, "e", "f", 1)
 _TERMS = st.lists(
     st.tuples(
         st.integers(0, 2), st.integers(0, 2),  # basis indices a, b
@@ -350,3 +365,37 @@ def test_cobracket_entry_matches_sympy_matrices():
         # Negative control: the oracle tells the next degree's co-bracket apart.
         shifted = as_matrix(cobracket(cat[name], GPoly.monomial(t.basis_element(lbl), d + 1)))
         assert (shifted - expected).applyfunc(sympy.cancel) != sympy.zeros(4, 4), name
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), degree=st.integers(0, 1), a=st.integers(2, 5))
+def test_cyb_equals_symbolic_reference_on_gauge_images_and_controls(seed, degree, a):
+    # Gauge images of the sl(2) solutions and of a non-solution control, and
+    # mixed and non-linear denominators as they are (a gauge image would
+    # spread their non-linear factors over every entry, and the final
+    # division then takes minutes); the non-solutions are negative controls.
+    p = random_unipotent(_SL2, random.Random(seed), total_degree=degree)
+    names = ("q0", "q1", "q2", "rational_eh", "gamma2", "gamma3")
+    cases = [(gauge_transform(p, _SL2_CAT[name], check=False), True) for name in names]
+    cases += [(gauge_transform(p, _CONTROL, check=False), False),
+              (_MIXED, False), (_nonlinear(_SL2, a), False)]
+    for r, solves in cases:
+        res = cyb(r)
+        assert res == _symbolic_cyb(r), str(r)
+        assert res.is_zero() == solves, str(r)
+
+
+def test_cyb_feeds_leg_bracket_int_coefficients(monkeypatch):
+    seen = set()
+
+    def spy(r, s, pair):
+        seen.update(type(c) for t in (r, s) for f in t.entries.values() for c in f.terms.values())
+        return leg_bracket(r, s, pair)
+
+    monkeypatch.setattr(cybe_module, "leg_bracket", spy)
+    for r in (_SL2_CAT["q2"], _CONTROL, _MIXED, _nonlinear(_SL2)):
+        # Not vacuous: the monic cleared form holds Fractions.
+        d, p = clear_denominators(r)
+        assert any(type(c) is F for f in (d, *p.entries.values()) for c in f.terms.values())
+        cyb(r)
+    assert seen == {int}

@@ -800,3 +800,13 @@ def test_exponent_overflow_raises_under_optimisation():
         assert proc.returncode == 0, (flags, proc.stderr)
         assert proc.stdout.splitlines() == ["overflow"] * 5, (flags, proc.stdout)
     assert issubclass(ExponentOverflow, OverflowError) and MAX_POLY_EXPONENT >= 1000
+
+
+def test_power_squares_only_the_bits_it_uses():
+    # The top bit of k = 1024 needs u^1024 and no square past it: u^2048 would
+    # pass the limit though the power itself fits.
+    for k in (1024, 1500, MAX_POLY_EXPONENT):
+        assert Poly.var("u") ** k == Poly.var("u", k)
+        assert (RatFun.var("u") ** k).num == Poly.var("u", k)
+    with pytest.raises(ExponentOverflow):
+        Poly.var("u") ** (MAX_POLY_EXPONENT + 1)

@@ -2,24 +2,30 @@
 symmetries, leg commutators, and the adjoint action; the last two are also
 compared with straightforward reference implementations."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import yangbaxter
 from yangbaxter.cybe import catalog
 from yangbaxter.lie import GPoly, casimir, make_sl
-from yangbaxter.ratfun import RatFun
+from yangbaxter.ratfun import ExponentOverflow, P_ONE, Poly, RatFun
 from yangbaxter.tensors import (
     Tensor2,
     Tensor3,
     ad2_action,
+    clear_denominators,
     is_polynomial,
     is_skew,
     leg_bracket,
     swap,
 )
+from reference import ref_leg_bracket
 
 U = RatFun.var("u")
 V = RatFun.var("v")
@@ -41,8 +47,49 @@ def test_make_drops_zero_entries():
     r = Tensor2.make(t, {(e, f): U - U, (f, e): F(3)})
     assert (e, f) not in r.entries
     assert list(r.entries) == [(f, e)]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Tensor2.make(t, {(0, 99): 1})
+
+
+def test_typed_errors_with_and_without_optimisation():
+    # Mismatched algebras, out-of-range keys and wrong tensor kinds raise
+    # ValueError, not an assert that `python -O` strips: stripped, the sum
+    # below returned an sl(2) tensor with the sl(3) key (1, 4).
+    script = (
+        "from yangbaxter.cybe import cyb\n"
+        "from yangbaxter.lie import GPoly, make_sl\n"
+        "from yangbaxter.tensors import Tensor2, Tensor3, ad2_action, clear_denominators, "
+        "leg_bracket\n"
+        "s2, s3 = make_sl(2), make_sl(3)\n"
+        "a = Tensor2.single(s2, 'e', 'f')\n"
+        "b = Tensor2.single(s3, 'E(1,3)', 'E(3,1)')\n"
+        "pa, pb = clear_denominators(a)[1], clear_denominators(b)[1]\n"
+        "cases = {\n"
+        "    'add': lambda: a + b,\n"
+        "    'make': lambda: Tensor2.make(s2, {(1, 4): 1}),\n"
+        "    'legs': lambda: Tensor3.make(s2, {(0, 1): 1}),\n"
+        "    'leg_bracket': lambda: leg_bracket(pa, pb, '12^13'),\n"
+        "    'ad2_action': lambda: ad2_action(GPoly.monomial(s3.basis_element(0), 1), a),\n"
+        "    'cyb': lambda: cyb(Tensor3.zero(s2)),\n"
+        "}\n"
+        "for name, case in cases.items():\n"
+        "    try:\n"
+        "        print(name, 'accepted', case())\n"
+        "    except ValueError:\n"
+        "        print(name, 'ValueError')\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    expected = [f"{name} ValueError"
+                for name in ("add", "make", "legs", "leg_bracket", "ad2_action", "cyb")]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+        assert proc.stdout.splitlines() == expected, (flags, proc.stdout)
 
 
 def test_swap_is_an_involution():
@@ -103,7 +150,7 @@ def test_casimir_leg_identities():
     # [Om12, Om23] + [Om13, Om23] = 0, each summand being nonzero.
     for n in (2, 3):
         t = make_sl(n)
-        om = casimir(t, 2 * n).tensor()
+        om = clear_denominators(casimir(t, 2 * n).tensor())[1]
         b12_13 = leg_bracket(om, om, "12^13")
         b12_23 = leg_bracket(om, om, "12^23")
         b13_23 = leg_bracket(om, om, "13^23")
@@ -115,27 +162,41 @@ def test_casimir_leg_identities():
 def test_leg_bracket_single_terms():
     # [ (e(x)e)_12, (f(x)f)_13 ] = [e,f](x)e(x)f = h(x)e(x)f.
     t = make_sl(2)
-    ee = Tensor2.single(t, "e", "e")
-    ff = Tensor2.single(t, "f", "f")
+    ee = clear_denominators(Tensor2.single(t, "e", "e"))[1]
+    ff = clear_denominators(Tensor2.single(t, "f", "f"))[1]
     out = leg_bracket(ee, ff, "12^13")
     e, f, h = t.index["e"], t.index["f"], t.index["h"]
-    assert out.entries == {(h, e, f): RatFun.from_frac(1)}
+    assert out.entries == {(h, e, f): P_ONE}
     # Inner collision: [ (e(x)e)_12, (f(x)f)_23 ] = e(x)h(x)f.
     out = leg_bracket(ee, ff, "12^23")
-    assert out.entries == {(e, h, f): RatFun.from_frac(1)}
+    assert out.entries == {(e, h, f): P_ONE}
     # Last collision: [ (e(x)e)_13, (f(x)f)_23 ] = e(x)f(x)h.
     out = leg_bracket(ee, ff, "13^23")
-    assert out.entries == {(e, f, h): RatFun.from_frac(1)}
+    assert out.entries == {(e, f, h): P_ONE}
 
 
 def test_leg_bracket_renames_variables():
     t = make_sl(2)
-    r = Tensor2.single(t, "e", "e", U)
-    s = Tensor2.single(t, "f", "f", V)
+    r = clear_denominators(Tensor2.single(t, "e", "e", U))[1]
+    s = clear_denominators(Tensor2.single(t, "f", "f", V))[1]
     out = leg_bracket(r, s, "12^13")
     e, f, h = t.index["e"], t.index["f"], t.index["h"]
-    u1, u3 = RatFun.var("u1"), RatFun.var("u3")
-    assert out.entries == {(h, e, f): u1 * u3}
+    assert out.entries == {(h, e, f): Poly.var("u1") * Poly.var("u3")}
+
+
+def test_leg_bracket_raises_exponent_overflow():
+    # [(e(x)e) u^i, (f(x)f) u^j] for "12^13" is h(x)e(x)f u1^(i+j); a sum
+    # past MAX_POLY_EXPONENT = 2047 must raise, not carry into u2's field.
+    t = make_sl(2)
+    e, f, h = t.index["e"], t.index["f"], t.index["h"]
+
+    def power(label, k):
+        return clear_denominators(Tensor2.single(t, label, label, U ** k))[1]
+
+    out = leg_bracket(power("e", 2000), power("f", 47), "12^13")
+    assert out.entries == {(h, e, f): Poly.var("u1", 2047)}
+    with pytest.raises(ExponentOverflow):
+        leg_bracket(power("e", 2000), power("f", 48), "12^13")
 
 
 def test_ad2_action_weight_vectors():
@@ -187,41 +248,8 @@ def test_str_forms():
     assert "E(1,2)(x)E(1,2)(x)E(1,2)" in str(w)
 
 
-# Reference implementations for the differential test: leg_bracket written
-# out once per pair, and ad2_action summed degree by degree.
-
-
-def _ref_leg_bracket(r, s, pair):
-    table = r.table
-    ren_r, ren_s = {
-        "12^13": ({"u": "u1", "v": "u2"}, {"u": "u1", "v": "u3"}),
-        "12^23": ({"u": "u1", "v": "u2"}, {"u": "u2", "v": "u3"}),
-        "13^23": ({"u": "u1", "v": "u3"}, {"u": "u2", "v": "u3"}),
-    }[pair]
-    out = {}
-
-    def add(key, val):
-        cur = out.get(key)
-        val = val if cur is None else cur + val
-        if val.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = val
-
-    for (a, b), f in r.entries.items():
-        f = f.rename(ren_r)
-        for (c, d), g in s.entries.items():
-            g = g.rename(ren_s)
-            if pair == "12^13":
-                for k, sc in table.structure.get((a, c), ()):
-                    add((k, b, d), f * g * sc)
-            elif pair == "12^23":
-                for k, sc in table.structure.get((b, c), ()):
-                    add((a, k, d), f * g * sc)
-            else:
-                for k, sc in table.structure.get((b, d), ()):
-                    add((a, c, k), f * g * sc)
-    return Tensor3(table, out)
+# Reference implementation of ad2_action for the differential test, summed
+# degree by degree; the leg commutator's reference is in reference.py.
 
 
 def _ref_ad2_action(p, t):
@@ -251,19 +279,32 @@ def _seeded_tensor(t, rng, terms):
 def test_leg_bracket_and_ad2_match_reference():
     rng = random.Random(17)
     pairs = ("12^13", "12^23", "13^23")
+    kinds = set()
     for n, terms in ((2, 5), (3, 6)):
         t = make_sl(n)
         for _ in range(3):
             r, s = _seeded_tensor(t, rng, terms), _seeded_tensor(t, rng, terms)
-            for pair in pairs:
-                assert leg_bracket(r, s, pair) == _ref_leg_bracket(r, s, pair)
-            # Negative control: the pairs place the bracket on different
-            # slots, so on a non-symmetric input they must disagree.
-            assert leg_bracket(r, s, "12^23") != _ref_leg_bracket(r, s, "12^13")
+            cr, cs = clear_denominators(r)[1], clear_denominators(s)[1]
+            # The cleared tensors as they are (monic d, so Fractions such as
+            # -2/3 survive) and times 3 (integral: the seeded coefficients'
+            # denominators are 1 and 3).
+            for p, q in ((cr, cs), (_times(cr, 3), _times(cs, 3))):
+                kinds |= {type(c) for f in (*p.entries.values(), *q.entries.values())
+                          for c in f.terms.values()}
+                for pair in pairs:
+                    assert leg_bracket(p, q, pair) == ref_leg_bracket(p, q, pair)
+                # Negative control: the pairs place the bracket on different
+                # slots, so on a non-symmetric input they must disagree.
+                assert leg_bracket(p, q, "12^23") != ref_leg_bracket(p, q, "12^13")
             x = t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)})
             y = t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)})
             p = GPoly.monomial(x, 0) + GPoly.monomial(y, 2)
             assert ad2_action(p, r) == _ref_ad2_action(p, r)
+    assert kinds == {int, F}
+
+
+def _times(p, c):
+    return Tensor2(p.table, {key: f * c for key, f in p.entries.items()})
 
 
 def _kernels(n):
