@@ -22,9 +22,9 @@ legal over sl(2).  Exit codes: 0 = verified, 1 = a mathematical check
 failed, 2 = usage or parse error.  All rationals print exactly as p/q.
 
 Input is bounded so that no document or argument runs without bound: the
-rank N (header or --n) is at most MAX_RANK, a document at most
-MAX_DOCUMENT_CHARS long, an exponent at most MAX_EXPONENT in size, the unip
-degrees of a gauge expression sum to at most MAX_DEGREE, and every
+rank N (header or --n) is at most MAX_RANK, a document or a gauge expression
+at most MAX_DOCUMENT_CHARS long, an exponent at most MAX_EXPONENT in size,
+the unip degrees of a gauge expression sum to at most MAX_DEGREE, and every
 coefficient operation is refused before it is computed when its unreduced
 numerator or denominator would pass total degree MAX_DEGREE.  The window top
 and the dual-basis order of `double --trunc` are at most MAX_TRUNC, and a
@@ -331,12 +331,17 @@ def calibrated_omega(table):
     return _OMEGA_CACHE[table.n]
 
 
-def parse_rmatrix(text, omega=None):
-    """Parse a document to an exact tensor; raises ParseError on bad input."""
+def _check_length(text, what):
+    """Refuse a text past MAX_DOCUMENT_CHARS before it is read."""
     if len(text) > MAX_DOCUMENT_CHARS:
         raise ParseError(
-            f"document longer than {MAX_DOCUMENT_CHARS} characters", text, MAX_DOCUMENT_CHARS
+            f"{what} longer than {MAX_DOCUMENT_CHARS} characters", text, MAX_DOCUMENT_CHARS
         )
+
+
+def parse_rmatrix(text, omega=None):
+    """Parse a document to an exact tensor; raises ParseError on bad input."""
+    _check_length(text, "document")
     p = _Parser(text)
     for kind, value in (("NAME", "algebra"), ("NAME", "sl"), ("SYM", "(")):
         p.expect(kind, value)
@@ -787,8 +792,9 @@ def cmd_calibrate(args):
 
 
 def _parse_gauge_expr(table, text):
-    """unip(root,deg,t) ('*' unip(...))*, read in full and bounded in total
-    degree before any matrix is built."""
+    """unip(root,deg,t) ('*' unip(...))*, read in full and bounded in length
+    and total degree before any matrix is built."""
+    _check_length(text, "gauge expression")
     p = _Parser(text)
     factors = []
     total = 0

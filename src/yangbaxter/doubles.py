@@ -42,11 +42,6 @@ class Window:
         self.lo = lo
         self.hi = hi
 
-    @staticmethod
-    def default(hi=4):
-        """[-2*hi, hi]: deep enough that in-window pairings are never cut."""
-        return Window(-2 * hi, hi)
-
     def exponents(self):
         return range(self.lo, self.hi + 1)
 
@@ -90,10 +85,6 @@ class DoubleElement:
         self.loop = loop
         self.a0 = a0
         self.a1 = a1
-
-    @staticmethod
-    def zero(table):
-        return DoubleElement(GPoly(table, {}), table.zero(), table.zero())
 
     @staticmethod
     def of(table, loop=None, a0=None, a1=None):

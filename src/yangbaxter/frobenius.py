@@ -238,17 +238,16 @@ def check_parabolic_pair(table, sub, matrix, k):
         if any(c is None for c in cc):
             nondeg = False
         else:
-            gram = [
-                [
-                    sum(
-                        (a * b * matrix[i][j] for i, a in cx.items() for j, b in cy.items()),
-                        Fraction(0),
-                    )
-                    for cy in cc
-                ]
-                for cx in cc
-            ]
-            nondeg = linalg.det_dense(gram) != 0
+            # nondegenerate <=> the Gram rows have full rank
+            gram = []
+            for cx in cc:
+                row = {}
+                for col, cy in enumerate(cc):
+                    g = sum(a * b * matrix[i][j] for i, a in cx.items() for j, b in cy.items())
+                    if g:
+                        row[col] = g
+                gram.append(row)
+            nondeg = linalg.echelon_of(gram).rank == len(cc)
     return {
         "subalgebra": closed,
         "spans_with_parabolic": spans,

@@ -1,30 +1,32 @@
 """Polynomial gauge transformations Ad(p(u)) with exact unimodular matrices.
 
-Group elements are n x n matrices of polynomials in u with determinant
-identically 1, generated as products of unipotents
+Group elements are n x n matrices of polynomials in u, built only as
+products of unipotents
 
-    unip(root, d, t) = I + t * u^d * E(i,j)        (E(i,j)^2 = 0),
+    unip(root, d, t) = I + t * u^d * E(i,j)        (i != j, E(i,j)^2 = 0).
 
-so the inverse is the adjugate and stays polynomial.  Acting on a two-leg
-tensor, leg 1 is conjugated with variable u and leg 2 with variable v; the
-Casimir-leading term of quasi-rational solutions is fixed pointwise, so
-gauge transforms preserve both the Yang-Baxter property and
-quasi-rationality — both are checked, not assumed.  The action is linear,
-so it runs on the cleared tensor d*r in the polynomial ring and divides each
-output entry by d once.  A failed check raises GaugeError.
+Each factor is unitriangular, so every product has determinant 1 by
+construction, and each factor's inverse is unip(root, d, -t).  An element
+therefore carries its inverse from the start: the inverse of a product is
+the reversed product of the inverse factors, and it stays polynomial.
+Acting on a two-leg tensor, leg 1 is conjugated with variable u and leg 2
+with variable v; the Casimir-leading term of quasi-rational solutions is
+fixed pointwise, so gauge transforms preserve both the Yang-Baxter property
+and quasi-rationality — both are checked, not assumed.  The action is
+linear, so it runs on the cleared tensor d*r in the polynomial ring and
+divides each output entry by d once.  A failed check raises GaugeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .lie import GElement, GPoly
 from .ratfun import Poly, RatFun
 from .tensors import Tensor2, accumulate, clear_denominators
 
 
 class GaugeError(ValueError):
-    """A gauge check failed: a non-unimodular matrix, or a broken solution."""
+    """A gauge check failed: the transform broke a Yang-Baxter solution."""
 
 
 def _poly_matmul(a, b):
@@ -38,60 +40,31 @@ def _poly_matmul(a, b):
     ]
 
 
-def _poly_det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = Poly.const(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _poly_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _unit_matrix(n):
+    return [[Poly.const(1 if a == b else 0) for b in range(n)] for a in range(n)]
 
 
-def _poly_adjugate(mat):
-    n = len(mat)
-    if n == 1:
-        return [[Poly.const(1)]]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = _poly_det(minor)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return out
+def _unip_matrix(n, i, j, deg, t):
+    mat = _unit_matrix(n)
+    mat[i - 1][j - 1] = Poly.var("u", deg) * t
+    return mat
 
 
 class PolyGroupElement:
-    """Unimodular polynomial matrix; inverse precomputed as the adjugate."""
+    """Polynomial matrix `mat` of determinant 1 with its polynomial inverse
+    `inv`; build it with identity, unip and *."""
 
     __slots__ = ("table", "mat", "inv")
 
-    def __init__(self, table, mat):
-        n = table.n
-        assert len(mat) == n and all(len(row) == n for row in mat), mat
+    def __init__(self, table, mat, inv):
+        # raw constructor: mat * inv = I is the caller's to keep
         self.table = table
         self.mat = mat
-        det = _poly_det(mat)
-        if det != Poly.const(1):
-            raise GaugeError(f"determinant must be 1, got {det}")
-        self.inv = _poly_adjugate(mat)
+        self.inv = inv
 
     @staticmethod
     def identity(table):
-        n = table.n
-        return PolyGroupElement(
-            table,
-            [
-                [Poly.const(1 if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        return PolyGroupElement(table, _unit_matrix(table.n), _unit_matrix(table.n))
 
     @staticmethod
     def unip(table, root, deg, t):
@@ -100,81 +73,49 @@ class PolyGroupElement:
             i, j = root[2:-1].split(",")
             root = (int(i), int(j))
         i, j = root
-        assert i != j and 1 <= i <= table.n and 1 <= j <= table.n, root
-        assert deg >= 0, deg
         n = table.n
-        mat = [
-            [Poly.const(1 if a == b else 0) for b in range(n)] for a in range(n)
-        ]
-        mat[i - 1][j - 1] = mat[i - 1][j - 1] + Poly.var("u", deg) * Fraction(t)
-        return PolyGroupElement(table, mat)
+        if not (i != j and 1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"unip needs a root position E(i,j) of sl({n}), got {root}")
+        if deg < 0:
+            raise ValueError(f"unip degree must be >= 0, got {deg}")
+        t = Fraction(t)
+        return PolyGroupElement(
+            table, _unip_matrix(n, i, j, deg, t), _unip_matrix(n, i, j, deg, -t)
+        )
 
     def __mul__(self, other):
-        assert isinstance(other, PolyGroupElement) and other.table is self.table
-        return PolyGroupElement(self.table, _poly_matmul(self.mat, other.mat))
+        if not (isinstance(other, PolyGroupElement) and other.table is self.table):
+            raise ValueError("gauge product needs two elements of the same algebra")
+        return PolyGroupElement(
+            self.table,
+            _poly_matmul(self.mat, other.mat),
+            _poly_matmul(other.inv, self.inv),
+        )
 
     def __repr__(self):
         return f"PolyGroupElement({self.mat})"
 
 
-def _collect_degrees(mat):
-    """Split a Poly matrix into {degree: Fraction matrix}."""
-    n = len(mat)
-    out = {}
-    for i in range(n):
-        for j in range(n):
-            for d, coeff_poly in mat[i][j].as_univariate("u").items():
-                assert coeff_poly.is_const(), coeff_poly
-                c = coeff_poly.const_value()
-                if c:
-                    out.setdefault(d, [[Fraction(0)] * n for _ in range(n)])[i][
-                        j
-                    ] = c
-    return out
-
-
-def ad_element(p, x):
-    """p(u) * x * p(u)^-1 re-expressed over the basis; GPoly in u.
-
-    Accepts a constant element or a g-valued (Laurent) polynomial; the
-    result is again g-valued with exact coefficients (tracelessness is
-    preserved degree by degree).
-    """
-    assert isinstance(p, PolyGroupElement), p
-    if isinstance(x, GElement):
-        x = GPoly.monomial(x, 0)
-    table = x.table
-    assert table is p.table, "mismatched algebras"
-    n = table.n
-    out = {}
-    for d, xe in x.terms.items():
-        xmat = [[Poly.const(c) for c in row] for row in xe.to_matrix()]
-        conj = _poly_matmul(_poly_matmul(p.mat, xmat), p.inv)
-        for dd, m in _collect_degrees(conj).items():
-            tgt = d + dd
-            cur = out.get(tgt)
-            el = GElement(table, table.coords_of_matrix(m))
-            out[tgt] = el if cur is None else cur + el
-    return GPoly(table, out)
-
-
 def _ad_coordinate_matrix(p):
-    """M[c][a]: Poly coefficient of basis c in p(u) x_a p(u)^-1."""
+    """M[a] = {c: Poly coefficient of basis c in p(u) x_a p(u)^-1}.
+
+    The defining matrix of x_a has at most two nonzero entries m[k][l], so
+    the conjugate is the sum of m[k][l] * (column k of p)(row l of p^-1).
+    """
     table = p.table
-    dim = table.dim
+    n = table.n
+    mat, inv = p.mat, p.inv
     cols = []
-    for a in range(dim):
-        img = ad_element(p, table.basis_element(a))
-        col = {}
-        for d, el in img.terms.items():
-            for c, coeff in el.terms.items():
-                col.setdefault(c, {})[d] = coeff
-        cols.append(
-            {
-                c: Poly.from_univariate("u", {d: Poly.const(v) for d, v in ds.items()})
-                for c, ds in col.items()
-            }
-        )
+    for m in table.mats:
+        units = [(k, l, c) for k, row in enumerate(m) for l, c in enumerate(row) if c]
+        conj = [
+            [
+                sum((mat[i][k] * inv[l][j] * c for k, l, c in units), Poly.const(0))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        cols.append(table.coords_of_matrix(conj))
     return cols
 
 
@@ -186,9 +127,13 @@ def gauge_transform(p, r, check=True):
     Yang-Baxter solution, GaugeError is raised unless the result is one too
     — the exact forward consistency statement.
     """
-    assert isinstance(r, Tensor2), r
+    if not isinstance(r, Tensor2):
+        raise ValueError(f"gauge_transform needs a Tensor2, got {type(r).__name__}")
     table = r.table
-    assert table is p.table, "mismatched algebras"
+    if table is not p.table:
+        raise ValueError(
+            f"gauge element of sl({p.table.n}) applied to a tensor over sl({table.n})"
+        )
     cols = _ad_coordinate_matrix(p)
     to_v = {"u": "v"}
     cols_v = [{c: pu.rename(to_v) for c, pu in col.items()} for col in cols]

@@ -70,9 +70,10 @@ class LieTable:
 
     def coords_of_matrix(self, m):
         """Sparse coordinates {index: nonzero entry} of a traceless n x n
-        matrix, inserted in index order."""
+        matrix of numbers or Polys, inserted in index order."""
         n = self.n
-        assert sum(m[i][i] for i in range(n)) == 0, "matrix is not traceless"
+        if sum(m[i][i] for i in range(n)):
+            raise ValueError("matrix is not traceless")
         coords = {}
         pos = 0
         for i in range(n):
@@ -324,9 +325,6 @@ class GPoly:
     def scale(self, c):
         return GPoly(self.table, {d: x.scale(c) for d, x in self.terms.items()})
 
-    def shift(self, d):
-        return GPoly(self.table, {k + d: x for k, x in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, GPoly):
             return NotImplemented
@@ -431,20 +429,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of sl({self.table.n}))"
-
-
-def span(table, elements):
-    """Subspace from a (possibly dependent) spanning list."""
-    ech = linalg.Echelon()
-    picked = []
-    for x in elements:
-        if ech.add(x.as_vector()):
-            picked.append(x)
-    return Subspace(table, picked)
-
-
-def cartan(table):
-    return Subspace(table, [table.basis_element(f"H({i})") for i in range(1, table.n)])
 
 
 def parabolic(table, k):

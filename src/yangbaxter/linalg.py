@@ -191,23 +191,3 @@ def inverse_dense(mat):
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
 
-
-def det_dense(mat):
-    """Determinant of a small dense square matrix of Fractions."""
-    n = len(mat)
-    m = [list(map(Fraction, row)) for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                c = m[r][col] * inv
-                m[r] = [x - c * y for x, y in zip(m[r], m[col])]
-    return det

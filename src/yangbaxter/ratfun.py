@@ -114,6 +114,9 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_const(self):
         return not any(self.terms)
 

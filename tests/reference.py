@@ -4,8 +4,15 @@
 coefficient arithmetic alone (`rename`, `*`, `+`, `is_zero`), so it runs on
 RatFun tensors and on cleared (Poly) tensors alike and shares no code with
 `tensors.leg_bracket`.
+
+`ref_poly_adjugate` and `ref_ad_columns` are the gauge inverse by cofactor
+expansion and the adjoint action read degree by degree through Fraction
+matrices; they share no code with `gauge`.
 """
 
+from fractions import Fraction
+
+from yangbaxter.ratfun import Poly
 from yangbaxter.tensors import Tensor3
 
 _RENAMES = {
@@ -43,3 +50,60 @@ def ref_leg_bracket(r, s, pair):
                     add((a, c, k), f * g * sc)
     return Tensor3(table, out)
 
+
+
+def poly_matmul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Poly.const(0))
+             for j in range(n)] for i in range(n)]
+
+
+def ref_poly_det(mat):
+    """Determinant by cofactor expansion along the first row."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    total = Poly.const(0)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = mat[0][j] * ref_poly_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def ref_poly_adjugate(mat):
+    """Transposed cofactor matrix: the inverse of a determinant-1 matrix."""
+    n = len(mat)
+    if n == 1:
+        return [[Poly.const(1)]]
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[mat[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = ref_poly_det(minor)
+            out[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return out
+
+
+def ref_ad_columns(table, mat):
+    """[{c: Poly coefficient of basis c in mat x_a mat^-1} for each basis a],
+    with mat^-1 the adjugate: each conjugate is split into one Fraction
+    matrix per u-degree, read by coords_of_matrix and summed back."""
+    n = table.n
+    inv = ref_poly_adjugate(mat)
+    cols = []
+    for xa in table.mats:
+        xmat = [[Poly.const(c) for c in row] for row in xa]
+        conj = poly_matmul(poly_matmul(mat, xmat), inv)
+        by_degree = {}
+        for i in range(n):
+            for j in range(n):
+                for d, c in conj[i][j].as_univariate("u").items():
+                    m = by_degree.setdefault(d, [[Fraction(0)] * n for _ in range(n)])
+                    m[i][j] = c.const_value()
+        col = {}
+        for d, m in by_degree.items():
+            for c, x in table.coords_of_matrix(m).items():
+                col[c] = col.get(c, Poly.const(0)) + Poly.var("u", d) * x
+        cols.append({c: x for c, x in col.items() if not x.is_zero()})
+    return cols

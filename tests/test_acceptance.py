@@ -97,7 +97,7 @@ def test_c02_quasi_rationality_classification():
 def test_c03_embedded_polynomials_isotropic_exhaustive():
     for n in (2, 3):
         t = make_sl(n)
-        w = Window.default(8)
+        w = Window(-16, 8)
         els = [
             embed_polynomial(GPoly.monomial(x, a), w)
             for a in range(9)

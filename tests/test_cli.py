@@ -431,7 +431,8 @@ def test_oversized_input_exits_2_quickly(capsys, tmp_path):
             ["double", "--check", "wk", "--n", str(MAX_RANK + 1)],
             ["cobracket", "--gamma", "gamma2", "--element", "e:u^100000"],
             ["gauge", "--builtin", "q1", "--p", "unip(e,99999999,1)"],
-            ["gauge", "--builtin", "q1", "--p", "unip(e,0,1/0)"]]
+            ["gauge", "--builtin", "q1", "--p", "unip(e,0,1/0)"],
+            ["gauge", "--builtin", "q1", "--p", "*".join(["unip(e,0,1)", "unip(f,0,1)"] * 950)]]
     for name, text in docs.items():
         path = tmp_path / f"{name}.rmx"
         path.write_text(text)
@@ -442,6 +443,19 @@ def test_oversized_input_exits_2_quickly(capsys, tmp_path):
         assert main(argv) == 2, argv
         assert time.perf_counter() - start < 1.0, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_long_gauge_product_on_sl6_is_quick(capsys):
+    # 60 unipotent factors over sl(6): each element carries its inverse, so
+    # no determinant or adjugate is expanded; by cofactors this took 8.7 s.
+    expr = "*".join(["unip(E(1,2),0,1)", "unip(E(2,1),0,1)"] * 30)
+    calibrated_omega(make_sl(6))  # the cached calibration is not the timed work
+    start = time.perf_counter()
+    assert main(["gauge", "--n", "6", "--builtin", "q0", "--p", expr]) == 0
+    assert time.perf_counter() - start < 3.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["  still a Yang-Baxter solution: ok",
+                         "  still quasi-rational: true (input: true)"]
 
 
 def test_double_window_bounds_exit_2_quickly(capsys):

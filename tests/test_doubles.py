@@ -65,7 +65,7 @@ def _rand_double(t, rng, window):
 
 
 def test_window_basics():
-    w = Window.default(4)
+    w = Window(-8, 4)
     assert w == Window(-8, 4)
     assert 0 in w and 4 in w and -8 in w
     assert 5 not in w and -9 not in w
@@ -130,7 +130,7 @@ def test_double_bracket_window_guard():
 
 def test_embedding_is_a_homomorphism_seeded():
     t = make_sl(2)
-    w = Window.default(4)
+    w = Window(-8, 4)
     rng = random.Random(31)
     for _ in range(6):
         p = _rand_gpoly(t, rng, 0, 2)
@@ -243,7 +243,7 @@ def test_pairing_row_matches_reference():
     for n in (2, 3, 4):
         t = make_sl(n)
         w = Window(-4, 2)
-        els = [DoubleElement.zero(t)] + [_rand_double(t, rng, w) for _ in range(6)]
+        els = [DoubleElement.of(t)] + [_rand_double(t, rng, w) for _ in range(6)]
         assert any(not el.loop.is_zero() for el in els)
         for el in els:
             row = _pairing_row(el, w)
@@ -293,7 +293,7 @@ def test_line_shift_and_twist_space_dims():
     assert diagonal_twist_space(t2, 0, w).dim == 21
     assert diagonal_twist_space(t2, 1, w).dim == 21
     t3 = make_sl(3)
-    assert diagonal_twist_space(t3, 2, Window.default(4)).dim == 88
+    assert diagonal_twist_space(t3, 2, Window(-8, 4)).dim == 88
     with pytest.raises(ValueError):
         diagonal_twist_space(t2, 2, w)
 

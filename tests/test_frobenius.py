@@ -25,11 +25,11 @@ from yangbaxter.frobenius import (
     skew_r_from_frobenius,
 )
 from yangbaxter.lie import (
+    GElement,
     Subspace,
     calibrate_casimir,
     make_sl,
     parabolic,
-    span,
 )
 from yangbaxter.tensors import Tensor2
 
@@ -164,6 +164,36 @@ def test_check_parabolic_pair_detects_failures():
     degenerate = [[F(0), F(0)], [F(0), F(0)]]
     rep2 = check_parabolic_pair(t, sub, degenerate, 1)
     assert not rep2["nondegenerate_on_intersection"]
+
+
+def test_nondegeneracy_verdict_matches_gram_determinant():
+    # The verdict is full rank of the Gram rows; the reference is the
+    # determinant of the same Gram matrix.  A random and a zero skew form on
+    # each space below meet odd-dimensional intersections, where a skew form
+    # is always degenerate, and even ones of both verdicts.
+    from test_linalg import det_dense
+
+    rng = random.Random(83)
+    seen = set()
+    for sub in _spaces():
+        t, n = sub.table, sub.dim
+        random_form = [[F(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            random_form[i][j] = F(rng.randint(-2, 2))
+            random_form[j][i] = -random_form[i][j]
+        coords = basis_coordinates(sub)
+        for k in range(1, t.n):
+            inter = linalg.intersect_spans([x.as_vector() for x in sub.elements],
+                                           [x.as_vector() for x in parabolic(t, k).elements])
+            cc = [coords(GElement(t, v)) for v in inter]
+            for m in (random_form, [[F(0)] * n for _ in range(n)]):
+                gram = [[sum(a * b * m[i][j] for i, a in cx.items() for j, b in cy.items())
+                         for cy in cc] for cx in cc]
+                expected = det_dense(gram) != 0  # 1 on an empty intersection
+                rep = check_parabolic_pair(t, sub, m, k)
+                assert rep["nondegenerate_on_intersection"] == expected, (sub, k)
+                seen.add((len(cc) % 2, expected))
+    assert {(1, False), (0, True), (0, False)} <= seen, seen
 
 
 def test_coords_in_basis():
@@ -304,9 +334,9 @@ def _spaces():
             els = sub.elements
             mixed = [x + els[i + 1].scale(i - 1) for i, x in enumerate(els[:-1])] + [els[-1]]
             out += [sub, Subspace(t, mixed)]
-        out.append(span(t, [t.basis_element("E(1,2)"), t.basis_element("E(2,3)"),
-                            t.basis_element("H(1)")]))
-        out.append(span(t, borel_plus(t).elements[1:] + [t.basis_element(f"E({n},1)")]))
+        out.append(Subspace(t, [t.basis_element("E(1,2)"), t.basis_element("E(2,3)"),
+                                t.basis_element("H(1)")]))
+        out.append(Subspace(t, borel_plus(t).elements[1:] + [t.basis_element(f"E({n},1)")]))
     return out
 
 

@@ -1,5 +1,7 @@
-"""Tests for polynomial gauge transformations: unimodularity, the adjoint
-action on elements and tensors, and group-action functoriality.  The
+"""Tests for polynomial gauge transformations: the inverse each element
+carries, the adjoint action on basis elements and tensors, and group-action
+functoriality.  The inverse and the adjoint columns are compared with the
+cofactor adjugate and the degree-split reference of `reference.py`; the
 cleared-denominator transform is compared, entry for entry, with the
 entrywise RatFun transform it replaces."""
 
@@ -7,27 +9,26 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import yangbaxter
+from reference import poly_matmul, ref_ad_columns, ref_poly_adjugate
 from yangbaxter.cybe import catalog, cyb, is_quasi_rational, leading_term
 from yangbaxter.gauge import (
-    GaugeError,
     PolyGroupElement,
     _ad_coordinate_matrix,
-    ad_element,
     gauge_transform,
     random_unipotent,
 )
-from yangbaxter.lie import GPoly, calibrate_casimir, casimir, make_sl
+from yangbaxter.lie import calibrate_casimir, casimir, make_sl
 from yangbaxter.ratfun import Poly, RatFun
 from yangbaxter.tensors import Tensor2, accumulate, swap
 
 U = RatFun.var("u")
 V = RatFun.var("v")
+u = Poly.var("u")
 
 
 def max_degree(p):
@@ -37,44 +38,50 @@ def max_degree(p):
     )
 
 
+def is_identity(m):
+    return all(m[i][j] == Poly.const(int(i == j)) for i in range(len(m)) for j in range(len(m)))
+
+
 def test_unipotent_construction():
     t = make_sl(2)
     p = PolyGroupElement.unip(t, "E(1,2)", 1, 1)
     assert str(p.mat[0][1]) == "u"
+    assert str(p.inv[0][1]) == "-u"
     assert max_degree(p) == 1
     q = PolyGroupElement.unip(t, (2, 1), 0, -3)
     assert q.mat[1][0] == Poly.const(-3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         PolyGroupElement.unip(t, (1, 1), 0, 1)  # not a root position
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
+        PolyGroupElement.unip(t, (1, 3), 0, 1)  # not a root of sl(2)
+    with pytest.raises(ValueError):
         PolyGroupElement.unip(t, (1, 2), -1, 1)  # negative degree
-
-
-def test_non_unimodular_matrix_rejected():
-    t = make_sl(2)
-    twice_identity = [
-        [Poly.const(2), Poly.const(0)],
-        [Poly.const(0), Poly.const(2)],
-    ]
-    with pytest.raises(GaugeError):
-        PolyGroupElement(t, twice_identity)
+    with pytest.raises(ValueError):
+        p * PolyGroupElement.unip(make_sl(3), (1, 2), 0, 1)  # mismatched algebras
 
 
 def test_gauge_checks_hold_under_optimisation():
-    # Neither verdict may rest on assert: `python -O` must reject the det-4
-    # matrix diag(2, 2), and a transform that breaks Yang-Baxter.
+    # No input check or verdict may rest on assert: `python -O` must reject an
+    # sl(3) gauge on an sl(2) tensor (it once returned 21 entries over the 9
+    # keys of sl(2)), a matrix with trace 3 (it once read as {6: 1, 7: 2}),
+    # and a transform that breaks Yang-Baxter.
     script = (
         "import yangbaxter.gauge as g\n"
         "from yangbaxter.cybe import catalog\n"
         "from yangbaxter.lie import calibrate_casimir, make_sl\n"
-        "from yangbaxter.ratfun import Poly\n"
         "t = make_sl(2)\n"
+        "q1 = catalog(t, calibrate_casimir(t))['q1']\n"
         "try:\n"
-        "    g.PolyGroupElement(t, [[Poly.const(2), Poly.const(0)],"
-        " [Poly.const(0), Poly.const(2)]])\n"
-        "    print('det accepted')\n"
-        "except g.GaugeError:\n"
-        "    print('det rejected')\n"
+        "    g.gauge_transform(g.PolyGroupElement.unip(make_sl(3), 'E(1,3)', 1, 1), q1,"
+        " check=False)\n"
+        "    print('mismatch accepted')\n"
+        "except ValueError:\n"
+        "    print('mismatch rejected')\n"
+        "try:\n"
+        "    make_sl(3).coords_of_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
+        "    print('trace accepted')\n"
+        "except ValueError:\n"
+        "    print('trace rejected')\n"
         "q0 = catalog(t, calibrate_casimir(t))['q0']\n"
         "one = g.PolyGroupElement.identity(t)\n"
         "cols = g._ad_coordinate_matrix(one)\n"
@@ -97,57 +104,100 @@ def test_gauge_checks_hold_under_optimisation():
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, (flags, proc.stderr)
-        assert proc.stdout.split("\n")[:2] == ["det rejected", "broken image rejected"], (
+        assert proc.stdout.split("\n")[:3] == [
+            "mismatch rejected", "trace rejected", "broken image rejected"], (
             flags, proc.stdout)
 
 
 def test_inverse_is_polynomial_adjugate():
     t = make_sl(2)
     p = PolyGroupElement.unip(t, "E(1,2)", 2, 5)
-    prod = [
-        [
-            sum((p.mat[i][k] * p.inv[k][j] for k in range(2)), Poly.const(0))
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
-    assert prod[0][0] == Poly.const(1) and prod[1][1] == Poly.const(1)
-    assert prod[0][1].is_zero() and prod[1][0].is_zero()
+    assert is_identity(poly_matmul(p.mat, p.inv))
+    assert p.inv == ref_poly_adjugate(p.mat)
+    ident = PolyGroupElement.identity(t)
+    assert is_identity(ident.mat) and is_identity(ident.inv)
 
 
-def test_ad_element_oracle():
+def _unipotent_products(n):
+    factor = st.tuples(st.sampled_from(make_sl(n).root_pairs), st.integers(0, 2),
+                       st.integers(-3, 3).filter(bool))
+    return st.tuples(st.just(n), st.lists(factor, min_size=1, max_size=3))
+
+
+def _product(t, factors):
+    out = PolyGroupElement.identity(t)
+    for root, deg, c in factors:
+        out = out * PolyGroupElement.unip(t, root, deg, c)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(*(_unipotent_products(n) for n in (2, 3, 4))))
+def test_carried_inverse_and_columns_match_reference(case):
+    n, factors = case
+    t = make_sl(n)
+    p = _product(t, factors)
+    assert is_identity(poly_matmul(p.mat, p.inv))
+    assert p.inv == ref_poly_adjugate(p.mat)
+    assert _ad_coordinate_matrix(p) == ref_ad_columns(t, p.mat)
+
+
+def _columns_or_none(p):
+    try:
+        return _ad_coordinate_matrix(p)
+    except ValueError:  # a wrong inverse can leave a conjugate with a trace
+        return None
+
+
+def test_inverse_reference_negative_controls():
+    # A flipped -t, or the inverses multiplied in the product's order, is
+    # caught by each of the three comparisons above.
+    t = make_sl(3)
+    a = PolyGroupElement.unip(t, "E(1,2)", 1, 2)
+    b = PolyGroupElement.unip(t, "E(2,3)", 0, -1)
+    flipped = PolyGroupElement(t, a.mat, a.mat)
+    ab = a * b
+    swapped = PolyGroupElement(t, ab.mat, poly_matmul(a.inv, b.inv))
+    for bad in (flipped, swapped):
+        assert not is_identity(poly_matmul(bad.mat, bad.inv))
+        assert bad.inv != ref_poly_adjugate(bad.mat)
+        assert _columns_or_none(bad) != ref_ad_columns(t, bad.mat)
+    assert _ad_coordinate_matrix(ab) == ref_ad_columns(t, ab.mat)
+
+
+def test_ad_columns_oracle():
     t = make_sl(2)
-    p = PolyGroupElement.unip(t, "E(1,2)", 1, 1)
-    e = t.basis_element("e")
-    f = t.basis_element("f")
-    h = t.basis_element("h")
-    assert ad_element(p, e) == GPoly.monomial(e, 0)
-    assert ad_element(p, f) == GPoly(t, {0: f, 1: h, 2: e.scale(-1)})
-    assert ad_element(p, h) == GPoly(t, {0: h, 1: e.scale(-2)})
-    # Laurent input shifts degreewise.
-    assert ad_element(p, GPoly.monomial(h, -2)) == GPoly(
-        t, {-2: h, -1: e.scale(-2)}
-    )
+    e, f, h = (t.index[s] for s in "efh")
+    cols = _ad_coordinate_matrix(PolyGroupElement.unip(t, "E(1,2)", 1, 1))
+    assert cols[e] == {e: Poly.const(1)}
+    assert cols[f] == {e: -u * u, f: Poly.const(1), h: u}
+    assert cols[h] == {e: -2 * u, h: Poly.const(1)}
 
 
-def test_ad_element_is_an_algebra_map_seeded():
-    t = make_sl(2)
-    rng = random.Random(61)
-    from yangbaxter.lie import bracket_poly
+def _bracket_columns(t, x, y):
+    """[x, y] of two g[u] elements given as {basis: Poly}."""
+    out = {}
+    for a, xa in x.items():
+        for b, yb in y.items():
+            for k, c in t.structure.get((a, b), ()):
+                accumulate(out, k, xa * yb * c)
+    return out
 
-    for _ in range(4):
-        p = random_unipotent(t, rng)
-        x = GPoly.monomial(
-            t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)}),
-            rng.randint(0, 2),
-        )
-        y = GPoly.monomial(
-            t.element({i: F(rng.randint(-2, 2)) for i in range(t.dim)}),
-            rng.randint(0, 2),
-        )
-        lhs = ad_element(p, bracket_poly(x, y))
-        rhs = bracket_poly(ad_element(p, x), ad_element(p, y))
-        assert lhs == rhs
+
+def test_ad_columns_are_an_algebra_map_seeded():
+    # Ad p [x_a, x_b] = [Ad p x_a, Ad p x_b] on every basis pair.
+    for n, seed in ((2, 61), (3, 62)):
+        t = make_sl(n)
+        rng = random.Random(seed)
+        for _ in range(3):
+            cols = _ad_coordinate_matrix(random_unipotent(t, rng, max_factors=3))
+            for a in range(t.dim):
+                for b in range(t.dim):
+                    lhs = {}
+                    for k, c in t.structure.get((a, b), ()):
+                        for m, x in cols[k].items():
+                            accumulate(lhs, m, x * c)
+                    assert lhs == _bracket_columns(t, cols[a], cols[b]), (n, a, b)
 
 
 def test_gauge_transform_is_a_group_action():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from yangbaxter import linalg
 from yangbaxter.linalg import (
     Echelon,
-    det_dense,
     echelon_of,
     intersect_spans,
     inverse_dense,
@@ -19,6 +18,26 @@ from yangbaxter.linalg import (
 
 def F(x):
     return Fraction(x)
+
+
+def det_dense(mat):
+    """Determinant of a small dense square matrix, by Gaussian elimination."""
+    n = len(mat)
+    m = [list(map(Fraction, row)) for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                c = m[r][col] / m[col][col]
+                m[r] = [x - c * y for x, y in zip(m[r], m[col])]
+    return det
 
 
 def rank(vectors):
