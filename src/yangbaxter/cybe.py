@@ -11,13 +11,13 @@ P = d*r a polynomial tensor,
 
     cyb(r)*d12*d13*d23 = [P12,P13]*d23 + [P12,P23]*d13 + [P13,P23]*d12,
 
-so the three commutators and their sum need no gcd.  Since d12*d13*d23 is
-a nonzero polynomial, an entry of the cleared sum is zero exactly when the
-entry of cyb(r) is, and dividing the nonzero entries back gives cyb(r)
-itself: every verdict and residual term count is the symbolic one.  The
-commutators multiply ints: d and P (which holds Fractions such as Omega's
-1/2) are scaled by the lcm L of their coefficient denominators.  That puts
-the same constant L^3 on the cleared sum and on D, and RatFun.of cancels it.
+so the three commutators and their sum need no gcd.  The commutators
+multiply ints: d and P (which holds Fractions such as Omega's 1/2) are
+scaled by the lcm L of their coefficient denominators.  `cyb` returns these
+cleared numerators N = L^3*d12*d13*d23*cyb(r) and never divides them back.
+L^3*d12*d13*d23 is a nonzero polynomial, so an entry of N is zero exactly
+when the entry of cyb(r) is: a verdict reads the support of N, and every
+verdict and residual term count is the symbolic one.
 
 The co-bracket attached to a kernel Gamma is
 delta(p) = [Gamma, p(u)(x)1 + 1(x)p(v)]; for the built-in kernels the pole
@@ -41,7 +41,7 @@ The built-in catalog over the calibrated Casimir:
     rational_eh = Omega/(u-v) + u*(e(x)h) - v*(h(x)e)    (sl(2) only)
 
 rational_eh is a Yang-Baxter solution but NOT quasi-rational: its difference
-from the leading term u*v*Omega/(v-u) has a pole.
+from the leading term u*v*Omega/(v-u) (`CasimirSpec.leading`) has a pole.
 """
 
 from __future__ import annotations
@@ -70,13 +70,13 @@ _LEGS = {
 
 
 def cyb(r):
-    """The Yang-Baxter residual [r12,r13] + [r12,r23] + [r13,r23].
+    """The cleared Yang-Baxter residual [r12,r13] + [r12,r23] + [r13,r23].
 
     Computed in the polynomial ring as [P12,P13]*d23 + [P12,P23]*d13 +
     [P13,P23]*d12 with (d, P) = clear_denominators(r) made integral (times
-    L, see the module docstring); each nonzero entry is then divided by
-    D = d12*d13*d23 once.  D is nonzero, so the result is the reduced
-    symbolic residual, entry for entry.
+    L, see the module docstring).  The entries are the Poly numerators
+    N = L^3*d12*d13*d23*cyb(r), not divided back: the factor is nonzero, so
+    `is_zero()` and the entry count are the symbolic residual's.
     """
     if not isinstance(r, Tensor2):
         raise ValueError(f"cyb needs a Tensor2, not {type(r).__name__}")
@@ -88,15 +88,7 @@ def cyb(r):
     for pair, weight in (("12^13", d23), ("12^23", d13), ("13^23", d12)):
         for key, c in leg_bracket(p, p, pair).entries.items():
             accumulate(out, key, c * weight)
-    den = d12 * d13 * d23
-    return Tensor3(r.table, {key: RatFun.of(c, den) for key, c in out.items()})
-
-
-def leading_term(omega):
-    """The quasi-rational leading term u*v*Omega/(v-u) as a Tensor2."""
-    u = RatFun.var("u")
-    v = RatFun.var("v")
-    return omega.tensor().scale(u * v / (v - u))
+    return Tensor3(r.table, out)
 
 
 def is_quasi_rational(r, omega, residual=None):
@@ -104,7 +96,7 @@ def is_quasi_rational(r, omega, residual=None):
 
     `residual`, when given, is cyb(r) already computed and is used as is.
     """
-    diff = r - leading_term(omega)
+    diff = r - omega.leading
     if not is_polynomial(diff):
         return False
     if not is_skew(diff):
@@ -129,7 +121,7 @@ def catalog(table, omega):
         "gamma1": Tensor2.zero(table),
         "gamma2": om.scale((u - v) ** -1),
         "gamma3": om.scale(v / (v - u)) + dj_rmatrix(table, omega),
-        "gamma4": om.scale(u * v / (v - u)),
+        "gamma4": omega.leading,
     }
     out["q0"] = out["gamma4"]
     if table.n == 2:
@@ -159,13 +151,12 @@ class PoleCancellationError(ArithmeticError):
 
 
 def cobracket(gamma, p):
-    """delta(p) = [Gamma, p(u)(x)1 + 1(x)p(v)], asserted polynomial.
+    """delta(p) = [Gamma, p(u)(x)1 + 1(x)p(v)], checked polynomial.
 
     Raises PoleCancellationError when the pole of Gamma does not cancel,
     which signals that Gamma is not a valid co-bracket kernel for the
     polynomial current algebra.
     """
-    assert isinstance(gamma, Tensor2), gamma
     result = ad2_action(p, gamma).scale(-1)
     if not is_polynomial(result):
         bad = [f for f in result.entries.values() if not f.is_poly()]
@@ -194,8 +185,9 @@ def _delta_on_first_leg(gamma, dp):
     to12 = {"u": "u1", "v": "u2"}
     out = {}
     cache = {}
+    # dp is a cobracket output, and cobracket raises unless every
+    # coefficient is polynomial.
     for (a, b), f in dp.entries.items():
-        assert f.is_poly(), f
         for k, g_k in f.num.as_univariate("u").items():
             key = (a, k)
             inner = cache.get(key)

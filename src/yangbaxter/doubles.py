@@ -492,8 +492,6 @@ def dual_sum_projection(table, order, omega=None):
         raise ValueError(f"dual-sum projection needs order >= 1, got {order}")
     if omega is None:
         omega = casimir(table, 1)
-    u = RatFun.var("u")
-    v = RatFun.var("v")
     dual_coeff = table.killing_inv  # x^i = sum_j K^-1[j][i] x_j
     truncation = {}
     for k in range(1, order + 2):
@@ -512,8 +510,7 @@ def dual_sum_projection(table, order, omega=None):
         pair: LaurentPoly("v", coeffs, floor=-order)
         for pair, coeffs in truncation.items()
     }
-    reference = omega.tensor().scale(u * v / (v - u))
-    ref_pairs = dict(reference.entries)
+    ref_pairs = dict(omega.leading.entries)
     for pair in set(result) | set(ref_pairs):
         got = result.get(pair, LaurentPoly("v", {}, floor=-order))
         f = ref_pairs.get(pair)

@@ -118,9 +118,11 @@ class TwoCocycle:
     """
 
     def __init__(self, sub, matrix):
-        assert isinstance(sub, Subspace), sub
+        if not isinstance(sub, Subspace):
+            raise ValueError(f"a 2-cocycle needs a Subspace, not {type(sub).__name__}")
         n = sub.dim
-        assert len(matrix) == n and all(len(row) == n for row in matrix), matrix
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError(f"a 2-cocycle on a {n}-dim subspace needs a {n}x{n} matrix")
         self.sub = sub
         self.matrix = [[Fraction(c) for c in row] for row in matrix]
         bad = _skew_failure(self.matrix)
@@ -203,7 +205,7 @@ def quasi_rational_lift(cocycle, omega):
     from . import cybe
 
     r = skew_r_from_frobenius(cocycle)
-    lifted = cybe.leading_term(omega) + r
+    lifted = omega.leading + r
     if not cybe.is_quasi_rational(lifted, omega):
         raise LiftError("lift fails quasi-rationality")
     return lifted

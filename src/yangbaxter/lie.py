@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .ratfun import RatFun
+from .tensors import Tensor2
 
 
 class LieTable:
@@ -261,18 +262,6 @@ class GElement:
         """Sparse dict view for the linalg routines (read-only)."""
         return self.terms
 
-    def to_matrix(self):
-        """The element in the defining representation."""
-        n = self.table.n
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for idx, c in self.terms.items():
-            mat = self.table.mats[idx]
-            for i in range(n):
-                for j in range(n):
-                    if mat[i][j]:
-                        m[i][j] += c * mat[i][j]
-        return m
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -358,27 +347,26 @@ def bracket_poly(p, q):
 class CasimirSpec:
     """Symmetric invariant 2-tensor: scale * sum_i x^i (x) x_i.
 
-    The coefficient matrix is scale * K^-1 over the basis; `tensor()`
-    realizes it as a constant Tensor2.
+    The coefficient matrix is scale * K^-1 over the basis.  `tensor()` is
+    it as a constant Tensor2, and `leading` is the quasi-rational leading
+    term u*v*Omega/(v-u); both are built once, here.
     """
 
-    __slots__ = ("table", "scale", "matrix")
+    __slots__ = ("table", "scale", "matrix", "_tensor", "leading")
 
     def __init__(self, table, scale, matrix):
         self.table = table
         self.scale = Fraction(scale)
         self.matrix = matrix
+        self._tensor = Tensor2.make(table, {
+            (a, b): c for a, row in enumerate(matrix) for b, c in enumerate(row) if c
+        })
+        u = RatFun.var("u")
+        v = RatFun.var("v")
+        self.leading = self._tensor.scale(u * v / (v - u))
 
     def tensor(self):
-        from .tensors import Tensor2
-
-        entries = {}
-        for a in range(self.table.dim):
-            for b in range(self.table.dim):
-                c = self.matrix[a][b]
-                if c:
-                    entries[(a, b)] = RatFun.from_frac(c)
-        return Tensor2.make(self.table, entries)
+        return self._tensor
 
     def __repr__(self):
         return f"CasimirSpec(sl({self.table.n}), scale={self.scale})"
@@ -498,7 +486,6 @@ def calibrate_casimir(table):
     per-candidate residual report.
     """
     from . import cybe
-    from .tensors import Tensor2
 
     if table.n != 2:
         raise ValueError("calibration is defined over sl(2)")
@@ -510,11 +497,11 @@ def calibrate_casimir(table):
     residuals = {}
     survivors = []
     for c in CANDIDATE_SCALES:
-        om = casimir(table, c).tensor()
-        probe1 = om.scale((u - v) ** -1) + Tensor2.make(
+        spec = casimir(table, c)
+        probe1 = spec.tensor().scale((u - v) ** -1) + Tensor2.make(
             table, {(e, h): u, (h, e): -v}
         )
-        probe2 = om.scale(u * v / (v - u)) + Tensor2.make(
+        probe2 = spec.leading + Tensor2.make(
             table,
             {
                 (h, e): RatFun.from_frac(Fraction(1, 2)),
@@ -527,10 +514,10 @@ def calibrate_casimir(table):
         r2 = cybe.cyb(probe2)
         residuals[c] = (len(r1.entries), len(r2.entries))
         if r1.is_zero() and r2.is_zero():
-            survivors.append(c)
+            survivors.append(spec)
     if len(survivors) != 1:
         raise CalibrationError(residuals)
-    return casimir(table, survivors[0])
+    return survivors[0]
 
 
 class ConventionError(RuntimeError):
@@ -549,7 +536,6 @@ def dj_rmatrix(table, omega, with_convention=False):
     The winner satisfies r + swap(r) = -Omega.
     """
     from . import cybe
-    from .tensors import Tensor2
 
     u = RatFun.var("u")
     v = RatFun.var("v")

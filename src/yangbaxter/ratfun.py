@@ -577,10 +577,7 @@ class RatFun:
             return RF_ZERO
         if self.den.is_const() and other.den.is_const():
             return RatFun.from_poly(self.num * other.num)
-        # cross-reduce before multiplying to keep intermediates small
-        a, d2 = _cross(self.num, other.den)
-        b, d1 = _cross(other.num, self.den)
-        return RatFun.of(a * b, d1 * d2)
+        return RatFun.of(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -630,16 +627,6 @@ def _monic_den(num, den):
         return RatFun(num, den)
     inv = Fraction(1) / lc
     return RatFun(num * inv, den * inv)
-
-
-def _cross(num, den):
-    """Divide a common factor out of an unrelated num/den pair."""
-    if den.is_const() or num.is_zero():
-        return num, den
-    g = poly_gcd(num, den)
-    if g.is_const():
-        return num, den
-    return _poly_divexact(num, g), _poly_divexact(den, g)
 
 
 RF_ZERO = RatFun(_P_ZERO, P_ONE)

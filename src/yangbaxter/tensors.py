@@ -142,7 +142,8 @@ class Tensor2(_SparseTensor):
 
 
 class Tensor3(_SparseTensor):
-    """Element of g(x)g(x)g with RatFun(u1, u2, u3) coefficients."""
+    """Element of g(x)g(x)g with RatFun(u1, u2, u3) coefficients (Poly ones
+    for the cleared residual that cybe.cyb returns)."""
 
     __slots__ = ()
     legs = 3
@@ -157,7 +158,8 @@ class Tensor3(_SparseTensor):
 
 def swap(r):
     """Exchange legs and variables: (x(x)y) f(u,v) -> (y(x)x) f(v,u)."""
-    assert isinstance(r, Tensor2), r
+    if not isinstance(r, Tensor2):
+        raise ValueError(f"swap needs a Tensor2, not {type(r).__name__}")
     out = {}
     for (a, b), f in r.entries.items():
         out[(b, a)] = f.rename(_SWAP_UV)

@@ -22,7 +22,6 @@ from yangbaxter.cybe import (
     cojacobi_check,
     cyb,
     is_quasi_rational,
-    leading_term,
 )
 from yangbaxter.doubles import (
     Window,
@@ -85,7 +84,7 @@ def test_c02_quasi_rationality_classification():
     cat = catalog(t, om)
     for name in ("q0", "q1", "q2"):
         assert is_quasi_rational(cat[name], om), name
-        tail = cat[name] - leading_term(om)
+        tail = cat[name] - om.leading
         assert is_polynomial(tail) and is_skew(tail), name
     assert not is_quasi_rational(cat["rational_eh"], om)
     print(

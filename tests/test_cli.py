@@ -279,15 +279,29 @@ def test_double_complement_and_wk_commands(capsys):
     capsys.readouterr()
 
 
-def _run_cli(flags, argv):
+def _run_cli(flags, argv, timeout=120):
     """Run `python [flags] -m yangbaxter.cli argv` on this checkout's package."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *flags, "-m", "yangbaxter.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_verify_non_linear_denominator_is_fast(tmp_path):
+    # The residual verdict reads the cleared numerators; dividing them back
+    # by (u1^2+u2^2+1)^8 and its two leg images through the general gcd ran
+    # for minutes.  The timeout makes a regression fail instead of hang.
+    doc = tmp_path / "k8.rmx"
+    doc.write_text("algebra sl(2); (1/(u^2+v^2+1)^8)*Omega + u*e(x)h\n")
+    start = time.perf_counter()
+    proc = _run_cli([], ["verify", "--input", str(doc)], timeout=20)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1, proc.stderr
+    assert "cyb residual terms: 12" in proc.stdout
+    assert elapsed < 2, elapsed
 
 
 def test_frobenius_rejects_open_pair_under_optimisation(tmp_path):

@@ -259,7 +259,9 @@ def test_lift_checks_hold_under_optimisation():
 
 def test_cocycle_residual_rejects_non_skew_form_under_optimisation():
     # The alternating loop reads only i < j, so a non-skew form must be
-    # refused by a typed raise, not an assert that `python -O` drops.
+    # refused by a typed raise, not an assert that `python -O` drops.  So
+    # must a TwoCocycle on something other than a Subspace, or with a matrix
+    # of the wrong shape.
     script = (
         "from yangbaxter import frobenius as fr\n"
         "from yangbaxter.lie import Subspace, make_sl\n"
@@ -275,6 +277,11 @@ def test_cocycle_residual_rejects_non_skew_form_under_optimisation():
         "        print('accepted', fr.cocycle_residual(sub, m))\n"
         "    except fr.InvalidCocycle as exc:\n"
         "        print(f'InvalidCocycle: {exc}')\n"
+        "for args in ((labels, sym), (sub, sym[:4]), (sub, [row[:4] for row in sym])):\n"
+        "    try:\n"
+        "        print('accepted', fr.TwoCocycle(*args))\n"
+        "    except ValueError as exc:\n"
+        "        print(f'{type(exc).__name__}: {exc}')\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
@@ -282,6 +289,9 @@ def test_cocycle_residual_rejects_non_skew_form_under_optimisation():
     expected = [
         "InvalidCocycle: form is not skew at (1, 3)",
         "InvalidCocycle: form is not skew at (2, 2)",
+        "ValueError: a 2-cocycle needs a Subspace, not tuple",
+        "ValueError: a 2-cocycle on a 5-dim subspace needs a 5x5 matrix",
+        "ValueError: a 2-cocycle on a 5-dim subspace needs a 5x5 matrix",
     ]
     for flags in ([], ["-O"]):
         proc = subprocess.run(

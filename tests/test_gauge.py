@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import yangbaxter
 from reference import poly_matmul, ref_ad_columns, ref_poly_adjugate
-from yangbaxter.cybe import catalog, cyb, is_quasi_rational, leading_term
+from yangbaxter.cybe import catalog, cyb, is_quasi_rational
 from yangbaxter.gauge import (
     PolyGroupElement,
     _ad_coordinate_matrix,
@@ -277,7 +277,7 @@ def test_gauge_transform_matches_entrywise_reference():
 
 
 _SL2 = make_sl(2)
-_Q0 = leading_term(casimir(_SL2, 4))  # q0 over the calibrated sl(2) scale
+_Q0 = casimir(_SL2, 4).leading  # q0 over the calibrated sl(2) scale
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -56,10 +56,10 @@ def test_typed_errors_with_and_without_optimisation():
     # ValueError, not an assert that `python -O` strips: stripped, the sum
     # below returned an sl(2) tensor with the sl(3) key (1, 4).
     script = (
-        "from yangbaxter.cybe import cyb\n"
+        "from yangbaxter.cybe import cobracket, cyb\n"
         "from yangbaxter.lie import GPoly, make_sl\n"
         "from yangbaxter.tensors import Tensor2, Tensor3, ad2_action, clear_denominators, "
-        "leg_bracket\n"
+        "leg_bracket, swap\n"
         "s2, s3 = make_sl(2), make_sl(3)\n"
         "a = Tensor2.single(s2, 'e', 'f')\n"
         "b = Tensor2.single(s3, 'E(1,3)', 'E(3,1)')\n"
@@ -71,6 +71,8 @@ def test_typed_errors_with_and_without_optimisation():
         "    'leg_bracket': lambda: leg_bracket(pa, pb, '12^13'),\n"
         "    'ad2_action': lambda: ad2_action(GPoly.monomial(s3.basis_element(0), 1), a),\n"
         "    'cyb': lambda: cyb(Tensor3.zero(s2)),\n"
+        "    'cobracket': lambda: cobracket(Tensor3.zero(s2), GPoly.monomial(s2.basis_element(0), 1)),\n"
+        "    'swap': lambda: swap(Tensor3.zero(s2)),\n"
         "}\n"
         "for name, case in cases.items():\n"
         "    try:\n"
@@ -82,7 +84,8 @@ def test_typed_errors_with_and_without_optimisation():
     src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     expected = [f"{name} ValueError"
-                for name in ("add", "make", "legs", "leg_bracket", "ad2_action", "cyb")]
+                for name in ("add", "make", "legs", "leg_bracket", "ad2_action", "cyb",
+                             "cobracket", "swap")]
     for flags in ([], ["-O"]):
         proc = subprocess.run(
             [sys.executable, *flags, "-c", script],
