@@ -433,12 +433,12 @@ def _window(args, default_hi=4):
 def _load_builtin(name, n):
     table = _sl(n)
     omega = calibrated_omega(table)
-    cat = cybe.catalog(table, omega)
-    if name not in cat:
+    names = cybe.catalog_names(table)
+    if name not in names:
         raise UsageError(
-            f"unknown builtin {name!r} over sl({n}); have: {', '.join(sorted(cat))}"
+            f"unknown builtin {name!r} over sl({n}); have: {', '.join(sorted(names))}"
         )
-    return table, omega, cat[name]
+    return table, omega, cybe.catalog_entry(table, omega, name)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def cmd_verify(args):
         table, omega, r = doc.table, doc.omega, doc.tensor
         source = args.input
     residual = cybe.cyb(r)
-    qr = cybe.is_quasi_rational(r, omega, residual)
+    qr = cybe.is_quasi_rational(r, omega)
     skew = is_skew(r)
     report = _report("verify", {"source": source, "algebra": table.n})
     report["residual_terms"] = len(residual.entries)
@@ -830,9 +830,8 @@ def cmd_gauge(args):
     if not (args.sweep or args.p):
         raise UsageError("gauge needs --p EXPR or --sweep N")
     p = None if args.sweep else _parse_gauge_expr(table, args.p)
-    residual = cybe.cyb(r)
-    was_solution = residual.is_zero()
-    was_qr = cybe.is_quasi_rational(r, omega, residual)
+    was_solution = cybe.cyb(r).is_zero()
+    was_qr = cybe.is_quasi_rational(r, omega)
     if args.sweep:
         seed = args.seed if args.seed is not None else 0
         rng = random.Random(seed)
@@ -857,9 +856,8 @@ def cmd_gauge(args):
         report["verdicts"] = [{"name": "sweep_preserves_solutions", "pass": all_ok}]
         return _emit(args, report, lines)
     image = gauge.gauge_transform(p, r, check=False)
-    residual = cybe.cyb(image)
-    now_solution = residual.is_zero()
-    now_qr = cybe.is_quasi_rational(image, omega, residual)
+    now_solution = cybe.cyb(image).is_zero()
+    now_qr = cybe.is_quasi_rational(image, omega)
     report = _report(
         "gauge", {"builtin": args.builtin, "algebra": table.n, "p": args.p}
     )
@@ -939,7 +937,7 @@ def cmd_frobenius(args):
         else:
             sub, coc = _builtin_pair(table, 0)
         source = args.builtin
-        expect = cybe.catalog(table, omega)[args.builtin]
+        expect = cybe.catalog_entry(table, omega, args.builtin)
     # The lift checks its own quasi-rationality: LiftError is that verdict
     # failing, any other ValueError a degenerate form.
     try:

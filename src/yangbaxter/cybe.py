@@ -17,7 +17,8 @@ scaled by the lcm L of their coefficient denominators.  `cyb` returns these
 cleared numerators N = L^3*d12*d13*d23*cyb(r) and never divides them back.
 L^3*d12*d13*d23 is a nonzero polynomial, so an entry of N is zero exactly
 when the entry of cyb(r) is: a verdict reads the support of N, and every
-verdict and residual term count is the symbolic one.
+verdict and residual term count is the symbolic one.  `cyb` computes it
+once per tensor and stores it there (see `tensors`).
 
 The co-bracket attached to a kernel Gamma is
 delta(p) = [Gamma, p(u)(x)1 + 1(x)p(v)]; for the built-in kernels the pole
@@ -76,10 +77,13 @@ def cyb(r):
     [P13,P23]*d12 with (d, P) = clear_denominators(r) made integral (times
     L, see the module docstring).  The entries are the Poly numerators
     N = L^3*d12*d13*d23*cyb(r), not divided back: the factor is nonzero, so
-    `is_zero()` and the entry count are the symbolic residual's.
+    `is_zero()` and the entry count are the symbolic residual's.  Later
+    calls on r return the stored Tensor3.
     """
     if not isinstance(r, Tensor2):
         raise ValueError(f"cyb needs a Tensor2, not {type(r).__name__}")
+    if getattr(r, "_residual", None) is not None:
+        return r._residual
     d, p = clear_denominators(r)
     scale = lcm(*(c.denominator for f in (d, *p.entries.values()) for c in f.terms.values()))
     d, p = d * scale, Tensor2(r.table, {key: f * scale for key, f in p.entries.items()})
@@ -88,62 +92,66 @@ def cyb(r):
     for pair, weight in (("12^13", d23), ("12^23", d13), ("13^23", d12)):
         for key, c in leg_bracket(p, p, pair).entries.items():
             accumulate(out, key, c * weight)
-    return Tensor3(r.table, out)
+    r._residual = Tensor3(r.table, out)
+    return r._residual
 
 
-def is_quasi_rational(r, omega, residual=None):
-    """True iff r solves Yang-Baxter and r - u*v*Omega/(v-u) is a skew polynomial.
-
-    `residual`, when given, is cyb(r) already computed and is used as is.
-    """
+def is_quasi_rational(r, omega):
+    """True iff r solves Yang-Baxter and r - u*v*Omega/(v-u) is a skew polynomial."""
     diff = r - omega.leading
     if not is_polynomial(diff):
         return False
     if not is_skew(diff):
         return False
-    if residual is None:
-        residual = cyb(r)
-    return residual.is_zero()
+    return cyb(r).is_zero()
 
 
-def catalog(table, omega):
-    """The built-in kernels/solutions over the given Casimir; dict by name.
+_NAMES = ("gamma1", "gamma2", "gamma3", "gamma4", "q0")
+_SL2_NAMES = _NAMES + ("q1", "q2", "rational_eh")
 
-    Entries gamma1..gamma4 and q0 exist for every sl(n); q1, q2 and
-    rational_eh use the e/f/h aliases and exist only for sl(2).
+
+def catalog_names(table):
+    """The built-in names over table: gamma1..gamma4 and q0 for every sl(n),
+    and q1, q2 and rational_eh, which use the e/f/h aliases, for sl(2)."""
+    return _SL2_NAMES if table.n == 2 else _NAMES
+
+
+def catalog_entry(table, omega, name):
+    """The built-in kernel or solution `name` over the given Casimir.
+
+    Builds only that entry, so dj_rmatrix's convention search runs for
+    gamma3 alone; KeyError for a name not in catalog_names(table).
     """
-    from .lie import dj_rmatrix
-
+    if name not in catalog_names(table):
+        raise KeyError(name)
     u = RatFun.var("u")
     v = RatFun.var("v")
     om = omega.tensor()
-    out = {
-        "gamma1": Tensor2.zero(table),
-        "gamma2": om.scale((u - v) ** -1),
-        "gamma3": om.scale(v / (v - u)) + dj_rmatrix(table, omega),
-        "gamma4": omega.leading,
-    }
-    out["q0"] = out["gamma4"]
-    if table.n == 2:
+    if name == "gamma1":
+        return Tensor2.zero(table)
+    if name == "gamma2":
+        return om.scale((u - v) ** -1)
+    if name == "gamma3":
+        from .lie import dj_rmatrix
+
+        return om.scale(v / (v - u)) + dj_rmatrix(table, omega)
+    if name in ("gamma4", "q0"):
+        return omega.leading
+    e, f, h = (table.index[x] for x in "efh")
+    if name == "q1":
+        return omega.leading + Tensor2.make(table, {(e, h): 1, (h, e): -1})
+    if name == "q2":
         half = RatFun.from_frac(1) / 2
-        out["q1"] = out["gamma4"] + Tensor2.make(
-            table, {(table.index["e"], table.index["h"]): 1,
-                    (table.index["h"], table.index["e"]): -1}
+        return omega.leading + Tensor2.make(
+            table, {(h, e): half, (e, h): -half, (e, f): -u, (f, e): v}
         )
-        out["q2"] = out["gamma4"] + Tensor2.make(
-            table,
-            {
-                (table.index["h"], table.index["e"]): half,
-                (table.index["e"], table.index["h"]): -half,
-                (table.index["e"], table.index["f"]): -u,
-                (table.index["f"], table.index["e"]): v,
-            },
-        )
-        out["rational_eh"] = om.scale((u - v) ** -1) + Tensor2.make(
-            table, {(table.index["e"], table.index["h"]): u,
-                    (table.index["h"], table.index["e"]): -v}
-        )
-    return out
+    # rational_eh, the last sl(2) name
+    return om.scale((u - v) ** -1) + Tensor2.make(table, {(e, h): u, (h, e): -v})
+
+
+def catalog(table, omega):
+    """The built-in kernels/solutions over the given Casimir; dict by name."""
+    return {name: catalog_entry(table, omega, name) for name in catalog_names(table)}
 
 
 class PoleCancellationError(ArithmeticError):

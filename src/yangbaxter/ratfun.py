@@ -528,7 +528,8 @@ class RatFun:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self):
-        assert self.is_const(), self
+        if not self.is_const():
+            raise ValueError(f"{self} is not constant")
         return self.num.const_value()
 
     def __eq__(self, other):
@@ -592,7 +593,8 @@ class RatFun:
         return self * RatFun.of(other.den, other.num)
 
     def __pow__(self, n):
-        assert isinstance(n, int), n
+        if not isinstance(n, int):
+            raise TypeError(f"RatFun power {n!r} is not an int")
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
@@ -668,7 +670,8 @@ class LaurentPoly:
         return self.var == other.var and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        assert isinstance(other, LaurentPoly) and other.var == self.var
+        if not isinstance(other, LaurentPoly) or other.var != self.var:
+            raise TypeError(f"adding {other!r} to a Laurent polynomial in {self.var}")
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
             coeffs[k] = coeffs.get(k, RF_ZERO) + v
@@ -700,8 +703,10 @@ def expand_at_infinity(a, var, order):
     as a LaurentPoly with floor -order.  Exact: coefficients are RatFuns
     in the remaining variables.
     """
-    assert isinstance(a, RatFun), a
-    assert order >= 0, order
+    if not isinstance(a, RatFun):
+        raise TypeError(f"expand_at_infinity needs a RatFun, not {type(a).__name__}")
+    if order < 0:
+        raise ValueError(f"expansion order {order} is negative")
     num_by = a.num.as_univariate(var)
     den_by = a.den.as_univariate(var)
     if not num_by:

@@ -10,6 +10,11 @@ tuples in which zero coefficients are never stored.  `accumulate` is the
 single add-and-drop-zeros step behind tensor addition and the adjoint
 action `ad2_action`.
 
+Tensors are immutable: nothing assigns into `entries` once a tensor is
+built.  So a Tensor2 owns its residual: `cybe.cyb` stores it in the
+`_residual` slot (unset until then).  Scaling by a constant keeps each
+reduced denominator and needs no gcd.
+
 Coefficients are RatFun, or Poly for a tensor whose denominators have been
 cleared: `clear_denominators(r)` gives (d, d*r) with d the lcm of r's
 denominators.  The sparse core uses only `rename`, `*`, `+` and `is_zero`
@@ -100,8 +105,11 @@ class _SparseTensor:
         return self.scale(-1)
 
     def scale(self, c):
+        # A constant c scales each numerator by a Fraction, with no RatFun.of.
         c = _as_rf(c)
-        if c.is_zero():
+        if c.is_const():
+            c = c.const_value()
+        if not c:
             return type(self)(self.table, {})
         return type(self)(self.table, {k: f * c for k, f in self.entries.items()})
 
@@ -121,7 +129,7 @@ class _SparseTensor:
 class Tensor2(_SparseTensor):
     """Element of g(x)g with RatFun(u, v) coefficients, sparse over basis pairs."""
 
-    __slots__ = ()
+    __slots__ = ("_residual",)
     legs = 2
 
     @staticmethod

@@ -387,43 +387,45 @@ def test_fixture_file_matches_builtin_subspace(tmp_path, capsys):
 
 
 def test_each_residual_is_computed_once(monkeypatch, capsys):
-    # 14 of the calls are the sl(2) Casimir calibration probes and the rest
-    # build the catalog (gamma3's convention search); the command itself
-    # needs one residual per tensor it judges.
+    # A residual computation is three leg_bracket calls; a later cyb of the
+    # same tensor returns the stored residual and brackets nothing.  14 of
+    # the computations are the sl(2) Casimir calibration probes, and the
+    # builtin is built alone, so gamma3's convention search does not run;
+    # the command itself needs one residual per tensor it judges.
     from yangbaxter import cli, cybe
 
-    real_cyb = cybe.cyb
+    real_leg_bracket = cybe.leg_bracket
     calls = []
 
-    def counting_cyb(r):
-        calls.append(r)
-        return real_cyb(r)
+    def counting_leg_bracket(r, s, pair):
+        calls.append(pair)
+        return real_leg_bracket(r, s, pair)
 
-    monkeypatch.setattr(cybe, "cyb", counting_cyb)
+    monkeypatch.setattr(cybe, "leg_bracket", counting_leg_bracket)
     cases = (
-        (["verify", "--builtin", "q2", "--json"], 18,
+        (["verify", "--builtin", "q2", "--json"], 15,
          {"inputs": {"source": "q2", "algebra": 2, "quasi_rational": True, "skew": True},
           "verdicts": [{"name": "cyb_zero", "pass": True}], "residual_terms": 0}),
-        (["gauge", "--builtin", "q1", "--p", "unip(E(1,2),1,2)", "--json"], 19,
+        (["gauge", "--builtin", "q1", "--p", "unip(E(1,2),1,2)", "--json"], 16,
          {"inputs": {"builtin": "q1", "algebra": 2, "p": "unip(E(1,2),1,2)"},
           "verdicts": [{"name": "cyb_preserved", "pass": True},
                        {"name": "quasi_rationality_preserved", "pass": True}],
           "residual_terms": 0}),
         # The lift checks its own quasi-rationality; the command reuses that
         # verdict instead of computing the lift's residual again.
-        (["frobenius", "--builtin", "q1", "--json"], 19,
+        (["frobenius", "--builtin", "q1", "--json"], 16,
          {"inputs": {"mode": "lift", "pair": "q1", "algebra": 2},
           "verdicts": [{"name": "lift_quasi_rational", "pass": True},
                        {"name": "matches_catalog", "pass": True}],
           "residual_terms": None}),
     )
-    for argv, expected_calls, expected_report in cases:
+    for argv, computations, expected_report in cases:
         monkeypatch.setattr(cli, "_OMEGA_CACHE", {})
         calls.clear()
         capsys.readouterr()
         assert main(argv) == 0, argv
         report = json.loads(capsys.readouterr().out)
-        assert len(calls) == expected_calls, argv
+        assert len(calls) == 3 * computations, argv
         for key, value in expected_report.items():
             assert report[key] == value, (argv, key)
 

@@ -342,7 +342,7 @@ def test_cyb_matches_symbolic_on_gauged_skew_perturbations(terms, seed):
     image = gauge_transform(p, r, check=False)
     res = cyb(image)
     assert _agrees_with_symbolic(res, image)
-    assert is_quasi_rational(image, _SL2_OMEGA, res) == is_quasi_rational(image, _SL2_OMEGA)
+    assert is_quasi_rational(image, _SL2_OMEGA) == _ref_quasi_rational(image, _SL2_OMEGA)
 
 
 def test_pole_error_exactly_when_reference_cobracket_has_a_pole():
@@ -441,17 +441,86 @@ def test_cyb_of_gauged_mixed_denominators_is_fast():
     assert elapsed < 2, elapsed
 
 
+def _fresh(r):
+    """An equal tensor that has not computed its residual."""
+    return Tensor2(r.table, dict(r.entries))
+
+
 def test_cyb_feeds_leg_bracket_int_coefficients(monkeypatch):
+    # Fresh copies: a module-level tensor may already hold its residual, and
+    # then cyb brackets nothing and the spy would see nothing.
     seen = set()
+    pairs = []
 
     def spy(r, s, pair):
         seen.update(type(c) for t in (r, s) for f in t.entries.values() for c in f.terms.values())
+        pairs.append(pair)
         return leg_bracket(r, s, pair)
 
     monkeypatch.setattr(cybe_module, "leg_bracket", spy)
-    for r in (_SL2_CAT["q2"], _CONTROL, _MIXED, _nonlinear(_SL2)):
+    cases = [_fresh(r) for r in (_SL2_CAT["q2"], _CONTROL, _MIXED)] + [_nonlinear(_SL2)]
+    for r in cases:
         # Not vacuous: the monic cleared form holds Fractions.
         d, p = clear_denominators(r)
         assert any(type(c) is F for f in (d, *p.entries.values()) for c in f.terms.values())
         cyb(r)
+    assert len(pairs) == 3 * len(cases)
     assert seen == {int}
+
+
+def _ref_quasi_rational(r, omega):
+    """is_quasi_rational from the reference residual, with no scale: the
+    difference and its skewness are formed by RatFun products."""
+    minus_one = RatFun.from_frac(-1)
+    lead = Tensor2(r.table, {k: f * minus_one for k, f in omega.leading.entries.items()})
+    diff = r + lead
+    return (is_polynomial(diff) and (swap(diff) + diff).is_zero()
+            and _symbolic_cyb(r).is_zero())
+
+
+def test_cyb_computes_each_residual_once(monkeypatch):
+    calls = []
+
+    def counting(r, s, pair):
+        calls.append(pair)
+        return leg_bracket(r, s, pair)
+
+    monkeypatch.setattr(cybe_module, "leg_bracket", counting)
+    r = _fresh(_SL2_CAT["q2"])
+    assert cyb(r) is cyb(r)
+    assert len(calls) == 3
+    calls.clear()
+    r = _fresh(_SL2_CAT["q1"])
+    assert cyb(r).is_zero() and is_quasi_rational(r, _SL2_OMEGA)
+    assert len(calls) == 3
+    # An equal but distinct tensor computes its own residual, and the two
+    # residuals are equal but not one object.
+    calls.clear()
+    twin = _fresh(r)
+    assert twin == r and cyb(twin) == cyb(r) and cyb(twin) is not cyb(r)
+    assert len(calls) == 3
+    # The stored residual belongs to its tensor: an operation builds a new
+    # tensor with none.
+    assert getattr(r - twin, "_residual", None) is None
+
+
+def test_memoized_verdicts_match_the_reference():
+    # The catalog, the non-skew gamma4 control (not a solution), the mixed
+    # and non-linear denominators, and q0 + e(x)f + f(x)e, whose difference
+    # from the leading term is polynomial but symmetric: the negative control
+    # of the skew test.  Each verdict is read twice, the second time from the
+    # stored residual.
+    sym = _SL2_CAT["q0"] + Tensor2.single(_SL2, "e", "f", 1) + Tensor2.single(_SL2, "f", "e", 1)
+    cases = dict(_SL2_CAT, control=_CONTROL, mixed=_MIXED, nonlinear=_nonlinear(_SL2), sym=sym)
+    verdicts = {}
+    for name, r in cases.items():
+        r = _fresh(r)
+        ref_zero = _symbolic_cyb(r).is_zero()
+        ref_qr = _ref_quasi_rational(r, _SL2_OMEGA)
+        for _ in range(2):
+            assert cyb(r).is_zero() == ref_zero, name
+            assert is_quasi_rational(r, _SL2_OMEGA) == ref_qr, name
+        verdicts[name] = (ref_zero, ref_qr)
+    assert verdicts["control"] == (False, False)
+    assert verdicts["q2"] == (True, True) and verdicts["rational_eh"] == (True, False)
+    assert not is_skew(sym - _SL2_OMEGA.leading) and not verdicts["sym"][1]

@@ -810,3 +810,41 @@ def test_power_squares_only_the_bits_it_uses():
         assert (RatFun.var("u") ** k).num == Poly.var("u", k)
     with pytest.raises(ExponentOverflow):
         Poly.var("u") ** (MAX_POLY_EXPONENT + 1)
+
+
+def test_argument_errors_are_typed_with_and_without_optimisation():
+    # Each check was an assert, which python -O skips: const_value of
+    # 1/(u+1) then read its numerator, 1, and a negative expansion order
+    # returned an empty expansion.
+    script = (
+        "from fractions import Fraction\n"
+        "from yangbaxter.ratfun import LaurentPoly, RatFun, expand_at_infinity\n"
+        "u = RatFun.var('u')\n"
+        "cases = [\n"
+        "    (ValueError, lambda: (u + 1).const_value()),\n"
+        "    (ValueError, lambda: ((u + 1) ** -1).const_value()),\n"
+        "    (TypeError, lambda: u ** Fraction(1, 2)),\n"
+        "    (TypeError, lambda: LaurentPoly('v', {1: 1}) + LaurentPoly('u', {1: 1})),\n"
+        "    (TypeError, lambda: LaurentPoly('v', {1: 1}) + 1),\n"
+        "    (TypeError, lambda: expand_at_infinity(u.num, 'v', 1)),\n"
+        "    (ValueError, lambda: expand_at_infinity(u, 'v', -1)),\n"
+        "]\n"
+        "for error, case in cases:\n"
+        "    try:\n"
+        "        print('accepted', case())\n"
+        "    except error:\n"
+        "        print('rejected')\n"
+        "print(RatFun.from_frac(Fraction(3, 2)).const_value(), (u ** 2).num.degree_in('u'),\n"
+        "      expand_at_infinity(u, 'v', 0).coeff(0))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+        # The last line is the negative control: valid arguments still work.
+        assert proc.stdout.splitlines() == ["rejected"] * 7 + ["3/2 2 u"], (flags, proc.stdout)

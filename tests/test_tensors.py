@@ -390,3 +390,61 @@ def test_ad2_action_matches_reference_on_monomial_sums(terms, name):
     for a, d, c in terms:
         p = p + GPoly.monomial(t.basis_element(a).scale(c), d)
     _assert_matches_reference(p, _SL2_KERNELS[name], (name, terms))
+
+
+# scale(c) by a constant multiplies each numerator by a Fraction and skips
+# RatFun.of; the reference is the RatFun product it replaced.
+_NONLINEAR = [(U ** 2 + V) ** -1, U * V * (2 * U ** 2 + 3 * V) ** -1, (U + V) ** -2,
+              (U ** 2 + V ** 2 + 1) ** -1 * (U - V), F(3, 7) * V * (U - V) ** -1,
+              U ** 3 - F(1, 2) * V, RatFun.from_frac(F(-2, 3))]
+_SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).map(RatFun.from_frac),
+    st.sampled_from([U, V * (U - V) ** -1, (U ** 2 + 1) ** -1, 2 * U * V - 1]),
+)
+
+
+def _ref_scale(r, c):
+    c = c if isinstance(c, RatFun) else RatFun.from_frac(c)
+    out = {key: f * c for key, f in r.entries.items()}
+    return Tensor2(r.table, {key: f for key, f in out.items() if not f.is_zero()})
+
+
+def _term_types(r):
+    return {key: [type(c) for f in (g.num, g.den) for c in f.terms.values()]
+            for key, g in r.entries.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                st.integers(0, len(_NONLINEAR) - 1)), min_size=1, max_size=5),
+       c=_SCALARS)
+def test_scale_matches_ratfun_product_reference(picks, c):
+    t = make_sl(2)
+    r = Tensor2.make(t, {(a, b): _NONLINEAR[i] for a, b, i in picks})
+    got, want = r.scale(c), _ref_scale(r, c)
+    assert got == want and str(got) == str(want)
+    assert _term_types(got) == _term_types(want)  # ints stay ints, as RatFun.of leaves them
+    # Negative control: the comparison tells c from c + 1 on a nonzero tensor.
+    assert r.scale(c) != _ref_scale(r, c + 1)
+
+
+def test_scale_by_a_constant_makes_no_reduction(monkeypatch):
+    t = make_sl(2)
+    r = Tensor2.make(t, {(0, 1): _NONLINEAR[0], (2, 2): _NONLINEAR[1]})
+    for zero in (0, F(0), RatFun.from_frac(0)):
+        assert r.scale(zero).entries == {}
+    calls = []
+    real_of = RatFun.of
+    monkeypatch.setattr(RatFun, "of", staticmethod(lambda n, d: calls.append(d) or real_of(n, d)))
+    for scaled, c in ((lambda: r.scale(F(2, 3)), F(2, 3)), (lambda: -r, -1),
+                      (lambda: r.scale(RatFun.from_frac(F(-5, 2))), F(-5, 2))):
+        calls.clear()
+        got = scaled()
+        assert not calls
+        assert got == _ref_scale(r, c)
+    # Negative control: a non-constant c still reduces each entry.
+    calls.clear()
+    r.scale(U)
+    assert len(calls) == 2
