@@ -24,7 +24,8 @@ failed, 2 = usage or parse error.  All rationals print exactly as p/q.
 Input is bounded so that no document or argument runs without bound: the
 rank N (header or --n) is at most MAX_RANK, a document or a gauge expression
 at most MAX_DOCUMENT_CHARS long, an exponent at most MAX_EXPONENT in size,
-the unip degrees of a gauge expression sum to at most MAX_DEGREE, and every
+the unip degrees of a gauge expression sum to at most MAX_DEGREE, a gauge
+sweep checks 1..MAX_SWEEP seeded gauges, and every
 coefficient operation is refused before it is computed when its unreduced
 numerator or denominator would pass total degree MAX_DEGREE.  The window top
 and the dual-basis order of `double --trunc` are at most MAX_TRUNC, and a
@@ -38,9 +39,10 @@ import argparse
 import json
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
-from .lie import Subspace, calibrate_casimir, casimir, dj_rmatrix, make_sl
+from .lie import CalibrationError, Subspace, calibrate_casimir, casimir, dj_rmatrix, make_sl
 from .ratfun import RatFun
 from .tensors import Tensor2, accumulate, is_skew
 from . import cybe, doubles, frobenius, gauge
@@ -51,6 +53,7 @@ MAX_DOCUMENT_CHARS = 20_000
 MAX_EXPONENT = 16
 MAX_DEGREE = 16
 MAX_TRUNC = 12
+MAX_SWEEP = 100
 
 
 class UsageError(Exception):
@@ -403,24 +406,41 @@ def parse_element(table, text):
 # Reports
 
 
-def _emit(args, report, lines):
+_OK = {True: "ok", False: "FAILED"}
+
+# The verdicts of a transversality report and of a parabolic pair check.
+_TRANSVERSAL_KEYS = ("trivial_intersection", "spans_with_polynomials", "contains_tail")
+_PAIR_KEYS = ("subalgebra", "spans_with_parabolic", "cocycle", "nondegenerate_on_intersection")
+
+
+# One exact verdict: its JSON name, whether it holds, and the text label it
+# prints under (no label: the verdict shows only in the JSON report).
+Verdict = namedtuple("Verdict", "name ok label", defaults=[None])
+
+
+def _emit(args, command, inputs, body, window=None, residual_terms=None, seed=None):
+    """Print one report and return its exit code, 0 exactly when every
+    verdict passes.  body mixes text lines and Verdicts: --json lists each
+    Verdict by its name and pass, and text prints each line as it is and
+    each labelled Verdict as `label: ok|FAILED` in its place."""
+    verdicts = [item for item in body if isinstance(item, Verdict)]
     if getattr(args, "json", False):
+        report = {
+            "command": command,
+            "inputs": inputs,
+            "window": [window.lo, window.hi] if window is not None else None,
+            "verdicts": [{"name": v.name, "pass": v.ok} for v in verdicts],
+            "residual_terms": residual_terms,
+            "seed": seed,
+        }
         print(json.dumps(report, indent=2, default=str))
     else:
-        for line in lines:
-            print(line)
-    return 0 if all(v["pass"] for v in report["verdicts"]) else 1
-
-
-def _report(command, inputs, window=None, seed=None):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "window": list(window) if window else None,
-        "verdicts": [],
-        "residual_terms": None,
-        "seed": seed,
-    }
+        for item in body:
+            if isinstance(item, str):
+                print(item)
+            elif item.label is not None:
+                print(f"{item.label}: {_OK[item.ok]}")
+    return 0 if all(v.ok for v in verdicts) else 1
 
 
 def _window(args, default_hi=4):
@@ -463,18 +483,15 @@ def cmd_verify(args):
     residual = cybe.cyb(r)
     qr = cybe.is_quasi_rational(r, omega)
     skew = is_skew(r)
-    report = _report("verify", {"source": source, "algebra": table.n})
-    report["residual_terms"] = len(residual.entries)
-    report["verdicts"].append({"name": "cyb_zero", "pass": residual.is_zero()})
-    lines = [
+    inputs = {"source": source, "algebra": table.n, "quasi_rational": qr, "skew": skew}
+    body = [
+        Verdict("cyb_zero", residual.is_zero()),
         f"matrix: {source} over sl({table.n})",
         f"cyb residual terms: {len(residual.entries)}",
         f"quasi-rational: {str(qr).lower()}",
         f"skew (unitarity): {str(skew).lower()}",
     ]
-    report["inputs"]["quasi_rational"] = qr
-    report["inputs"]["skew"] = skew
-    return _emit(args, report, lines)
+    return _emit(args, "verify", inputs, body, residual_terms=len(residual.entries))
 
 
 _BUILTIN_PAIRS = {
@@ -536,6 +553,12 @@ def cmd_double(args):
     n = args.n
     table = _sl(n)
     check = args.check
+
+    def twist_index(k):
+        if not 0 <= k <= n - 1:
+            raise UsageError(f"k must be in 0..{n - 1}, got {k}")
+        return k
+
     if check == "dualbasis":
         order = args.trunc if args.trunc is not None else 12
         if not 2 <= order <= MAX_TRUNC:
@@ -548,29 +571,23 @@ def cmd_double(args):
         except doubles.DualSumMismatch as exc:
             ok_sum = False
             mismatch = str(exc)
-        report = _report("double", {"check": check, "algebra": n, "order": order})
-        report["verdicts"] = [
-            {"name": "dual_pairings_identity", "pass": ok_pairing},
-            {"name": "dual_sum_matches_series", "pass": ok_sum},
-        ]
-        lines = [
-            f"dual-basis pairing at order {order}: "
-            f"{'ok' if ok_pairing else 'FAILED'}",
-            f"dual-sum projection vs series: {'ok' if ok_sum else 'FAILED'}",
+        body = [
+            Verdict("dual_pairings_identity", ok_pairing,
+                    f"dual-basis pairing at order {order}"),
+            Verdict("dual_sum_matches_series", ok_sum, "dual-sum projection vs series"),
         ]
         if mismatch:
-            lines.append(mismatch)
-        return _emit(args, report, lines)
+            body.append(mismatch)
+        return _emit(args, "double", {"check": check, "algebra": n, "order": order}, body)
 
     window = _window(args)
     if check == "lagrangian":
-        k = args.k if args.k is not None else 0
-        if not (0 <= k <= n - 1):
-            raise UsageError(f"k must be in 0..{n - 1}, got {k}")
+        k = twist_index(args.k if args.k is not None else 0)
         if args.pair:
             table, sub, matrix, k = _pair_from_file(args.pair)
             if table.n != n:
                 raise UsageError("pair file algebra differs from --n")
+            twist_index(k)
             form = lambda i, j: matrix[i][j]
         else:
             sub, coc = _builtin_pair(table, k)
@@ -578,93 +595,55 @@ def cmd_double(args):
         w = doubles.lagrangian_from_pair(
             table, k, sub.elements, form, window
         )
-        lag = doubles.is_lagrangian_truncated(w, window)
-        closed = doubles.is_subalgebra(w)
-        report = _report(
-            "double",
-            {"check": check, "algebra": n, "k": k, "dim": w.dim},
-            window=(window.lo, window.hi),
-        )
-        report["verdicts"] = [
-            {"name": "lagrangian_at_window", "pass": lag},
-            {"name": "bracket_closed", "pass": closed},
+        body = [
+            f"pair Lagrangian (k={k}) at window [{window.lo}, {window.hi}]: dim {w.dim}",
+            Verdict("lagrangian_at_window", doubles.is_lagrangian_truncated(w, window),
+                    "isotropic and maximal"),
+            Verdict("bracket_closed", doubles.is_subalgebra(w), "closed under the bracket"),
         ]
-        lines = [
-            f"pair Lagrangian (k={k}) at window [{window.lo}, {window.hi}]: "
-            f"dim {w.dim}",
-            f"isotropic and maximal: {'ok' if lag else 'FAILED'}",
-            f"closed under the bracket: {'ok' if closed else 'FAILED'}",
-        ]
-        return _emit(args, report, lines)
+        inputs = {"check": check, "algebra": n, "k": k, "dim": w.dim}
+        return _emit(args, "double", inputs, body, window=window)
 
     if check == "wk":
-        k = args.k if args.k is not None else 0
-        if not (0 <= k <= n - 1):
-            raise UsageError(f"k must be in 0..{n - 1}, got {k}")
+        k = twist_index(args.k if args.k is not None else 0)
         wk = doubles.diagonal_twist_space(table, k, window)
-        closed = doubles.is_subalgebra(wk)
-        report = _report(
-            "double",
-            {"check": check, "algebra": n, "k": k, "dim": wk.dim},
-            window=(window.lo, window.hi),
-        )
-        report["verdicts"] = [{"name": "bracket_closed", "pass": closed}]
-        lines = [
+        body = [
             f"twist space k={k} at window [{window.lo}, {window.hi}]: dim {wk.dim}",
-            f"closed under the bracket: {'ok' if closed else 'FAILED'}",
+            Verdict("bracket_closed", doubles.is_subalgebra(wk), "closed under the bracket"),
         ]
-        return _emit(args, report, lines)
+        inputs = {"check": check, "algebra": n, "k": k, "dim": wk.dim}
+        return _emit(args, "double", inputs, body, window=window)
 
     if check == "complement":
-        ks = [args.k] if args.k is not None else list(range(n))
-        for k in ks:
-            if not (0 <= k <= n - 1):
-                raise UsageError(f"k must be in 0..{n - 1}, got {k}")
-        report = _report(
-            "double",
-            {"check": check, "algebra": n, "k_values": ks},
-            window=(window.lo, window.hi),
-        )
-        lines = []
+        ks = [twist_index(args.k)] if args.k is not None else list(range(n))
+        body = []
         for k in ks:
             wk = doubles.diagonal_twist_space(table, k, window)
             comp = doubles.orth_complement_truncated(wk, window)
-            loops = doubles.loop_part(wk)
-            eq = comp.equals(loops)
-            qdim_ok = wk.dim - comp.dim == 2 * table.dim
-            report["verdicts"].append(
-                {"name": f"complement_is_loop_part_k{k}", "pass": eq}
-            )
-            report["verdicts"].append(
-                {"name": f"quotient_dim_k{k}", "pass": qdim_ok}
-            )
-            lines.append(
-                f"k={k}: complement = loop part: {'ok' if eq else 'FAILED'}; "
-                f"quotient dim {wk.dim - comp.dim} "
-                f"(expected {2 * table.dim}): {'ok' if qdim_ok else 'FAILED'}"
-            )
-        return _emit(args, report, lines)
+            eq = comp.equals(doubles.loop_part(wk))
+            body += [
+                Verdict(f"complement_is_loop_part_k{k}", eq),
+                Verdict(
+                    f"quotient_dim_k{k}", wk.dim - comp.dim == 2 * table.dim,
+                    f"k={k}: complement = loop part: {_OK[eq]}; "
+                    f"quotient dim {wk.dim - comp.dim} (expected {2 * table.dim})",
+                ),
+            ]
+        inputs = {"check": check, "algebra": n, "k_values": ks}
+        return _emit(args, "double", inputs, body, window=window)
 
     if check == "quotient":
         k = args.k
         if k is None or not (1 <= k <= n - 1):
             raise UsageError(f"--k must be in 1..{n - 1} for quotient, got {k}")
-        report = _report(
-            "double",
-            {"check": check, "algebra": n, "k": k},
-            window=(window.lo, window.hi),
-        )
         try:
             image = doubles.quotient_image_of_polynomials(table, k, window)
-            ok = True
-            detail = [f"image dim {len(image)}:"] + [f"  {el}" for el in image]
+            body = [Verdict("image_is_parabolic_plus_eps_complement", True),
+                    f"image dim {len(image)}:"] + [f"  {el}" for el in image]
         except doubles.QuotientMismatch as exc:
-            ok = False
-            detail = [str(exc)]
-        report["verdicts"] = [
-            {"name": "image_is_parabolic_plus_eps_complement", "pass": ok}
-        ]
-        return _emit(args, report, detail)
+            body = [Verdict("image_is_parabolic_plus_eps_complement", False), str(exc)]
+        inputs = {"check": check, "algebra": n, "k": k}
+        return _emit(args, "double", inputs, body, window=window)
 
     if check == "transversal":
         if not 0 <= args.tail <= -window.lo:
@@ -684,25 +663,12 @@ def cmd_double(args):
                 raise UsageError(f"unknown --subspace {name!r}")
             source = name
         rep = doubles.check_transversality(w, window, tail_depth=args.tail)
-        report = _report(
-            "double",
-            {"check": check, "algebra": n, "subspace": source},
-            window=(window.lo, window.hi),
-        )
-        for key in ("trivial_intersection", "spans_with_polynomials", "contains_tail"):
-            report["verdicts"].append({"name": key, "pass": rep[key]})
-        lines = [
+        body = [
             f"subspace {source} at window [{window.lo}, {window.hi}], "
             f"tail depth {rep['tail_depth']}:"
-        ] + [
-            f"  {key}: {'ok' if rep[key] else 'FAILED'}"
-            for key in (
-                "trivial_intersection",
-                "spans_with_polynomials",
-                "contains_tail",
-            )
-        ]
-        return _emit(args, report, lines)
+        ] + [Verdict(key, rep[key], f"  {key}") for key in _TRANSVERSAL_KEYS]
+        inputs = {"check": check, "algebra": n, "subspace": source}
+        return _emit(args, "double", inputs, body, window=window)
 
     raise UsageError(f"unknown --check {check!r}")
 
@@ -749,46 +715,37 @@ def cmd_cobracket(args):
     table, omega, gamma = _load_builtin(args.gamma, args.n)
     x = parse_element(table, elem_text)
     p = GPoly.monomial(x, deg)
-    report = _report(
-        "cobracket",
-        {"gamma": args.gamma, "algebra": table.n, "element": spec},
-    )
+    inputs = {"gamma": args.gamma, "algebra": table.n, "element": spec}
     try:
         delta = cybe.cobracket(gamma, p)
     except cybe.PoleCancellationError as exc:
-        report["verdicts"] = [{"name": "polynomial_cobracket", "pass": False}]
-        return _emit(args, report, [f"pole does not cancel: {exc}"])
-    report["verdicts"] = [{"name": "polynomial_cobracket", "pass": True}]
-    report["inputs"]["terms"] = len(delta.entries)
-    lines = [f"cobracket of {spec} under {args.gamma}:", f"  {delta}"]
-    return _emit(args, report, lines)
+        body = [Verdict("polynomial_cobracket", False), f"pole does not cancel: {exc}"]
+        return _emit(args, "cobracket", inputs, body)
+    inputs["terms"] = len(delta.entries)
+    body = [Verdict("polynomial_cobracket", True),
+            f"cobracket of {spec} under {args.gamma}:", f"  {delta}"]
+    return _emit(args, "cobracket", inputs, body)
 
 
 def cmd_calibrate(args):
     table = make_sl(2)
-    report = _report("calibrate", {"algebra": 2})
     try:
         omega = calibrate_casimir(table)
-    except Exception as exc:  # CalibrationError carries the residual table
-        report["verdicts"] = [{"name": "unique_scale", "pass": False}]
-        code = _emit(args, report, [str(exc)])
-        return max(code, 1)
+    except CalibrationError as exc:  # carries the residual table
+        body = [Verdict("unique_scale", False), str(exc)]
+        return _emit(args, "calibrate", {"algebra": 2}, body)
     r, meta = dj_rmatrix(table, omega, with_convention=True)
     cat = cybe.catalog(table, omega)
-    all_zero = all(cybe.cyb(m).is_zero() for m in cat.values())
-    report["inputs"]["scale"] = str(omega.scale)
-    report["inputs"]["constant_part"] = meta
-    report["verdicts"] = [
-        {"name": "unique_scale", "pass": True},
-        {"name": "catalog_validates", "pass": all_zero},
-    ]
-    lines = [
+    body = [
+        Verdict("unique_scale", True),
         f"Casimir scale: {omega.scale}",
         f"constant r-matrix convention: sign {meta['sign']}, "
         f"orientation {meta['orientation']}",
-        f"catalog residuals all zero: {'ok' if all_zero else 'FAILED'}",
+        Verdict("catalog_validates", all(cybe.cyb(m).is_zero() for m in cat.values()),
+                "catalog residuals all zero"),
     ]
-    return _emit(args, report, lines)
+    inputs = {"algebra": 2, "scale": str(omega.scale), "constant_part": meta}
+    return _emit(args, "calibrate", inputs, body)
 
 
 def _parse_gauge_expr(table, text):
@@ -826,53 +783,45 @@ def _parse_gauge_expr(table, text):
 
 
 def cmd_gauge(args):
+    if (args.p is None) == (args.sweep is None):
+        raise UsageError("gauge needs exactly one of --p EXPR or --sweep N")
+    if args.sweep is not None and not 1 <= args.sweep <= MAX_SWEEP:
+        raise UsageError(f"--sweep must be in 1..{MAX_SWEEP}, got {args.sweep}")
     table, omega, r = _load_builtin(args.builtin, args.n)
-    if not (args.sweep or args.p):
-        raise UsageError("gauge needs --p EXPR or --sweep N")
     p = None if args.sweep else _parse_gauge_expr(table, args.p)
     was_solution = cybe.cyb(r).is_zero()
     was_qr = cybe.is_quasi_rational(r, omega)
     if args.sweep:
         seed = args.seed if args.seed is not None else 0
         rng = random.Random(seed)
-        all_ok = True
-        lines = [f"sweep of {args.sweep} seeded gauges on {args.builtin} "
-                 f"(seed {seed}):"]
-        for idx in range(args.sweep):
+        oks = []
+        for _ in range(args.sweep):
             p = gauge.random_unipotent(table, rng)
             image = gauge.gauge_transform(p, r, check=False)
             # is_quasi_rational already requires a zero residual.
-            ok = (
+            oks.append(
                 cybe.is_quasi_rational(image, omega) if was_qr
                 else cybe.cyb(image).is_zero()
             )
-            all_ok = all_ok and ok
-            lines.append(f"  gauge {idx}: {'ok' if ok else 'FAILED'}")
-        report = _report(
-            "gauge",
-            {"builtin": args.builtin, "algebra": table.n, "sweep": args.sweep},
-            seed=seed,
-        )
-        report["verdicts"] = [{"name": "sweep_preserves_solutions", "pass": all_ok}]
-        return _emit(args, report, lines)
+        body = [
+            Verdict("sweep_preserves_solutions", all(oks)),
+            f"sweep of {args.sweep} seeded gauges on {args.builtin} (seed {seed}):",
+        ] + [f"  gauge {idx}: {_OK[ok]}" for idx, ok in enumerate(oks)]
+        inputs = {"builtin": args.builtin, "algebra": table.n, "sweep": args.sweep}
+        return _emit(args, "gauge", inputs, body, seed=seed)
     image = gauge.gauge_transform(p, r, check=False)
     now_solution = cybe.cyb(image).is_zero()
     now_qr = cybe.is_quasi_rational(image, omega)
-    report = _report(
-        "gauge", {"builtin": args.builtin, "algebra": table.n, "p": args.p}
-    )
-    report["residual_terms"] = 0 if now_solution else None
-    report["verdicts"] = [
-        {"name": "cyb_preserved", "pass": (not was_solution) or now_solution},
-        {"name": "quasi_rationality_preserved", "pass": (not was_qr) or now_qr},
-    ]
-    lines = [
+    body = [
         f"gauge {args.p} on {args.builtin}:",
-        f"  still a Yang-Baxter solution: {'ok' if now_solution else 'FAILED'}",
-        f"  still quasi-rational: "
-        f"{str(now_qr).lower()} (input: {str(was_qr).lower()})",
+        # Every builtin is a solution, so this verdict is now_solution.
+        Verdict("cyb_preserved", (not was_solution) or now_solution,
+                "  still a Yang-Baxter solution"),
+        Verdict("quasi_rationality_preserved", (not was_qr) or now_qr),
+        f"  still quasi-rational: {str(now_qr).lower()} (input: {str(was_qr).lower()})",
     ]
-    return _emit(args, report, lines)
+    inputs = {"builtin": args.builtin, "algebra": table.n, "p": args.p}
+    return _emit(args, "gauge", inputs, body, residual_terms=0 if now_solution else None)
 
 
 def cmd_frobenius(args):
@@ -893,27 +842,12 @@ def cmd_frobenius(args):
         if not (1 <= k <= table.n - 1):
             raise UsageError(f"--k must be in 1..{table.n - 1}, got {k}")
         rep = frobenius.check_parabolic_pair(table, sub, matrix, k)
-        report = _report(
-            "frobenius", {"mode": "check-pair", "algebra": table.n, "k": k}
-        )
-        for key in (
-            "subalgebra",
-            "spans_with_parabolic",
-            "cocycle",
-            "nondegenerate_on_intersection",
-        ):
-            report["verdicts"].append({"name": key, "pass": rep[key]})
-        report["inputs"]["intersection_dim"] = rep["intersection_dim"]
-        lines = [f"pair conditions against parabolic k={k}:"] + [
-            f"  {key}: {'ok' if rep[key] else 'FAILED'}"
-            for key in (
-                "subalgebra",
-                "spans_with_parabolic",
-                "cocycle",
-                "nondegenerate_on_intersection",
-            )
+        body = [f"pair conditions against parabolic k={k}:"] + [
+            Verdict(key, rep[key], f"  {key}") for key in _PAIR_KEYS
         ]
-        return _emit(args, report, lines)
+        inputs = {"mode": "check-pair", "algebra": table.n, "k": k,
+                  "intersection_dim": rep["intersection_dim"]}
+        return _emit(args, "frobenius", inputs, body)
 
     if args.pair:
         table, sub, matrix, _ = _pair_from_file(args.pair)
@@ -921,9 +855,8 @@ def cmd_frobenius(args):
         try:
             coc = frobenius.TwoCocycle(sub, matrix)
         except frobenius.InvalidCocycle as exc:
-            report = _report("frobenius", {"mode": "lift", "pair": args.pair})
-            report["verdicts"] = [{"name": "valid_cocycle", "pass": False}]
-            return _emit(args, report, [f"pair rejected: {exc}"])
+            body = [Verdict("valid_cocycle", False), f"pair rejected: {exc}"]
+            return _emit(args, "frobenius", {"mode": "lift", "pair": args.pair}, body)
         source = args.pair
         expect = None
     else:
@@ -943,25 +876,17 @@ def cmd_frobenius(args):
     try:
         lifted = frobenius.quasi_rational_lift(coc, omega)
     except frobenius.LiftError as exc:
-        report = _report("frobenius", {"mode": "lift", "pair": source})
-        report["verdicts"] = [{"name": "lift_quasi_rational", "pass": False}]
-        return _emit(args, report, [f"lift of pair {source}: {exc}"])
+        body = [Verdict("lift_quasi_rational", False), f"lift of pair {source}: {exc}"]
+        return _emit(args, "frobenius", {"mode": "lift", "pair": source}, body)
     except ValueError as exc:
-        report = _report("frobenius", {"mode": "lift", "pair": source})
-        report["verdicts"] = [{"name": "nondegenerate", "pass": False}]
-        return _emit(args, report, [str(exc)])
-    report = _report(
-        "frobenius", {"mode": "lift", "pair": source, "algebra": table.n}
-    )
-    report["verdicts"] = [{"name": "lift_quasi_rational", "pass": True}]
-    lines = [f"lift of pair {source}: quasi-rational: ok"]
+        body = [Verdict("nondegenerate", False), str(exc)]
+        return _emit(args, "frobenius", {"mode": "lift", "pair": source}, body)
+    body = [Verdict("lift_quasi_rational", True, f"lift of pair {source}: quasi-rational")]
     if expect is not None:
-        match = lifted == expect
-        report["verdicts"].append({"name": "matches_catalog", "pass": match})
-        lines.append(
-            f"matches catalog {args.builtin}: {'ok' if match else 'FAILED'}"
-        )
-    return _emit(args, report, lines)
+        body.append(Verdict("matches_catalog", lifted == expect,
+                            f"matches catalog {args.builtin}"))
+    inputs = {"mode": "lift", "pair": source, "algebra": table.n}
+    return _emit(args, "frobenius", inputs, body)
 
 
 # ---------------------------------------------------------------------------

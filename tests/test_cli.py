@@ -23,6 +23,7 @@ from yangbaxter.cli import (
     MAX_DOCUMENT_CHARS,
     MAX_EXPONENT,
     MAX_RANK,
+    MAX_SWEEP,
     MAX_TRUNC,
     ParseError,
     UsageError,
@@ -225,6 +226,15 @@ def test_main_exit_codes(capsys, tmp_path):
     good.write_text("algebra sl(2); u*v/(v - u)*Omega")
     assert main(["verify", "--input", str(good)]) == 0
     assert main(["verify", "--builtin", "q1", "--input", str(good)]) == 2
+    # The k a pair file carries is range-checked like --k.
+    capsys.readouterr()
+    for k in (7, -1):
+        pair = tmp_path / f"pair-k{k}.json"
+        pair.write_text(json.dumps(
+            {"algebra": 2, "basis": ["e", "h"], "matrix": [[0, 1], [-1, 0]], "k": k}
+        ))
+        assert main(["double", "--check", "lagrangian", "--pair", str(pair)]) == 2
+        assert capsys.readouterr().err == f"error: k must be in 0..1, got {k}\n"
     capsys.readouterr()
 
 
@@ -262,6 +272,30 @@ def test_calibrate_command(capsys):
     names = [v["name"] for v in report["verdicts"]]
     assert names == ["unique_scale", "catalog_validates"]
     assert all(v["pass"] for v in report["verdicts"])
+
+
+def test_calibrate_reports_only_a_calibration_failure(monkeypatch, capsys):
+    # A search without a unique survivor is the failed verdict; any other
+    # exception is a fault and propagates.
+    from yangbaxter import cli
+    from yangbaxter.lie import CalibrationError
+
+    def no_survivor(table):
+        raise CalibrationError({F(1): (3, 0), F(4): (0, 0), F(8): (0, 0)})
+
+    monkeypatch.setattr(cli, "calibrate_casimir", no_survivor)
+    assert main(["calibrate", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == [{"name": "unique_scale", "pass": False}]
+    assert main(["calibrate"]) == 1
+    assert capsys.readouterr().out.startswith("Casimir calibration did not single out")
+
+    def broken(table):
+        raise TypeError("a fault in the search")
+
+    monkeypatch.setattr(cli, "calibrate_casimir", broken)
+    with pytest.raises(TypeError):
+        main(["calibrate"])
 
 
 def test_cobracket_command(capsys):
@@ -461,6 +495,26 @@ def test_oversized_input_exits_2_quickly(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_gauge_sweep_is_bounded_and_exclusive(capsys):
+    # Exactly one of --p and --sweep, and a sweep of 1..MAX_SWEEP gauges;
+    # a sweep of -3 checked no gauge and passed, and --p next to --sweep was
+    # ignored.
+    runs = [["gauge", "--sweep", "-3"],
+            ["gauge", "--sweep", "0"],
+            ["gauge", "--sweep", str(MAX_SWEEP + 1)],
+            ["gauge", "--sweep", "10000000000"],
+            ["gauge", "--sweep", "2", "--p", "unip(e,1,1)"],
+            ["gauge", "--builtin", "q1"]]
+    for argv in runs:
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+    assert main(["gauge", "--sweep", "1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == [{"name": "sweep_preserves_solutions", "pass": True}]
+
+
 def test_long_gauge_product_on_sl6_is_quick(capsys):
     # 60 unipotent factors over sl(6): each element carries its inverse, so
     # no determinant or adjugate is expanded; by cofactors this took 8.7 s.
@@ -549,6 +603,25 @@ def test_readme_examples_replay(capsys):
     for argv, expected in examples:
         assert main(shlex.split(argv)) == 0, argv
         assert capsys.readouterr().out == expected, argv
+
+
+def test_reports_match_recorded_output(capsys, tmp_path):
+    # cli_reports.json holds main() runs over every subcommand and verdict
+    # branch, in text and --json, with the stdout, stderr and exit code of
+    # each as first recorded; the input files it names are written to
+    # {dir}, and paths in the output read {dir}.  Commands whose behaviour
+    # changed on purpose since the recording are tested on their own.
+    recorded = json.loads((Path(__file__).parent / "cli_reports.json").read_text())
+    for name, text in recorded["files"].items():
+        (tmp_path / name).write_text(text)
+    assert len(recorded["runs"]) >= 100
+    capsys.readouterr()
+    for run in recorded["runs"]:
+        code = main([arg.replace("{dir}", str(tmp_path)) for arg in run["argv"]])
+        out, err = capsys.readouterr()
+        assert code == run["code"], run["argv"]
+        assert out.replace(str(tmp_path), "{dir}") == run["stdout"], run["argv"]
+        assert err.replace(str(tmp_path), "{dir}") == run["stderr"], run["argv"]
 
 
 # ---------------------------------------------------------------------------

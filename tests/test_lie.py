@@ -264,6 +264,11 @@ def test_parabolic_subalgebras():
         parabolic(t, 3)
     with pytest.raises(ValueError):
         parabolic(t, 0)
+    # parabolic() relies on closure by construction; the check is here
+    for n in range(2, 7):
+        t = make_sl(n)
+        for k in range(1, n):
+            assert parabolic(t, k).is_subalgebra(), (n, k)
 
 
 def test_orthogonal_complement_of_parabolic():
