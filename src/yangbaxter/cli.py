@@ -582,14 +582,15 @@ def cmd_double(args):
 
     window = _window(args)
     if check == "lagrangian":
-        k = twist_index(args.k if args.k is not None else 0)
+        # An explicit --k wins over the pair file's k, as in frobenius --check-pair.
         if args.pair:
             table, sub, matrix, k = _pair_from_file(args.pair)
             if table.n != n:
                 raise UsageError("pair file algebra differs from --n")
-            twist_index(k)
+            k = twist_index(args.k if args.k is not None else k)
             form = lambda i, j: matrix[i][j]
         else:
+            k = twist_index(args.k if args.k is not None else 0)
             sub, coc = _builtin_pair(table, k)
             form = lambda i, j: coc.matrix[i][j]
         w = doubles.lagrangian_from_pair(

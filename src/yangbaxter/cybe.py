@@ -11,13 +11,18 @@ P = d*r a polynomial tensor,
 
     cyb(r)*d12*d13*d23 = [P12,P13]*d23 + [P12,P23]*d13 + [P13,P23]*d12,
 
-so the three commutators and their sum need no gcd.  The commutators
-multiply ints: d and P (which holds Fractions such as Omega's 1/2) are
-scaled by the lcm L of their coefficient denominators.  `cyb` returns these
-cleared numerators N = L^3*d12*d13*d23*cyb(r) and never divides them back.
-L^3*d12*d13*d23 is a nonzero polynomial, so an entry of N is zero exactly
-when the entry of cyb(r) is: a verdict reads the support of N, and every
-verdict and residual term count is the symbolic one.  `cyb` computes it
+so the three commutators and their sum need no gcd.  Each entry of each
+commutator (`tensors.leg_bracket`, which stays the public commutator) is
+multiplied by its weight d_jk straight into one {monomial: int} dict per
+output key, shared by the three pairs, and each key builds one Poly (the
+sparse accumulation of Monagan & Pearce, over a weighted sum of three
+products).  The commutators multiply ints: d and P (which holds Fractions
+such as Omega's 1/2) are scaled by the lcm L of their coefficient
+denominators.  `cyb` returns these cleared numerators
+N = L^3*d12*d13*d23*cyb(r) and never divides them back.  L^3*d12*d13*d23
+is a nonzero polynomial, so an entry of N is zero exactly when the entry of
+cyb(r) is: a verdict reads the support of N, and every verdict and residual
+term count is the symbolic one.  `cyb` computes it
 once per tensor and stores it there (see `tensors`).
 
 The co-bracket attached to a kernel Gamma is
@@ -50,7 +55,7 @@ from __future__ import annotations
 from math import lcm
 
 from .lie import GPoly, bracket_poly
-from .ratfun import RatFun
+from .ratfun import RatFun, _addmul, _polys
 from .tensors import (
     Tensor2,
     Tensor3,
@@ -88,11 +93,11 @@ def cyb(r):
     scale = lcm(*(c.denominator for f in (d, *p.entries.values()) for c in f.terms.values()))
     d, p = d * scale, Tensor2(r.table, {key: f * scale for key, f in p.entries.items()})
     d12, d13, d23 = (d.rename(_LEGS[legs]) for legs in ("12", "13", "23"))
-    out = {}
+    sums = {}
     for pair, weight in (("12^13", d23), ("12^23", d13), ("13^23", d12)):
         for key, c in leg_bracket(p, p, pair).entries.items():
-            accumulate(out, key, c * weight)
-    r._residual = Tensor3(r.table, out)
+            _addmul(sums.setdefault(key, {}), c.terms.items(), weight.terms.items())
+    r._residual = Tensor3(r.table, _polys(sums))
     return r._residual
 
 

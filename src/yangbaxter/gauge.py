@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfun import Poly, RatFun
-from .tensors import Tensor2, accumulate, clear_denominators
+from .ratfun import Poly, RatFun, _addmul, _polys
+from .tensors import Tensor2, clear_denominators
 
 
 class GaugeError(ValueError):
@@ -138,13 +138,13 @@ def gauge_transform(p, r, check=True):
     to_v = {"u": "v"}
     cols_v = [{c: pu.rename(to_v) for c, pu in col.items()} for col in cols]
     d, cleared = clear_denominators(r)
-    out = {}
+    sums = {}
     for (a, b), f in cleared.entries.items():
         for c, pu in cols[a].items():
-            left = pu * f
+            left = (pu * f).terms.items()
             for dd, pv in cols_v[b].items():
-                accumulate(out, (c, dd), left * pv)
-    result = Tensor2(table, {key: RatFun.of(f, d) for key, f in out.items()})
+                _addmul(sums.setdefault((c, dd), {}), left, pv.terms.items())
+    result = Tensor2(table, {key: RatFun.of(f, d) for key, f in _polys(sums).items()})
     if check:
         from . import cybe
 

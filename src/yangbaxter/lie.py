@@ -51,7 +51,7 @@ class LieTable:
                 if entry:
                     self.structure[(a, b)] = tuple(entry.items())
         self.killing = self._killing_matrix()
-        self.killing_inv = linalg.inverse_dense(self.killing)
+        self.killing_inv = self._killing_inverse()
 
     def _register(self, label):
         self.index[label] = len(self.labels)
@@ -105,6 +105,20 @@ class LieTable:
                 for b, d in into.get((k, m), ()):
                     row[b] += c * d
         return killing
+
+    def _killing_inverse(self):
+        """K^-1 in closed form.  K pairs E(i,j) only with E(j,i), with value
+        2n, and is 2n*C on the H block, C the Cartan matrix of A_(n-1), whose
+        inverse is C^-1[i][j] = min(i,j)*(n - max(i,j))/n."""
+        n, dim = self.n, self.dim
+        inv = [[Fraction(0)] * dim for _ in range(dim)]
+        for i, j in self.root_pairs:
+            inv[self.index[f"E({i},{j})"]][self.index[f"E({j},{i})"]] = Fraction(1, 2 * n)
+        h = dim - n + 1  # index of H(1)
+        for i in range(1, n):
+            for j in range(1, n):
+                inv[h + i - 1][h + j - 1] = Fraction(min(i, j) * (n - max(i, j)), 2 * n * n)
+        return inv
 
     def _key(self, key):
         """Basis index of a label (aliases allowed) or an index in range(dim)."""
@@ -234,11 +248,13 @@ class GElement:
         return GElement(self.table, out)
 
     def __add__(self, other):
-        assert self.table is other.table
+        if self.table is not other.table:
+            raise ValueError("mismatched algebras")
         return self._plus(other.terms.items())
 
     def __sub__(self, other):
-        assert self.table is other.table
+        if self.table is not other.table:
+            raise ValueError("mismatched algebras")
         return self._plus((k, -c) for k, c in other.terms.items())
 
     def __neg__(self):
@@ -251,11 +267,13 @@ class GElement:
         return GElement(self.table, {k: a * c for k, a in self.terms.items()})
 
     def bracket(self, other):
-        assert self.table is other.table, "mismatched algebras"
+        if self.table is not other.table:
+            raise ValueError("mismatched algebras")
         return GElement(self.table, self.table.bracket_coords(self.terms, other.terms))
 
     def killing(self, other):
-        assert self.table is other.table, "mismatched algebras"
+        if self.table is not other.table:
+            raise ValueError("mismatched algebras")
         return self.table.killing_pair(self.terms, other.terms)
 
     def as_vector(self):
@@ -299,7 +317,8 @@ class GPoly:
         return sorted(self.terms)
 
     def __add__(self, other):
-        assert self.table is other.table
+        if self.table is not other.table:
+            raise ValueError("mismatched algebras")
         terms = dict(self.terms)
         for d, x in other.terms.items():
             terms[d] = terms.get(d, self.table.zero()) + x
@@ -333,7 +352,8 @@ class GPoly:
 
 def bracket_poly(p, q):
     """Degreewise bracket of g-valued (Laurent) polynomials."""
-    assert p.table is q.table, "mismatched algebras"
+    if p.table is not q.table:
+        raise ValueError("mismatched algebras")
     out = {}
     for d1, x in p.terms.items():
         for d2, y in q.terms.items():
@@ -390,7 +410,8 @@ class Subspace:
         self.elements = []
         self._ech = linalg.Echelon()
         for x in elements:
-            assert x.table is table
+            if x.table is not table:
+                raise ValueError("Subspace element of another algebra")
             if self._ech.add(x.as_vector()):
                 self.elements.append(x)
             else:

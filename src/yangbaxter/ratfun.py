@@ -72,6 +72,25 @@ def _poly(terms, check=False):
     })
 
 
+def _addmul(terms, a, b):
+    """terms += a*b for iterables of (monomial, coefficient) pairs: the
+    sparse product step of Poly products, the weighted Yang-Baxter sum and
+    the gauge image.  Exponents are not checked here; the caller builds its
+    Poly with _poly(terms, check=True)."""
+    get = terms.get
+    for ma, ca in a:
+        for mb, cb in b:
+            m = ma + mb
+            terms[m] = get(m, 0) + ca * cb
+
+
+def _polys(sums):
+    """{key: Poly} of {key: {monomial: coefficient}}: each Poly built once
+    with its exponents checked, and the zero ones dropped."""
+    polys = ((key, _poly(terms, check=True)) for key, terms in sums.items())
+    return {key: p for key, p in polys if p.terms}
+
+
 class Poly:
     """Sparse polynomial in u, v, u1, u2, u3 with rational coefficients.
 
@@ -165,11 +184,7 @@ class Poly:
             (mb, cb), = b.items()
             return _poly({ma + mb: ca * cb for ma, ca in a.items()}, check=True)
         terms = {}
-        get = terms.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                terms[m] = get(m, 0) + ca * cb
+        _addmul(terms, a.items(), b.items())
         return _poly(terms, check=True)
 
     __rmul__ = __mul__

@@ -19,10 +19,16 @@ Coefficients are RatFun, or Poly for a tensor whose denominators have been
 cleared: `clear_denominators(r)` gives (d, d*r) with d the lcm of r's
 denominators.  The sparse core uses only `rename`, `*`, `+` and `is_zero`
 on coefficients, so it runs unchanged in the polynomial ring; `make` and
-`scale` build RatFun tensors.  `leg_bracket`, the leg commutators r12, r13,
-r23, takes cleared (Poly) tensors only: it sums the monomial products of
-each output entry into one {monomial: coefficient} dict and builds one Poly
-per entry (the sparse accumulation of Monagan & Pearce).
+`scale` build RatFun tensors.  `leg_bracket`, the public leg commutator
+r12, r13 or r23, takes cleared (Poly) tensors only: it sums the monomial
+products of each output entry into one {monomial: coefficient} dict and
+builds one Poly per entry (the sparse accumulation of Monagan & Pearce).
+`cybe.cyb` and `gauge.gauge_transform` extend it past one product: the
+weights and the three pair sums of the residual, and the two adjoint
+factors of the gauge image, accumulate into one dict per output key,
+through the product step `ratfun._addmul` that `Poly.__mul__` uses too.
+`leg_bracket` keeps its own loop, which scales each outer term by the
+structure constant; routed through the shared step it ran slower.
 
 `ad2_action(p, t)` works on the cleared form too.  With (d, P) =
 clear_denominators(t) and s = max(0, -min degree of p), p's term x*u^k acts
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfun import P_ONE, Poly, RatFun, _poly, _poly_divexact, poly_gcd
+from .ratfun import P_ONE, Poly, RatFun, _poly_divexact, _polys, poly_gcd
 
 _SWAP_UV = {"u": "v", "v": "u"}
 _ROTATE = {"u1": "u2", "u2": "u3", "u3": "u1"}
@@ -244,8 +250,7 @@ def leg_bracket(r, s, pair):
                     for mb, cb in g:
                         m = ma + mb
                         terms[m] = get(m, 0) + c * cb
-    polys = ((key, _poly(terms, check=True)) for key, terms in sums.items())
-    return Tensor3(table, {key: p for key, p in polys if p.terms})
+    return Tensor3(table, _polys(sums))
 
 
 def ad2_action(p, t):

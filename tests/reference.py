@@ -5,15 +5,23 @@ coefficient arithmetic alone (`rename`, `*`, `+`, `is_zero`), so it runs on
 RatFun tensors and on cleared (Poly) tensors alike and shares no code with
 `tensors.leg_bracket`.
 
+`ref_weighted_cyb` and `ref_gauge_loop` are the cleared residual and the
+cleared gauge image summed Poly by Poly: each leg commutator entry times its
+weight d_jk, and each left factor times each right one, added into the
+output through `accumulate`.  This is the path that the single sparse
+accumulation of `cybe.cyb` and `gauge.gauge_transform` replaced.
+
 `ref_poly_adjugate` and `ref_ad_columns` are the gauge inverse by cofactor
 expansion and the adjoint action read degree by degree through Fraction
 matrices; they share no code with `gauge`.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from yangbaxter.ratfun import Poly
-from yangbaxter.tensors import Tensor3
+from yangbaxter.gauge import _ad_coordinate_matrix
+from yangbaxter.ratfun import Poly, RatFun
+from yangbaxter.tensors import Tensor2, Tensor3, accumulate, clear_denominators, leg_bracket
 
 _RENAMES = {
     "12^13": ({"u": "u1", "v": "u2"}, {"u": "u1", "v": "u3"}),
@@ -50,6 +58,41 @@ def ref_leg_bracket(r, s, pair):
                     add((a, c, k), f * g * sc)
     return Tensor3(table, out)
 
+
+_LEGS = {"12": {"u": "u1", "v": "u2"}, "13": {"u": "u1", "v": "u3"},
+         "23": {"u": "u2", "v": "u3"}}
+# The weight d_jk of each leg commutator: the legs it leaves out.
+CYB_WEIGHTS = {"12^13": "23", "12^23": "13", "13^23": "12"}
+
+
+def ref_weighted_cyb(r, weights=CYB_WEIGHTS):
+    """[P12,P13]*d23 + [P12,P23]*d13 + [P13,P23]*d12 on the integral cleared
+    form, one Poly product and one `accumulate` per commutator entry;
+    `weights` maps each pair to the legs of its weight."""
+    d, p = clear_denominators(r)
+    scale = lcm(*(c.denominator for f in (d, *p.entries.values()) for c in f.terms.values()))
+    d, p = d * scale, Tensor2(r.table, {key: f * scale for key, f in p.entries.items()})
+    out = {}
+    for pair, legs in weights.items():
+        weight = d.rename(_LEGS[legs])
+        for key, c in leg_bracket(p, p, pair).entries.items():
+            accumulate(out, key, c * weight)
+    return Tensor3(r.table, out)
+
+
+def ref_gauge_loop(p, r):
+    """Ad(p(u) (x) p(v)) on the cleared tensor, one Poly product and one
+    `accumulate` per pair of adjoint columns, then each entry over d."""
+    cols = _ad_coordinate_matrix(p)
+    cols_v = [{c: pu.rename({"u": "v"}) for c, pu in col.items()} for col in cols]
+    d, cleared = clear_denominators(r)
+    out = {}
+    for (a, b), f in cleared.entries.items():
+        for c, pu in cols[a].items():
+            left = pu * f
+            for dd, pv in cols_v[b].items():
+                accumulate(out, (c, dd), left * pv)
+    return Tensor2(r.table, {key: RatFun.of(f, d) for key, f in out.items()})
 
 
 def poly_matmul(a, b):

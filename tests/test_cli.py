@@ -238,6 +238,33 @@ def test_main_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_explicit_k_wins_over_the_pair_file_k(capsys, tmp_path):
+    # double --check lagrangian and frobenius --check-pair follow one rule:
+    # an explicit --k replaces the file's k, and the k used is the one
+    # range-checked and reported.
+    pair = tmp_path / "pair-k0.json"
+    pair.write_text(json.dumps(
+        {"algebra": 2, "basis": ["e", "h"], "matrix": [[0, 1], [-1, 0]], "k": 0}
+    ))
+    capsys.readouterr()
+    commands = (["double", "--check", "lagrangian"], ["frobenius", "--check-pair"])
+    for cmd in commands:
+        main([*cmd, "--k", "1", "--pair", str(pair), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"]["k"] == 1, (cmd, report["inputs"])
+    main(["double", "--check", "lagrangian", "--k", "1", "--pair", str(pair)])
+    assert capsys.readouterr().out.startswith("pair Lagrangian (k=1)")
+    # A file k outside the range is not checked once --k replaces it.
+    pair.write_text(json.dumps(
+        {"algebra": 2, "basis": ["e", "h"], "matrix": [[0, 1], [-1, 0]], "k": 7}
+    ))
+    for cmd in commands:
+        assert main([*cmd, "--k", "1", "--pair", str(pair)]) in (0, 1), cmd
+        assert "k=1" in capsys.readouterr().out, cmd
+        assert main([*cmd, "--k", "5", "--pair", str(pair)]) == 2, cmd
+        assert "got 5" in capsys.readouterr().err, cmd
+
+
 def test_main_rational_eh_verifies_but_is_not_quasi_rational(capsys):
     assert main(["verify", "--builtin", "rational_eh"]) == 0
     out = capsys.readouterr().out

@@ -23,7 +23,7 @@ from yangbaxter.cybe import (
 )
 from yangbaxter.gauge import gauge_transform, random_unipotent
 from yangbaxter.lie import GPoly, calibrate_casimir, casimir, make_sl
-from yangbaxter.ratfun import Poly, RatFun
+from yangbaxter.ratfun import ExponentOverflow, Poly, RatFun
 from yangbaxter.tensors import (
     Tensor2,
     Tensor3,
@@ -33,7 +33,7 @@ from yangbaxter.tensors import (
     leg_bracket,
     swap,
 )
-from reference import ref_leg_bracket
+from reference import CYB_WEIGHTS, ref_leg_bracket, ref_weighted_cyb
 from test_tensors import _kernels, _ref_ad2_action
 
 U = RatFun.var("u")
@@ -524,3 +524,66 @@ def test_memoized_verdicts_match_the_reference():
     assert verdicts["control"] == (False, False)
     assert verdicts["q2"] == (True, True) and verdicts["rational_eh"] == (True, False)
     assert not is_skew(sym - _SL2_OMEGA.leading) and not verdicts["sym"][1]
+
+
+# The weighted sum with d12 and d13 swapped: a reference that must disagree.
+_SWAPPED_WEIGHTS = dict(CYB_WEIGHTS, **{"12^23": "12", "13^23": "13"})
+# Linear, repeated and non-linear denominators; 2*u^2 + v and u*v + 3 put
+# Fractions into the monic cleared form.
+_DENOMINATORS = (1, U - V, U + V, U, V, (U - V) ** 2, 2 * U ** 2 + V, U * V + 3)
+_SL3 = make_sl(3)
+_SL3_CAT = catalog(_SL3, casimir(_SL3, 6))
+
+
+@st.composite
+def _cleared_inputs(draw):
+    """A fresh sl(2) or sl(3) tensor: up to four terms c*u^i*v^j/den on
+    random basis pairs, over a catalog entry or over zero."""
+    table, cat = draw(st.sampled_from(((_SL2, _SL2_CAT), (_SL3, _SL3_CAT))))
+    base = draw(st.sampled_from((None, "q0", "gamma2", "gamma3")))
+    r = Tensor2.zero(table) if base is None else cat[base]
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = (draw(st.integers(0, table.dim - 1)) for _ in range(2))
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        c = draw(st.integers(-3, 3).filter(bool))
+        den = draw(st.sampled_from(_DENOMINATORS))
+        r = r + Tensor2.single(table, a, b, U ** i * V ** j * c / den)
+    return _fresh(r)
+
+
+def test_cyb_equals_the_weighted_sum_reference_exactly():
+    # One sparse accumulation per key against one Poly product and one sum
+    # per commutator entry: the same Tensor3, numerator for numerator.  The
+    # controls of this module come first; a reference with d12 and d13
+    # swapped must disagree somewhere, or the comparison is vacuous.
+    sym = _SL2_CAT["q0"] + Tensor2.single(_SL2, "e", "f", 1) + Tensor2.single(_SL2, "f", "e", 1)
+    controls = [_CONTROL, _MIXED, _nonlinear(_SL2), _nonlinear(_SL2, 5), sym,
+                _SL2_CAT["q2"], _SL2_CAT["rational_eh"], _SL3_CAT["gamma3"]]
+    differs = []
+
+    def check(r):
+        res = cyb(_fresh(r))
+        assert res == ref_weighted_cyb(r), str(r)
+        differs.append(ref_weighted_cyb(r, _SWAPPED_WEIGHTS) != res)
+
+    for r in controls:
+        check(r)
+    assert not cyb(_fresh(_CONTROL)).is_zero() and cyb(_fresh(_SL2_CAT["q2"])).is_zero()
+    assert any(differs)
+    differs.clear()
+    settings(max_examples=25, deadline=None, derandomize=True, database=None)(
+        given(r=_cleared_inputs())(check)
+    )()
+    assert any(differs)
+
+
+def test_cyb_raises_when_only_the_weight_product_overflows():
+    # P = v^600*Omega brackets to exponents of at most 1200, but d = u^1500
+    # renamed to d23 and d13 meets u2^600 and u3^600 past the field.
+    r = _SL2_OMEGA.tensor().scale(V ** 600 / U ** 1500)
+    d, p = clear_denominators(r)
+    assert d == Poly.var("u", 1500)
+    for pair in CYB_WEIGHTS:
+        assert not leg_bracket(p, p, pair).is_zero()
+    with pytest.raises(ExponentOverflow):
+        cyb(r)

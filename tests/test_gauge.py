@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import yangbaxter
-from reference import poly_matmul, ref_ad_columns, ref_poly_adjugate
-from yangbaxter.cybe import catalog, cyb, is_quasi_rational
+from reference import poly_matmul, ref_ad_columns, ref_gauge_loop, ref_poly_adjugate
+from yangbaxter.cybe import catalog, catalog_entry, cyb, is_quasi_rational
 from yangbaxter.gauge import (
     PolyGroupElement,
     _ad_coordinate_matrix,
@@ -297,3 +297,25 @@ def test_gauge_transform_matches_reference_on_skew_perturbations(terms, seed):
     r = _Q0 + half - swap(half)  # a skew polynomial perturbation of q0
     p = random_unipotent(t, random.Random(seed))
     assert gauge_transform(p, r, check=False) == _entrywise_gauge_transform(p, r)
+
+
+# Built without cyb (no gamma3), so a faulty residual cannot stop collection.
+_SL3 = make_sl(3)
+_GAUGE_INPUTS = {
+    2: [_Q0, catalog_entry(_SL2, casimir(_SL2, 4), "q2"),
+        _Q0 + Tensor2.single(_SL2, "e", "h", (2 * U ** 2 + V) ** -1)],
+    3: [casimir(_SL3, 6).leading, catalog_entry(_SL3, casimir(_SL3, 6), "gamma2")
+        + Tensor2.single(_SL3, "E(1,3)", "H(2)", U / (U + V))],
+}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3)), which=st.integers(0, 2), seed=st.integers(0, 2**16))
+def test_gauge_transform_equals_the_poly_by_poly_reference(n, which, seed):
+    # One sparse accumulation per output key against one Poly product and
+    # one sum per pair of adjoint columns, on seeded unipotents.
+    inputs = _GAUGE_INPUTS[n]
+    r = inputs[which % len(inputs)]
+    p = random_unipotent(make_sl(n), random.Random(seed), total_degree=2)
+    image = gauge_transform(p, r, check=False)
+    assert image == ref_gauge_loop(p, r)

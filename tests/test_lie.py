@@ -1,12 +1,17 @@
 """Tests for the finite-dimensional Lie algebra layer: sl(n) structure
 constants, Killing form, Casimir calibration, and distinguished subalgebras."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import yangbaxter
+from yangbaxter import linalg
 from yangbaxter.lie import (
     CalibrationError,
     GElement,
@@ -281,6 +286,41 @@ def test_orthogonal_complement_of_parabolic():
     comp2 = orthogonal_complement_g(parabolic(t, 2), t)
     expected2 = Subspace(t, [t.basis_element("E(1,3)"), t.basis_element("E(2,3)")])
     assert comp2.equals(expected2)
+
+
+def test_killing_inverse_closed_form_matches_elimination():
+    for n in range(2, 7):
+        t = make_sl(n)
+        assert t.killing_inv == linalg.inverse_dense(t.killing), n
+        assert all(type(c) is F for row in t.killing_inv for c in row), n
+
+
+def test_mismatched_algebras_raise_value_error():
+    t2, t3 = make_sl(2), make_sl(3)
+    x, y = t2.basis_element("e"), t3.basis_element("E(1,2)")
+    p, q = GPoly.monomial(x, 1), GPoly.monomial(y, 2)
+    for op in (lambda: x + y, lambda: x - y, lambda: x.bracket(y), lambda: x.killing(y),
+               lambda: p + q, lambda: bracket_poly(p, q), lambda: Subspace(t2, [x, y])):
+        with pytest.raises(ValueError, match="algebra"):
+            op()
+
+
+def test_cross_algebra_sum_rejected_under_optimisation():
+    script = (
+        "from yangbaxter.lie import make_sl\n"
+        "x, y = make_sl(2).basis_element(0), make_sl(3).basis_element(0)\n"
+        "try:\n"
+        "    print('accepted', x + y)\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\n", proc.stdout
 
 
 def test_subspace_validation():
