@@ -28,11 +28,11 @@ once per tensor and stores it there (see `tensors`).
 The co-bracket attached to a kernel Gamma is
 delta(p) = [Gamma, p(u)(x)1 + 1(x)p(v)]; for the built-in kernels the pole
 of Gamma on the diagonal must cancel, making delta(p) a polynomial tensor.
-ad2_action computes it on the cleared kernel d*Gamma and divides each entry
-by d*(u*v)^s once (s > 0 only for a Laurent p).  RatFun.of reduces that
-quotient to lowest terms, so an entry keeps a nonconstant denominator exactly
-when the entrywise result has one: the pole test reads the same reduced
-coefficients and gives the same verdict.
+ad2_action sums it on the cleared kernel d*Gamma, one dict per entry, and
+divides each entry by d*(u*v)^s once (s > 0 only for a Laurent p).
+RatFun.of reduces that quotient to lowest terms, so an entry keeps a
+nonconstant denominator exactly when the entrywise result has one: the pole
+test reads the same reduced coefficients and gives the same verdict.
 
 The built-in catalog over the calibrated Casimir:
 
@@ -59,7 +59,6 @@ from .ratfun import RatFun, _addmul, _polys
 from .tensors import (
     Tensor2,
     Tensor3,
-    accumulate,
     ad2_action,
     clear_denominators,
     is_polynomial,
@@ -193,10 +192,11 @@ def _delta_on_first_leg(gamma, dp):
     Decomposes each coefficient over monomials u^k in the first variable,
     applies the co-bracket to the corresponding g-valued monomial on leg 1
     (fresh variables u1, u2), and carries the old leg 2 to slot 3 with u3.
+    One dict per output key; the entries are RatFuns (the tensor is not cleared).
     """
     table = dp.table
     to12 = {"u": "u1", "v": "u2"}
-    out = {}
+    sums = {}
     cache = {}
     # dp is a cobracket output, and cobracket raises unless every
     # coefficient is polynomial.
@@ -207,10 +207,10 @@ def _delta_on_first_leg(gamma, dp):
             if inner is None:
                 inner = cobracket(gamma, GPoly.monomial(table.basis_element(a), k))
                 cache[key] = inner
-            weight = RatFun.from_poly(g_k).rename({"v": "u3"})
+            weight = g_k.rename({"v": "u3"}).terms.items()
             for (c, d), h in inner.entries.items():
-                accumulate(out, (c, d, b), h.rename(to12) * weight)
-    return Tensor3(table, out)
+                _addmul(sums.setdefault((c, d, b), {}), h.num.rename(to12).terms.items(), weight)
+    return Tensor3(table, {key: RatFun.from_poly(h) for key, h in _polys(sums).items()})
 
 
 def cojacobi_check(gamma, p):

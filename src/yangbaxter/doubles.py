@@ -78,9 +78,10 @@ class DoubleElement:
     __slots__ = ("table", "loop", "a0", "a1")
 
     def __init__(self, loop, a0, a1):
-        assert isinstance(loop, GPoly), loop
-        assert isinstance(a0, GElement) and isinstance(a1, GElement), (a0, a1)
-        assert loop.table is a0.table is a1.table
+        if not (isinstance(loop, GPoly) and isinstance(a0, GElement) and isinstance(a1, GElement)):
+            raise ValueError(f"need a GPoly and two GElements, not {(loop, a0, a1)}")
+        if not loop.table is a0.table is a1.table:
+            raise ValueError("double element parts over different algebras")
         self.table = loop.table
         self.loop = loop
         self.a0 = a0
@@ -168,7 +169,8 @@ def double_bracket(x, y, window=None):
     With a window supplied, a loop overflow raises WindowOverflow naming
     the window that would hold the result.
     """
-    assert x.table is y.table, "mismatched algebras"
+    if x.table is not y.table:
+        raise ValueError("bracket of double elements over different algebras")
     from .lie import bracket_poly
 
     loop = bracket_poly(x.loop, y.loop)
@@ -186,7 +188,8 @@ def double_bracket(x, y, window=None):
 
 def invariant_form(x, y):
     """Q(x, y): u^1-coefficient of K(loops) minus the crossed jet pairings."""
-    assert x.table is y.table, "mismatched algebras"
+    if x.table is not y.table:
+        raise ValueError("pairing of double elements over different algebras")
     table = x.table
     total = 0
     for d1, xe in x.loop.terms.items():
@@ -200,7 +203,8 @@ def invariant_form(x, y):
 
 def embed_polynomial(p, window):
     """i(p) = (p, p_0, p_1) for a polynomial loop fitting the window."""
-    assert isinstance(p, GPoly), p
+    if not isinstance(p, GPoly):
+        raise ValueError(f"embedding needs a GPoly, not {p!r}")
     if p.terms:
         degs = p.degrees()
         if degs[0] < 0:
@@ -242,7 +246,8 @@ class DoubleSubspace:
         self._rows = tuple(el.coords(window) for el in self.elements)
         self._ech = linalg.Echelon()
         for el, row in zip(self.elements, self._rows):
-            assert el.table is table
+            if el.table is not table:
+                raise ValueError(f"spanning element {el} is over another algebra")
             if not self._ech.add(row):
                 raise DependentElement(f"dependent spanning element {el}")
 

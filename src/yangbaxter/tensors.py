@@ -7,8 +7,7 @@ under which u*v*Omega/(v-u) is itself skew.
 
 Both kinds share one sparse core: a coefficient table keyed by basis-index
 tuples in which zero coefficients are never stored.  `accumulate` is the
-single add-and-drop-zeros step behind tensor addition and the adjoint
-action `ad2_action`.
+single add-and-drop-zeros step behind tensor addition.
 
 Tensors are immutable: nothing assigns into `entries` once a tensor is
 built.  So a Tensor2 owns its residual: `cybe.cyb` stores it in the
@@ -23,10 +22,11 @@ on coefficients, so it runs unchanged in the polynomial ring; `make` and
 r12, r13 or r23, takes cleared (Poly) tensors only: it sums the monomial
 products of each output entry into one {monomial: coefficient} dict and
 builds one Poly per entry (the sparse accumulation of Monagan & Pearce).
-`cybe.cyb` and `gauge.gauge_transform` extend it past one product: the
-weights and the three pair sums of the residual, and the two adjoint
-factors of the gauge image, accumulate into one dict per output key,
-through the product step `ratfun._addmul` that `Poly.__mul__` uses too.
+`cybe.cyb`, `gauge.gauge_transform` and `ad2_action` extend it past one
+product: the weights and the three pair sums of the residual, the two
+adjoint factors of the gauge image, and the adjoint terms times their leg
+monomials accumulate into one dict per output key, through the product
+step `ratfun._addmul` that `Poly.__mul__` uses too.
 `leg_bracket` keeps its own loop, which scales each outer term by the
 structure constant; routed through the shared step it ran slower.
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfun import P_ONE, Poly, RatFun, _poly_divexact, _polys, poly_gcd
+from .ratfun import P_ONE, Poly, RatFun, _addmul, _monomial, _poly_divexact, _polys, poly_gcd
 
 _SWAP_UV = {"u": "v", "v": "u"}
 _ROTATE = {"u1": "u2", "u2": "u3", "u3": "u1"}
@@ -185,15 +185,18 @@ def clear_denominators(r):
 
     P is a tensor of r's kind with Poly coefficients; d = 1 when r is
     polynomial, and then P's entries are r's numerators as they are.  The
-    lcm costs one gcd per distinct denominator.
+    lcm costs one gcd g per distinct denominator, and each cofactor d/den
+    grows with it (times den/g), with no division by den.
     """
     dens = dict.fromkeys(f.den for f in r.entries.values() if not f.den.is_const())
     if not dens:
         return P_ONE, type(r)(r.table, {key: f.num for key, f in r.entries.items()})
-    d = P_ONE
+    d, cofactor = P_ONE, {}
     for den in dens:
-        d = d * _poly_divexact(den, poly_gcd(d, den))
-    cofactor = {den: _poly_divexact(d, den) for den in dens}
+        g = poly_gcd(d, den)
+        m = _poly_divexact(den, g)
+        cofactor = {key: c * m for key, c in cofactor.items()}
+        cofactor[den], d = _poly_divexact(d, g), d * m
     return d, type(r)(r.table, {
         key: f.num * cofactor.get(f.den, d) for key, f in r.entries.items()
     })
@@ -260,26 +263,24 @@ def ad2_action(p, t):
     constants.  Computed with t's denominators cleared once: with
     (d, P) = clear_denominators(t) and s = max(0, -min degree of p), the
     action of x*u^deg on P is taken in the polynomial ring with the factor
-    u^(deg+s)*v^s on leg 1 and u^s*v^(deg+s) on leg 2, and each nonzero
-    entry is divided by d*(u*v)^s once.  The entries are reduced RatFuns,
-    equal to the entrywise expansion.
+    u^(deg+s)*v^s on leg 1 and u^s*v^(deg+s) on leg 2, one dict per output
+    key, and each nonzero entry is divided by d*(u*v)^s once.  The entries
+    are reduced RatFuns, equal to the entrywise expansion.
     """
     if not isinstance(t, Tensor2) or p.table is not t.table:
         raise ValueError("ad2_action needs a Tensor2 over p's algebra")
     table = t.table
     d, cleared = clear_denominators(t)
     s = max(0, -min(p.terms, default=0))
-    out = {}
+    sums = {}
     for deg, x in p.terms.items():
-        u_pow = Poly.make(("u", "v"), {(deg + s, s): Fraction(1)})
-        v_pow = Poly.make(("u", "v"), {(s, deg + s): Fraction(1)})
+        u_pow = _monomial("u", deg + s) + _monomial("v", s)
+        v_pow = _monomial("u", s) + _monomial("v", deg + s)
         for (a, b), f in cleared.entries.items():
-            fu = f * u_pow
             for k, c in table.ad_on_basis(x.terms, a):
-                accumulate(out, (k, b), fu * c)
-            fv = f * v_pow
+                _addmul(sums.setdefault((k, b), {}), f.terms.items(), ((u_pow, c),))
             for k, c in table.ad_on_basis(x.terms, b):
-                accumulate(out, (a, k), fv * c)
+                _addmul(sums.setdefault((a, k), {}), f.terms.items(), ((v_pow, c),))
     if s:
         d = d * Poly.make(("u", "v"), {(s, s): Fraction(1)})
-    return Tensor2(table, {key: RatFun.of(c, d) for key, c in out.items()})
+    return Tensor2(table, {key: RatFun.of(c, d) for key, c in _polys(sums).items()})

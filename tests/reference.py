@@ -14,13 +14,21 @@ accumulation of `cybe.cyb` and `gauge.gauge_transform` replaced.
 `ref_poly_adjugate` and `ref_ad_columns` are the gauge inverse by cofactor
 expansion and the adjoint action read degree by degree through Fraction
 matrices; they share no code with `gauge`.
+
+`ref_clear_denominators` finds each cofactor d/den by long division once the
+lcm d is built, and `ref_delta_on_first_leg` sums (delta (x) id) of a
+co-bracket RatFun by RatFun through `accumulate`: the paths that the kept
+cofactors of `tensors.clear_denominators` and the sparse accumulation of
+`cybe._delta_on_first_leg` replaced.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from yangbaxter.cybe import cobracket
 from yangbaxter.gauge import _ad_coordinate_matrix
-from yangbaxter.ratfun import Poly, RatFun
+from yangbaxter.lie import GPoly
+from yangbaxter.ratfun import P_ONE, Poly, RatFun, _poly_divexact, poly_gcd
 from yangbaxter.tensors import Tensor2, Tensor3, accumulate, clear_denominators, leg_bracket
 
 _RENAMES = {
@@ -93,6 +101,32 @@ def ref_gauge_loop(p, r):
             for dd, pv in cols_v[b].items():
                 accumulate(out, (c, dd), left * pv)
     return Tensor2(r.table, {key: RatFun.of(f, d) for key, f in out.items()})
+
+
+def ref_clear_denominators(r):
+    """(d, d*r): the lcm d of r's denominators, then d/den by long division."""
+    dens = dict.fromkeys(f.den for f in r.entries.values() if not f.den.is_const())
+    d = P_ONE
+    for den in dens:
+        d = d * _poly_divexact(den, poly_gcd(d, den))
+    cofactor = {den: _poly_divexact(d, den) for den in dens}
+    return d, type(r)(r.table, {
+        key: f.num * cofactor.get(f.den, d) for key, f in r.entries.items()
+    })
+
+
+def ref_delta_on_first_leg(gamma, dp):
+    """(delta (x) id) dp for a polynomial co-bracket dp: one RatFun product
+    and one `accumulate` per co-bracket entry and u-degree of dp."""
+    table = dp.table
+    out = {}
+    for (a, b), f in dp.entries.items():
+        for k, g_k in f.num.as_univariate("u").items():
+            inner = cobracket(gamma, GPoly.monomial(table.basis_element(a), k))
+            weight = RatFun.from_poly(g_k).rename({"v": "u3"})
+            for (c, d), h in inner.entries.items():
+                accumulate(out, (c, d, b), h.rename({"u": "u1", "v": "u2"}) * weight)
+    return Tensor3(table, out)
 
 
 def poly_matmul(a, b):

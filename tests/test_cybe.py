@@ -4,6 +4,7 @@ identities.  The cleared residual numerators are compared, entry for entry,
 with the entrywise RatFun residual: the same support, and one constant
 ratio once divided by d12*d13*d23."""
 
+import functools
 import random
 import time
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from yangbaxter import cybe as cybe_module
 from yangbaxter.cybe import (
     PoleCancellationError,
     catalog,
+    catalog_entry,
     cobracket,
     cocycle_check,
     cojacobi_check,
@@ -33,7 +35,13 @@ from yangbaxter.tensors import (
     leg_bracket,
     swap,
 )
-from reference import CYB_WEIGHTS, ref_leg_bracket, ref_weighted_cyb
+from reference import (
+    CYB_WEIGHTS,
+    ref_clear_denominators,
+    ref_delta_on_first_leg,
+    ref_leg_bracket,
+    ref_weighted_cyb,
+)
 from test_tensors import _kernels, _ref_ad2_action
 
 U = RatFun.var("u")
@@ -177,6 +185,41 @@ def test_cojacobi_identity():
         g = cat[name]
         for lbl, d in (("e", 1), ("h", 2), ("f", 0)):
             assert cojacobi_check(g, GPoly.monomial(t.basis_element(lbl), d))
+    # gamma2 + (e(x)h - h(x)e) keeps co-Jacobi at every degree; gamma2 +
+    # (e(x)f - f(x)e) has a polynomial co-bracket too, but co-Jacobi fails
+    # for it past degree 0: the negative control.
+    eh = cat["gamma2"] + _constant_skew(t, "e", "h", 1)
+    ef = cat["gamma2"] + _constant_skew(t, "e", "f", 1)
+    for lbl in "efh":
+        for d in range(3):
+            p = GPoly.monomial(t.basis_element(lbl), d)
+            assert cojacobi_check(eh, p), (lbl, d)
+            assert cojacobi_check(ef, p) == (d == 0), (lbl, d)
+
+
+def test_delta_on_first_leg_equals_the_ratfun_reference():
+    # The sparse sum per key against one RatFun product and one accumulate
+    # per term: the same Tensor3 of RatFuns, on the two skew kernels above
+    # and on gamma2..gamma4 over sl(2) and sl(3).  A reference result with
+    # its slots rotated must differ, or the comparison is vacuous.
+    t = _SL2
+    kernels = [(t, _sl2_cat()[name]) for name in ("gamma2", "gamma3", "gamma4")]
+    kernels += [(t, _sl2_cat()["gamma2"] + _constant_skew(t, x, y, 1))
+                for x, y in (("e", "h"), ("e", "f"))]
+    kernels += [(_SL3, _sl3_cat()[name]) for name in ("gamma2", "gamma3", "gamma4")]
+    nonzero = 0
+    for table, gamma in kernels:
+        for a in range(table.dim):
+            for d in (1, 2):
+                dp = cobracket(gamma, GPoly.monomial(table.basis_element(a), d))
+                got = cybe_module._delta_on_first_leg(gamma, dp)
+                want = ref_delta_on_first_leg(gamma, dp)
+                assert got == want, (table.n, a, d)
+                assert all(type(f) is RatFun for f in got.entries.values())
+                if not got.is_zero():
+                    nonzero += 1
+                    assert got != want.rotate(), (table.n, a, d)
+    assert nonzero > 0
 
 
 def test_cyb_detects_non_solutions():
@@ -230,9 +273,9 @@ def _constant_skew(t, x, y, c):
     return Tensor2.make(t, {(t.index[x], t.index[y]): c, (t.index[y], t.index[x]): -c})
 
 
-def _mixed_denominators(t, cat):
+def _mixed_denominators(t, gamma2):
     """gamma2 + e(x)f*(u/(u-v) + v) + h(x)h*(u+v)^-2: d = (u-v)(u+v)^2."""
-    return cat["gamma2"] + Tensor2.make(
+    return gamma2 + Tensor2.make(
         t, {(t.index["e"], t.index["f"]): U / (U - V) + V,
             (t.index["h"], t.index["h"]): (U + V) ** -2}
     )
@@ -249,7 +292,7 @@ def _nonlinear(t, a=2):
 def test_clear_denominators():
     t, om = _sl2()
     cat = catalog(t, om)
-    r = _mixed_denominators(t, cat)
+    r = _mixed_denominators(t, cat["gamma2"])
     d, p = clear_denominators(r)
     assert d == ((U - V) * (U + V) ** 2).num
     for key, f in r.entries.items():
@@ -287,7 +330,7 @@ def test_cyb_matches_symbolic_on_sl3_sl4_catalogs_and_open_pairs():
 def test_cyb_matches_symbolic_on_mixed_denominators_and_zero():
     t, om = _sl2()
     cat = catalog(t, om)
-    mixed = _mixed_denominators(t, cat)
+    mixed = _mixed_denominators(t, cat["gamma2"])
     res = cyb(mixed)
     assert not res.is_zero()
     assert _agrees_with_symbolic(res, mixed)
@@ -311,15 +354,23 @@ def test_cyb_matches_symbolic_on_sl2_gauge_images():
         assert res.is_zero() == (name != "control"), name
 
 
-# q0 = gamma4 is the leading term over the calibrated sl(2) scale 4; built
-# without a residual, so a faulty cyb fails the tests, not their collection.
+# q0 = gamma4 is the leading term over the calibrated sl(2) scale 4.  Nothing
+# at import computes a residual (gamma3's constant part does, through
+# dj_rmatrix, so the catalogs are built on first use): a faulty cyb fails the
+# tests, not their collection.
 _SL2 = make_sl(2)
 _SL2_OMEGA = casimir(_SL2, 4)
 _Q0 = _SL2_OMEGA.leading
-_SL2_CAT = catalog(_SL2, _SL2_OMEGA)
-_MIXED = _mixed_denominators(_SL2, _SL2_CAT)
+_MIXED = _mixed_denominators(_SL2, catalog_entry(_SL2, _SL2_OMEGA, "gamma2"))
 # gamma4 + 2(e(x)h - h(x)e) + e(x)f: linear denominators, not a solution.
-_CONTROL = _SL2_CAT["gamma4"] + _constant_skew(_SL2, "e", "h", 2) + Tensor2.single(_SL2, "e", "f", 1)
+_CONTROL = _Q0 + _constant_skew(_SL2, "e", "h", 2) + Tensor2.single(_SL2, "e", "f", 1)
+
+
+@functools.cache
+def _sl2_cat():
+    return catalog(_SL2, _SL2_OMEGA)
+
+
 _TERMS = st.lists(
     st.tuples(
         st.integers(0, 2), st.integers(0, 2),  # basis indices a, b
@@ -409,7 +460,7 @@ def test_cyb_equals_symbolic_reference_on_gauge_images_and_controls(seed, degree
     # reference then takes minutes); the non-solutions are negative controls.
     p = random_unipotent(_SL2, random.Random(seed), total_degree=degree)
     names = ("q0", "q1", "q2", "rational_eh", "gamma2", "gamma3")
-    cases = [(gauge_transform(p, _SL2_CAT[name], check=False), True) for name in names]
+    cases = [(gauge_transform(p, _sl2_cat()[name], check=False), True) for name in names]
     cases += [(gauge_transform(p, _CONTROL, check=False), False),
               (_MIXED, False), (_nonlinear(_SL2, a), False)]
     for r, solves in cases:
@@ -458,7 +509,7 @@ def test_cyb_feeds_leg_bracket_int_coefficients(monkeypatch):
         return leg_bracket(r, s, pair)
 
     monkeypatch.setattr(cybe_module, "leg_bracket", spy)
-    cases = [_fresh(r) for r in (_SL2_CAT["q2"], _CONTROL, _MIXED)] + [_nonlinear(_SL2)]
+    cases = [_fresh(r) for r in (_sl2_cat()["q2"], _CONTROL, _MIXED)] + [_nonlinear(_SL2)]
     for r in cases:
         # Not vacuous: the monic cleared form holds Fractions.
         d, p = clear_denominators(r)
@@ -486,11 +537,11 @@ def test_cyb_computes_each_residual_once(monkeypatch):
         return leg_bracket(r, s, pair)
 
     monkeypatch.setattr(cybe_module, "leg_bracket", counting)
-    r = _fresh(_SL2_CAT["q2"])
+    r = _fresh(_sl2_cat()["q2"])
     assert cyb(r) is cyb(r)
     assert len(calls) == 3
     calls.clear()
-    r = _fresh(_SL2_CAT["q1"])
+    r = _fresh(_sl2_cat()["q1"])
     assert cyb(r).is_zero() and is_quasi_rational(r, _SL2_OMEGA)
     assert len(calls) == 3
     # An equal but distinct tensor computes its own residual, and the two
@@ -510,8 +561,8 @@ def test_memoized_verdicts_match_the_reference():
     # from the leading term is polynomial but symmetric: the negative control
     # of the skew test.  Each verdict is read twice, the second time from the
     # stored residual.
-    sym = _SL2_CAT["q0"] + Tensor2.single(_SL2, "e", "f", 1) + Tensor2.single(_SL2, "f", "e", 1)
-    cases = dict(_SL2_CAT, control=_CONTROL, mixed=_MIXED, nonlinear=_nonlinear(_SL2), sym=sym)
+    sym = _sl2_cat()["q0"] + Tensor2.single(_SL2, "e", "f", 1) + Tensor2.single(_SL2, "f", "e", 1)
+    cases = dict(_sl2_cat(), control=_CONTROL, mixed=_MIXED, nonlinear=_nonlinear(_SL2), sym=sym)
     verdicts = {}
     for name, r in cases.items():
         r = _fresh(r)
@@ -532,14 +583,19 @@ _SWAPPED_WEIGHTS = dict(CYB_WEIGHTS, **{"12^23": "12", "13^23": "13"})
 # Fractions into the monic cleared form.
 _DENOMINATORS = (1, U - V, U + V, U, V, (U - V) ** 2, 2 * U ** 2 + V, U * V + 3)
 _SL3 = make_sl(3)
-_SL3_CAT = catalog(_SL3, casimir(_SL3, 6))
+
+
+@functools.cache
+def _sl3_cat():
+    return catalog(_SL3, casimir(_SL3, 6))
 
 
 @st.composite
 def _cleared_inputs(draw):
     """A fresh sl(2) or sl(3) tensor: up to four terms c*u^i*v^j/den on
     random basis pairs, over a catalog entry or over zero."""
-    table, cat = draw(st.sampled_from(((_SL2, _SL2_CAT), (_SL3, _SL3_CAT))))
+    table, cat = draw(st.sampled_from(((_SL2, _sl2_cat), (_SL3, _sl3_cat))))
+    cat = cat()
     base = draw(st.sampled_from((None, "q0", "gamma2", "gamma3")))
     r = Tensor2.zero(table) if base is None else cat[base]
     for _ in range(draw(st.integers(1, 4))):
@@ -556,9 +612,9 @@ def test_cyb_equals_the_weighted_sum_reference_exactly():
     # per commutator entry: the same Tensor3, numerator for numerator.  The
     # controls of this module come first; a reference with d12 and d13
     # swapped must disagree somewhere, or the comparison is vacuous.
-    sym = _SL2_CAT["q0"] + Tensor2.single(_SL2, "e", "f", 1) + Tensor2.single(_SL2, "f", "e", 1)
+    sym = _sl2_cat()["q0"] + Tensor2.single(_SL2, "e", "f", 1) + Tensor2.single(_SL2, "f", "e", 1)
     controls = [_CONTROL, _MIXED, _nonlinear(_SL2), _nonlinear(_SL2, 5), sym,
-                _SL2_CAT["q2"], _SL2_CAT["rational_eh"], _SL3_CAT["gamma3"]]
+                _sl2_cat()["q2"], _sl2_cat()["rational_eh"], _sl3_cat()["gamma3"]]
     differs = []
 
     def check(r):
@@ -568,7 +624,7 @@ def test_cyb_equals_the_weighted_sum_reference_exactly():
 
     for r in controls:
         check(r)
-    assert not cyb(_fresh(_CONTROL)).is_zero() and cyb(_fresh(_SL2_CAT["q2"])).is_zero()
+    assert not cyb(_fresh(_CONTROL)).is_zero() and cyb(_fresh(_sl2_cat()["q2"])).is_zero()
     assert any(differs)
     differs.clear()
     settings(max_examples=25, deadline=None, derandomize=True, database=None)(
@@ -587,3 +643,28 @@ def test_cyb_raises_when_only_the_weight_product_overflows():
         assert not leg_bracket(p, p, pair).is_zero()
     with pytest.raises(ExponentOverflow):
         cyb(r)
+
+
+def test_clear_denominators_equals_the_division_reference():
+    # Kept cofactors against d/den by long division: the same d and the same
+    # cleared tensor.  Mixed, repeated ((u-v) after and before (u-v)^2) and
+    # non-linear denominators first, each with at least two distinct ones
+    # so that a cofactor grows; then the drawn tensors.
+    cases = [
+        [(U - V) ** 2, U - V], [U - V, (U - V) ** 2, U + V], [2 * U ** 2 + V, U - V, U],
+        [U * V + 3, (U - V) ** 2, V, U * V + 3], [(U + V) ** 2, U + V, (U - V) ** 2, U],
+    ]
+    for dens in cases:
+        r = Tensor2.zero(_SL2)
+        for i, den in enumerate(dens):
+            r = r + Tensor2.single(_SL2, i % 3, (i + 1) % 3, (U - 2 * V + i) / den)
+        assert len({f.den for f in r.entries.values()}) >= 2
+        assert clear_denominators(r) == ref_clear_denominators(r), str(r)
+    assert clear_denominators(_MIXED) == ref_clear_denominators(_MIXED)
+
+    def check(r):
+        assert clear_denominators(r) == ref_clear_denominators(r), str(r)
+
+    settings(max_examples=25, deadline=None, derandomize=True, database=None)(
+        given(r=_cleared_inputs())(check)
+    )()

@@ -403,6 +403,19 @@ def test_double_checks_hold_under_optimisation():
         "        print('order accepted')\n"
         "    except ValueError:\n"
         "        print('order rejected')\n"
+        # Elements of sl(2) and sl(3) must not meet, nor a non-GPoly loop
+        # enter: each call below raises ValueError.
+        "t3 = make_sl(3)\n"
+        "el3 = d.embed_polynomial(GPoly.monomial(t3.basis_element(0), 1), w)\n"
+        "for fn in (lambda: d.double_bracket(el, el3), lambda: d.invariant_form(el, el3),\n"
+        "           lambda: d.DoubleSubspace(t, w, [el3]),\n"
+        "           lambda: d.DoubleElement(el.loop, t3.zero(), t.zero()),\n"
+        "           lambda: d.DoubleElement(e, e, e), lambda: d.embed_polynomial(e, w)):\n"
+        "    try:\n"
+        "        fn()\n"
+        "        print('cross accepted')\n"
+        "    except ValueError:\n"
+        "        print('cross rejected')\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
@@ -413,9 +426,9 @@ def test_double_checks_hold_under_optimisation():
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, (flags, proc.stderr)
-        assert proc.stdout.split("\n")[:5] == [
+        assert proc.stdout.split("\n")[:11] == [
             "dependent rejected", "form rejected", "window rejected",
-            "order rejected", "order rejected"], (flags, proc.stdout)
+            "order rejected", "order rejected"] + ["cross rejected"] * 6, (flags, proc.stdout)
 
 
 # --- Graded isotropy and unordered-pair closure against the all-pairs checks.

@@ -2,6 +2,7 @@
 symmetries, leg commutators, and the adjoint action; the last two are also
 compared with straightforward reference implementations."""
 
+import functools
 import os
 import random
 import subprocess
@@ -310,11 +311,14 @@ def _times(p, c):
     return Tensor2(p.table, {key: f * c for key, f in p.entries.items()})
 
 
+@functools.cache
 def _kernels(n):
     """The kernels whose co-brackets the bialgebra checks take, over sl(n).
 
     gamma1..gamma4 (and rational_eh over sl(2)) over the scale-2n Casimir,
     plus the bad kernel gamma2 + E(1,2)(x)E(2,1)/(u-v), whose pole survives.
+    Built on first use: gamma3 computes a residual, and a faulty cyb must
+    fail the tests, not their collection.
     """
     t = make_sl(n)
     cat = catalog(t, casimir(t, 2 * n))
@@ -371,7 +375,6 @@ def test_ad2_action_of_zero():
     assert ad2_action(h0, kernels["gamma2"]).entries == {}
 
 
-_SL2_KERNELS = _kernels(2)[1]
 _MONOMIALS = st.lists(
     st.tuples(
         st.integers(0, 2),                    # basis index
@@ -383,13 +386,14 @@ _MONOMIALS = st.lists(
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(terms=_MONOMIALS, name=st.sampled_from(sorted(_SL2_KERNELS)))
+@given(terms=_MONOMIALS, name=st.sampled_from(
+    ("bad", "gamma1", "gamma2", "gamma3", "gamma4", "rational_eh")))
 def test_ad2_action_matches_reference_on_monomial_sums(terms, name):
     t = make_sl(2)
     p = GPoly(t, {})
     for a, d, c in terms:
         p = p + GPoly.monomial(t.basis_element(a).scale(c), d)
-    _assert_matches_reference(p, _SL2_KERNELS[name], (name, terms))
+    _assert_matches_reference(p, _kernels(2)[1][name], (name, terms))
 
 
 # scale(c) by a constant multiplies each numerator by a Fraction and skips
