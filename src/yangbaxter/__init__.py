@@ -8,5 +8,5 @@ quasi-Frobenius lifts, gauge moves) reports literal zero, never an
 approximation.
 """
 
-from .ratfun import Poly, RatFun, LaurentPoly, expand_at_infinity
+from .ratfun import Poly, RatFun
 from .lie import LieTable, GElement, GPoly, CasimirSpec, make_sl, casimir

@@ -443,8 +443,8 @@ def _emit(args, command, inputs, body, window=None, residual_terms=None, seed=No
     return 0 if all(v.ok for v in verdicts) else 1
 
 
-def _window(args, default_hi=4):
-    hi = args.trunc if args.trunc is not None else default_hi
+def _window(args):
+    hi = args.trunc if args.trunc is not None else 4
     if not 0 <= hi <= MAX_TRUNC:
         raise UsageError(f"--trunc must be in 0..{MAX_TRUNC}")
     return doubles.Window(-2 * hi, hi)

@@ -28,7 +28,8 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .lie import GElement, GPoly, Subspace, orthogonal_complement_g, parabolic
+from .lie import GElement, GPoly, Subspace, casimir, orthogonal_complement_g, parabolic
+from .ratfun import RF_ZERO, Poly, RatFun
 
 
 class Window:
@@ -370,7 +371,7 @@ def is_lagrangian_truncated(sub, window):
     return sub.dim == total // 2
 
 
-def is_subalgebra(sub, window=None):
+def is_subalgebra(sub):
     """Closure under double_bracket, checked for in-window results.
 
     One bracket per unordered pair, as [y, x] = -[x, y] and [x, x] = 0.
@@ -378,7 +379,7 @@ def is_subalgebra(sub, window=None):
     decide them.  With the default deep windows every decidable pair of
     the built-in spaces is checked.
     """
-    window = window or sub.window
+    window = sub.window
     els = sub.elements
     for i, x in enumerate(els):
         for y in els[i + 1:]:
@@ -474,61 +475,63 @@ class DualSumMismatch(RuntimeError):
     def __init__(self, pair, exponent, got, expected):
         self.pair = pair
         self.exponent = exponent
+        self.got = got
+        self.expected = expected
         super().__init__(
             f"dual-sum term at basis pair {pair}, v-exponent {exponent}: "
             f"got {got}, series expansion gives {expected}"
         )
 
 
+def _expansion_mismatch(f, series, order):
+    """None if `series` is the expansion of f at v = oo down to v^-order.
+
+    `series` maps v-exponents >= -order to Polys in u (a lower exponent
+    raises ValueError).  With f = N/D and T = v^order * series,
+    f - series = R / (v^order * D) for R = v^order * N - D * T, so the kept
+    terms agree exactly when R is zero or of lower v-degree than D.
+    Otherwise returns the highest differing term as (exponent, got, expected).
+    """
+    t = Poly.from_univariate("v", {k + order: p for k, p in series.items()})
+    r = f.num * Poly.var("v", order) - f.den * t
+    d_r, d_d = r.degree_in("v"), f.den.degree_in("v")
+    if r.is_zero() or d_r < d_d:
+        return None
+    k = d_r - d_d - order
+    got = RatFun.from_poly(series.get(k, Poly({})))
+    lead = RatFun.of(r.as_univariate("v")[d_r], f.den.as_univariate("v")[d_d])
+    return k, got, got + lead
+
+
 def dual_sum_projection(table, order, omega=None):
     """Loop-leg projection of the dual-pair sum vs the geometric series.
 
     sum_i [ x_i u (x) x^i  +  sum_{k>=2} x_i u^k (x) x^i v^(1-k) ]
-    truncated to v-exponents >= -order must match, term by term,
-    expand_at_infinity(u*v*Omega/(v-u), v, order) with Omega the
-    Killing-normalized Casimir (dual-basis scale).  Passing a different
-    omega substitutes the reference side; a mismatch raises
-    DualSumMismatch carrying the first differing term.
+    truncated to v-exponents >= -order must match, term by term, the
+    expansion at v = oo of u*v*Omega/(v-u), with Omega the Killing-normalized
+    Casimir (dual-basis scale).  Passing a different omega substitutes the
+    reference side; a mismatch raises DualSumMismatch carrying the highest
+    differing term.  Returns {basis pair: {v-exponent: Poly in u}}.
     """
-    from .lie import casimir
-    from .ratfun import LaurentPoly, Poly, RatFun, expand_at_infinity
-
     if order < 1:
         raise ValueError(f"dual-sum projection needs order >= 1, got {order}")
     if omega is None:
         omega = casimir(table, 1)
     dual_coeff = table.killing_inv  # x^i = sum_j K^-1[j][i] x_j
-    truncation = {}
+    result = {}
     for k in range(1, order + 2):
         # primal x_i u^k pairs with dual x^i v^(1-k); v-exponent 1-k >= -order
-        u_pow = RatFun.from_poly(Poly.var("u", k))
+        u_pow = Poly.var("u", k)
         for i in range(table.dim):
             for j in range(table.dim):
                 c = dual_coeff[j][i]
-                if not c:
-                    continue
-                coeffs = truncation.setdefault((i, j), {})
-                cur = coeffs.get(1 - k)
-                add = u_pow * c
-                coeffs[1 - k] = add if cur is None else cur + add
-    result = {
-        pair: LaurentPoly("v", coeffs, floor=-order)
-        for pair, coeffs in truncation.items()
-    }
+                if c:
+                    result.setdefault((i, j), {})[1 - k] = u_pow * c
     ref_pairs = dict(omega.leading.entries)
-    for pair in set(result) | set(ref_pairs):
-        got = result.get(pair, LaurentPoly("v", {}, floor=-order))
-        f = ref_pairs.get(pair)
-        expect = (
-            expand_at_infinity(f, "v", order)
-            if f is not None
-            else LaurentPoly("v", {}, floor=-order)
-        )
-        if got != expect:
-            ks = sorted(set(got.coeffs) | set(expect.coeffs))
-            for k in ks:
-                if got.coeff(k) != expect.coeff(k):
-                    raise DualSumMismatch(pair, k, got.coeff(k), expect.coeff(k))
+    for pair in sorted(set(result) | set(ref_pairs)):
+        witness = _expansion_mismatch(ref_pairs.get(pair, RF_ZERO), result.get(pair, {}), order)
+        if witness is not None:
+            raise DualSumMismatch(pair, *witness)
     return result
 
 

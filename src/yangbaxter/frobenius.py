@@ -224,13 +224,13 @@ def check_parabolic_pair(table, sub, matrix, k):
     par = parabolic(table, k)
     ech = linalg.Echelon()
     for x in sub.elements:
-        ech.add(x.as_vector())
+        ech.add(x.terms)
     for x in par.elements:
-        ech.add(x.as_vector())
+        ech.add(x.terms)
     spans = ech.rank == table.dim
     inter = linalg.intersect_spans(
-        [x.as_vector() for x in sub.elements],
-        [x.as_vector() for x in par.elements],
+        [x.terms for x in sub.elements],
+        [x.terms for x in par.elements],
     )
     inter_basis = [GElement(table, vec) for vec in inter]
     nondeg = True

@@ -217,11 +217,7 @@ def make_sl(n):
 
 
 class GElement:
-    """Element of sl(n) as the sparse map {basis index: nonzero int or Fraction}.
-
-    The map is never mutated once the element is built, so `as_vector`
-    hands it out as it is.
-    """
+    """Element of sl(n) as the sparse map {basis index: nonzero int or Fraction}."""
 
     __slots__ = ("table", "terms")
 
@@ -275,10 +271,6 @@ class GElement:
         if self.table is not other.table:
             raise ValueError("mismatched algebras")
         return self.table.killing_pair(self.terms, other.terms)
-
-    def as_vector(self):
-        """Sparse dict view for the linalg routines (read-only)."""
-        return self.terms
 
     def __str__(self):
         if not self.terms:
@@ -412,7 +404,7 @@ class Subspace:
         for x in elements:
             if x.table is not table:
                 raise ValueError("Subspace element of another algebra")
-            if self._ech.add(x.as_vector()):
+            if self._ech.add(x.terms):
                 self.elements.append(x)
             else:
                 raise ValueError("dependent spanning set for Subspace")
@@ -422,7 +414,7 @@ class Subspace:
         return len(self.elements)
 
     def contains(self, x):
-        return self._ech.contains(x.as_vector())
+        return self._ech.contains(x.terms)
 
     def equals(self, other):
         return self._ech.rows == other._ech.rows

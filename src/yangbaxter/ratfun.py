@@ -647,118 +647,3 @@ def _monic_den(num, den):
 
 
 RF_ZERO = RatFun(_P_ZERO, P_ONE)
-RF_ONE = RatFun(P_ONE, P_ONE)
-
-
-class LaurentPoly:
-    """Laurent polynomial in one distinguished variable.
-
-    `coeffs` maps integer exponents of `var` to nonzero RatFun
-    coefficients in the remaining variables.  `floor`, when not None,
-    records the truncation level: exponents below `floor` have been
-    dropped by construction.
-    """
-
-    __slots__ = ("var", "coeffs", "floor")
-
-    def __init__(self, var, coeffs, floor=None):
-        self.var = var
-        self.coeffs = {
-            k: (v if isinstance(v, RatFun) else RatFun.from_frac(Fraction(v)))
-            for k, v in coeffs.items()
-        }
-        self.coeffs = {k: v for k, v in self.coeffs.items() if not v.is_zero()}
-        self.floor = floor
-
-    def coeff(self, k):
-        return self.coeffs.get(k, RF_ZERO)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def items(self):
-        return sorted(self.coeffs.items(), reverse=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly) or other.var != self.var:
-            raise TypeError(f"adding {other!r} to a Laurent polynomial in {self.var}")
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, RF_ZERO) + v
-        floors = [f for f in (self.floor, other.floor) if f is not None]
-        floor = max(floors) if floors else None
-        if floor is not None:
-            coeffs = {k: v for k, v in coeffs.items() if k >= floor}
-        return LaurentPoly(self.var, coeffs, floor)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, v in self.items():
-            if k == 0:
-                parts.append(f"({v})")
-            else:
-                parts.append(f"({v})*{self.var}^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"LaurentPoly({self})"
-
-
-def expand_at_infinity(a, var, order):
-    """Laurent expansion of `a` in descending powers of `var`.
-
-    Returns the truncation keeping all terms with var-exponent >= -order,
-    as a LaurentPoly with floor -order.  Exact: coefficients are RatFuns
-    in the remaining variables.
-    """
-    if not isinstance(a, RatFun):
-        raise TypeError(f"expand_at_infinity needs a RatFun, not {type(a).__name__}")
-    if order < 0:
-        raise ValueError(f"expansion order {order} is negative")
-    num_by = a.num.as_univariate(var)
-    den_by = a.den.as_univariate(var)
-    if not num_by:
-        return LaurentPoly(var, {}, floor=-order)
-    dd = max(den_by)
-    lead = den_by[dd]
-    if len(den_by) == 1:
-        # denominator is lead * var^dd: direct division
-        coeffs = {}
-        for i, p in num_by.items():
-            k = i - dd
-            if k >= -order:
-                coeffs[k] = RatFun.from_poly(p) / RatFun.from_poly(lead)
-        return LaurentPoly(var, coeffs, floor=-order)
-    # reciprocal series: 1/den = var^-dd * (1/lead) * sum c_t var^-t
-    nmax = max(num_by)
-    tmax = nmax - dd + order
-    if tmax < 0:
-        return LaurentPoly(var, {}, floor=-order)
-    beta = {}
-    lead_rf = RatFun.from_poly(lead)
-    for s in range(1, tmax + 1):
-        b = den_by.get(dd - s)
-        if b is not None and dd - s >= 0:
-            beta[s] = RatFun.from_poly(b) / lead_rf
-    c = {0: RF_ONE}
-    for t in range(1, tmax + 1):
-        acc = RF_ZERO
-        for s, bs in beta.items():
-            if s <= t:
-                acc = acc + bs * c[t - s]
-        c[t] = -acc
-    coeffs = {}
-    for i, p in num_by.items():
-        prf = RatFun.from_poly(p) / lead_rf
-        for t in range(0, i - dd + order + 1):
-            k = i - dd - t
-            coeffs[k] = coeffs.get(k, RF_ZERO) + prf * c[t]
-    coeffs = {k: v for k, v in coeffs.items() if k >= -order}
-    return LaurentPoly(var, coeffs, floor=-order)

@@ -27,6 +27,7 @@ from yangbaxter.doubles import (
     dual_basis_check,
     dual_sum_projection,
     embed_polynomial,
+    _expansion_mismatch,
     _pairing_row,
     ambient_coords,
     embedded_polynomials,
@@ -43,6 +44,7 @@ from yangbaxter.doubles import (
 )
 from yangbaxter import doubles, linalg
 from yangbaxter.lie import GPoly, casimir, make_sl
+from yangbaxter.ratfun import RF_ZERO, Poly, RatFun
 
 
 def _rand_gpoly(t, rng, lo, hi):
@@ -276,13 +278,96 @@ def test_dual_sum_projection_matches_series():
     t = make_sl(2)
     result = dual_sum_projection(t, 3)
     e, f = t.index["e"], t.index["f"]
-    # The (e, f) slot truncates to u*1 + u^2*v^-1 + u^3*v^-2 + u^4*v^-3.
-    lp = result[(e, f)]
-    for k in range(0, -4, -1):
-        assert not lp.coeff(k).is_zero(), k
+    # The (e, f) slot truncates to c*(u + u^2*v^-1 + u^3*v^-2 + u^4*v^-3),
+    # c = K^-1[f][e] = 1/4.
+    u = Poly.var("u")
+    assert result[(e, f)] == {-k: u ** (k + 1) * F(1, 4) for k in range(4)}
+    # At scale 2 every term differs; the highest is the constant one.
     with pytest.raises(DualSumMismatch) as exc:
         dual_sum_projection(t, 3, omega=casimir(t, 2))
-    assert "series expansion" in str(exc.value)
+    w = exc.value
+    assert (w.pair, w.exponent) == ((e, f), 0)
+    assert w.got == RatFun.var("u") * F(1, 4) and w.expected == RatFun.var("u") * F(1, 2)
+    assert "series expansion" in str(w)
+
+
+def _geometric(order, scale, shift):
+    """{v^-t-shift: scale*u^(t+1-shift)} for t = 0.., down to v^-order."""
+    return {-t - shift: Poly.var("u", t + 1 - shift) * scale
+            for t in range(order + 1 - shift)}
+
+
+def test_expansion_mismatch_hand_built_controls():
+    uu, vv = RatFun.var("u"), RatFun.var("v")
+    u = Poly.var("u")
+    for order in (1, 2, 5):
+        # 1/(u - v) = -v^-1 - u*v^-2 - ...;  u*v/(v - u) = u + u^2*v^-1 + ...
+        inv = (uu - vv) ** -1
+        inv_series = _geometric(order, -1, 1)
+        assert _expansion_mismatch(inv, inv_series, order) is None
+        kernel = uu * vv / (vv - uu)
+        kernel_series = _geometric(order, 1, 0)
+        assert _expansion_mismatch(kernel, kernel_series, order) is None
+        # One term missing: the witness is that term.
+        missing = dict(kernel_series)
+        del missing[-order]
+        assert _expansion_mismatch(kernel, missing, order) == (
+            -order, RF_ZERO, uu ** (order + 1))
+        # One term too many, above the expansion's top exponent.
+        extra = {**inv_series, 0: u}
+        assert _expansion_mismatch(inv, extra, order) == (0, uu, RF_ZERO)
+        # Nothing kept for a nonzero entry: the top term is missing.
+        assert _expansion_mismatch(kernel, {}, order) == (0, RF_ZERO, uu)
+        assert _expansion_mismatch(inv, {}, order) == (-1, RF_ZERO, RatFun.from_frac(-1))
+    with pytest.raises(ValueError):
+        _expansion_mismatch(inv, {-2: u}, 1)
+
+
+def test_expansion_mismatch_matches_sympy_series():
+    # Substituting v = 1/w turns the expansion at v = oo into a series at
+    # w = 0.  The numerator carries a power of the v-leading coefficient a(u)
+    # of the denominator, so every kept coefficient is a polynomial in u.
+    sympy = pytest.importorskip("sympy")
+    su, sv, sw = sympy.symbols("u v w")
+    rng = random.Random(41)
+    u, v = Poly.var("u"), Poly.var("v")
+
+    def small_u_poly():
+        return Poly.const(rng.randint(-2, 2)) + u * rng.randint(-1, 1)
+
+    def to_sympy(p):
+        return sympy.sympify(str(p).replace("^", "**"), locals={"u": su, "v": sv})
+
+    for case in range(8):
+        order = case // 2 + 1
+        d_deg = rng.randint(1, 2)
+        lead = u * rng.choice((1, -2)) if case % 2 else Poly.const(rng.choice((1, 3)))
+        den = lead * v ** d_deg + sum((small_u_poly() * v ** i for i in range(d_deg)),
+                                      Poly({}))
+        n_deg = rng.randint(0, 2)
+        num0 = sum((small_u_poly() * v ** i for i in range(n_deg + 1)), Poly({}))
+        if num0.is_zero():
+            num0 = Poly.const(1)
+        num = num0 * lead ** max(0, n_deg - d_deg + order + 1)
+        f = RatFun.of(num, den)
+        top = num.degree_in("v") - d_deg
+        at_zero = sympy.cancel((to_sympy(num) / to_sympy(den)).subs(sv, 1 / sw))
+        series = sympy.series(at_zero, sw, 0, order + 1).removeO()
+        # w^(top+1) * series is a polynomial in w over a denominator in u.
+        top_num, top_den = sympy.fraction(sympy.cancel(series * sw ** (top + 1)))
+        assert sw not in top_den.free_symbols
+        by_w = sympy.Poly(top_num, sw)
+        expansion = {}
+        for k in range(-order, top + 2):
+            c = sympy.Poly(sympy.cancel(by_w.coeff_monomial(sw ** (top + 1 - k)) / top_den), su)
+            expansion[k] = Poly.make(("u",), {(e,): F(str(a)) for (e,), a in c.terms()})
+        kept = {k: p for k, p in expansion.items() if p}
+        assert _expansion_mismatch(f, kept, order) is None, case
+        k0 = rng.randint(-order, top + 1)
+        bumped = dict(kept)
+        bumped[k0] = expansion[k0] + (u if rng.random() < 0.5 else Poly.const(-2))
+        assert _expansion_mismatch(f, bumped, order) == (
+            k0, RatFun.from_poly(bumped[k0]), RatFun.from_poly(expansion[k0])), case
 
 
 def test_line_shift_and_twist_space_dims():

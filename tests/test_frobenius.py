@@ -183,8 +183,8 @@ def test_nondegeneracy_verdict_matches_gram_determinant():
             random_form[j][i] = -random_form[i][j]
         coords = basis_coordinates(sub)
         for k in range(1, t.n):
-            inter = linalg.intersect_spans([x.as_vector() for x in sub.elements],
-                                           [x.as_vector() for x in parabolic(t, k).elements])
+            inter = linalg.intersect_spans([x.terms for x in sub.elements],
+                                           [x.terms for x in parabolic(t, k).elements])
             cc = [coords(GElement(t, v)) for v in inter]
             for m in (random_form, [[F(0)] * n for _ in range(n)]):
                 gram = [[sum(a * b * m[i][j] for i, a in cx.items() for j, b in cy.items())
