@@ -474,7 +474,8 @@ def cmd_verify(args):
     else:
         try:
             with open(args.input) as fh:
-                text = fh.read()
+                # One character past the bound is enough to refuse the document.
+                text = fh.read(MAX_DOCUMENT_CHARS + 1)
         except OSError as exc:
             raise UsageError(f"cannot read {args.input}: {exc}")
         doc = parse_rmatrix(text)

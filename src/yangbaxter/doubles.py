@@ -163,25 +163,16 @@ class DoubleElement:
         return f"DoubleElement({self})"
 
 
-def double_bracket(x, y, window=None):
+def double_bracket(x, y):
     """Componentwise bracket; the jet part obeys eps^2 = 0.
 
     [A0 + A1 eps, B0 + B1 eps] = [A0,B0] + ([A0,B1] + [A1,B0]) eps.
-    With a window supplied, a loop overflow raises WindowOverflow naming
-    the window that would hold the result.
     """
     if x.table is not y.table:
         raise ValueError("bracket of double elements over different algebras")
     from .lie import bracket_poly
 
     loop = bracket_poly(x.loop, y.loop)
-    if window is not None and loop.terms:
-        degs = loop.degrees()
-        if degs[0] < window.lo or degs[-1] > window.hi:
-            raise WindowOverflow(
-                f"bracket needs window [{min(window.lo, degs[0])}, "
-                f"{max(window.hi, degs[-1])}], have [{window.lo}, {window.hi}]"
-            )
     a0 = x.a0.bracket(y.a0)
     a1 = x.a0.bracket(y.a1) + x.a1.bracket(y.a0)
     return DoubleElement(loop, a0, a1)
@@ -627,13 +618,18 @@ def lagrangian_from_pair(table, k, subalg, form, window):
     """
     els = list(loop_part(diagonal_twist_space(table, k, window)).elements)
     basis = list(subalg)
-    rows = [table.killing_row(y.terms) for y in basis]
+    n = len(basis)
+    # Column m is {j: K(x_m, y_j)}; coordinates over the columns give xi.
+    cols = [{} for _ in range(table.dim)]
+    for j, y in enumerate(basis):
+        for m, c in table.killing_row(y.terms).items():
+            cols[m][j] = c
+    coords = linalg.coordinates(cols, n)
     for i, x in enumerate(basis):
-        rhs = [Fraction(form(i, j)) for j in range(len(basis))]
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
+        xi = coords({j: c for j in range(n) if (c := Fraction(form(i, j)))})
+        if xi is None:
             raise UnrealizableForm("form not realizable against the Killing pairing")
-        els.append(DoubleElement.of(table, a0=x, a1=GElement(table, sol)))
+        els.append(DoubleElement.of(table, a0=x, a1=GElement(table, xi)))
     comp = orthogonal_complement_g(Subspace(table, basis), table)
     for eta in comp.elements:
         els.append(DoubleElement.of(table, a1=eta))

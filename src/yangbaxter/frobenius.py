@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .lie import GElement, Subspace, parabolic
+from .lie import Subspace, parabolic
 from .tensors import Tensor2
 
 
@@ -32,29 +32,6 @@ class InvalidCocycle(ValueError):
 
 class LiftError(ValueError):
     """A constructed r-matrix or lift fails the check it must pass."""
-
-
-def basis_coordinates(sub):
-    """Coordinates over the basis of a Subspace, from one elimination.
-
-    Returns coords(x): {j: coefficient of sub.elements[j]} without zeros,
-    or None if x is outside the span.  Each basis element x_j is tagged
-    with the column dim + j.  Reducing x by the RREF of the tagged rows
-    leaves no column below dim exactly when x is in the span, and then the
-    tag columns hold minus the coordinates.
-    """
-    dim = sub.table.dim
-    ech = linalg.echelon_of(
-        {**x.terms, dim + j: Fraction(1)} for j, x in enumerate(sub.elements)
-    )
-
-    def coords(x):
-        v = ech.reduce(x.terms)
-        if any(k < dim for k in v):
-            return None
-        return {k - dim: -c for k, c in v.items()}
-
-    return coords
 
 
 def _skew_failure(matrix):
@@ -90,12 +67,12 @@ def cocycle_residual(sub, matrix):
         raise InvalidCocycle(f"form is not skew at {bad}")
     basis = sub.elements
     n = len(basis)
-    coords = basis_coordinates(sub)
+    coords = linalg.coordinates([x.terms for x in basis], sub.table.dim)
     rows = [{k: x for k, x in enumerate(row) if x} for row in matrix]
     beta = {}
     for i in range(n):
         for j in range(i + 1, n):
-            cw = coords(basis[i].bracket(basis[j]))
+            cw = coords(basis[i].bracket(basis[j]).terms)
             if cw is None:
                 return (i, j, None, "bracket leaves the span")
             beta[i, j] = b = {}  # sparse: k -> B([x_i, x_j], x_k), zeros left out
@@ -171,17 +148,17 @@ def skew_r_from_frobenius(cocycle):
     table = cocycle.sub.table
     if not basis:
         return Tensor2.zero(table)
-    try:
-        inv = linalg.inverse_dense(cocycle.matrix)
-    except ValueError:
-        raise ValueError(
-            "the form is degenerate on the subalgebra; no r-matrix"
-        ) from None
-    entries = {}
     n = len(basis)
+    coords = linalg.coordinates(
+        [{k: x for k, x in enumerate(row) if x} for row in cocycle.matrix], n
+    )
+    inv = [coords({j: 1}) for j in range(n)]  # inv[j] is row j of B^-1
+    if None in inv:
+        raise ValueError("the form is degenerate on the subalgebra; no r-matrix")
+    entries = {}
     for i in range(n):
         for j in range(n):
-            m = inv[j][i]  # transpose orientation, pinned by the q1 lift
+            m = inv[j].get(i)  # transpose orientation, pinned by the q1 lift
             if not m:
                 continue
             for a, ca in basis[i].terms.items():
@@ -221,39 +198,27 @@ def check_parabolic_pair(table, sub, matrix, k):
     skew = _skew_failure(matrix) is None
     closed = sub.is_subalgebra()
     cocycle = skew and closed and cocycle_residual(sub, matrix) is None
+    sub_vecs = [x.terms for x in sub.elements]
     par = parabolic(table, k)
-    ech = linalg.Echelon()
-    for x in sub.elements:
-        ech.add(x.terms)
-    for x in par.elements:
-        ech.add(x.terms)
-    spans = ech.rank == table.dim
-    inter = linalg.intersect_spans(
-        [x.terms for x in sub.elements],
-        [x.terms for x in par.elements],
-    )
-    inter_basis = [GElement(table, vec) for vec in inter]
-    nondeg = True
-    if inter_basis:
-        coords = basis_coordinates(sub)
-        cc = [coords(x) for x in inter_basis]
-        if any(c is None for c in cc):
-            nondeg = False
-        else:
-            # nondegenerate <=> the Gram rows have full rank
-            gram = []
-            for cx in cc:
-                row = {}
-                for col, cy in enumerate(cc):
-                    g = sum(a * b * matrix[i][j] for i, a in cx.items() for j, b in cy.items())
-                    if g:
-                        row[col] = g
-                gram.append(row)
-            nondeg = linalg.echelon_of(gram).rank == len(cc)
+    inter = linalg.intersect_spans(sub_vecs, [x.terms for x in par.elements])
+    # Both bases are independent, so dim(sub + par) = dims minus the overlap.
+    spans = sub.dim + par.dim - len(inter) == table.dim
+    # Every intersection vector lies in sub, so every coordinate exists.
+    coords = linalg.coordinates(sub_vecs, table.dim)
+    cc = [coords(v) for v in inter]
+    # nondegenerate <=> the Gram rows have full rank
+    gram = []
+    for cx in cc:
+        row = {}
+        for col, cy in enumerate(cc):
+            g = sum(a * b * matrix[i][j] for i, a in cx.items() for j, b in cy.items())
+            if g:
+                row[col] = g
+        gram.append(row)
     return {
         "subalgebra": closed,
         "spans_with_parabolic": spans,
         "cocycle": cocycle,
-        "nondegenerate_on_intersection": nondeg,
-        "intersection_dim": len(inter_basis),
+        "nondegenerate_on_intersection": linalg.echelon_of(gram).rank == len(cc),
+        "intersection_dim": len(inter),
     }

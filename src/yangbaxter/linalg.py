@@ -117,43 +117,26 @@ def nullspace(rows, cols):
     return out
 
 
-def solve(rows, rhs):
-    """One solution x of the sparse linear system rows @ x = rhs, or None.
+def coordinates(vectors, width):
+    """Coordinates over a list of vectors, from one tagged elimination.
 
-    Each equation i is sum_k rows[i][k]*x[k] = rhs[i].  Free variables
-    are set to zero.  Column keys must not be the string '#rhs'.
+    `vectors` and each later `x` are sparse over int keys in range(width).
+    Returns coords(x): one {j: c_j} without zeros with
+    sum_j c_j * vectors[j] = x, or None if x is outside the span; for
+    independent vectors it is the only one.  Vector j is tagged with the
+    column width + j and the int 1.  Reducing x by the RREF of the tagged
+    rows leaves no column below width exactly when x is in the span, and
+    then the tag columns hold minus the coordinates.
     """
-    augmented = []
-    for r, b in zip(rows, rhs):
-        v = dict(r)
-        if b:
-            v[_RHS] = Fraction(b)
-        augmented.append(v)
-    ech = echelon_of(augmented)
-    if _RHS in ech.rows:
-        return None
-    x = {}
-    for p, row in ech.rows.items():
-        b = row.get(_RHS)
-        if b:
-            x[p] = b
-    return x
+    ech = echelon_of({**v, width + j: 1} for j, v in enumerate(vectors))
 
+    def coords(x):
+        v = ech.reduce(x)
+        if any(k < width for k in v):
+            return None
+        return {k - width: -c for k, c in v.items()}
 
-class _Rhs:
-    """Sentinel column that sorts after every other key."""
-
-    def __lt__(self, other):
-        return False
-
-    def __gt__(self, other):
-        return True
-
-    def __repr__(self):
-        return "#rhs"
-
-
-_RHS = _Rhs()
+    return coords
 
 
 def intersect_spans(vectors_a, vectors_b):
@@ -169,25 +152,3 @@ def intersect_spans(vectors_a, vectors_b):
                 raise ArithmeticError(f"Zassenhaus row {p} leaves the second block")
             out.append({k[1]: x for k, x in row.items()})
     return out
-
-
-def inverse_dense(mat):
-    """Inverse of a small dense square matrix (list of Fraction lists)."""
-    n = len(mat)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-

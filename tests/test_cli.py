@@ -600,6 +600,42 @@ def test_input_bounds_admit_their_limit():
     assert main(["double", "--check", "dualbasis", "--trunc", str(MAX_TRUNC)]) == 0
 
 
+class _StubDocument:
+    """A stub file holding `text`, then, if endless, blanks forever like
+    /dev/zero; an unbounded read() of an endless one raises MemoryError."""
+
+    def __init__(self, text, endless):
+        self.text, self.endless = text, endless
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            if self.endless:
+                raise MemoryError("unbounded read of an endless document")
+            return self.text
+        return (self.text + " " * size if self.endless else self.text)[:size]
+
+
+def test_verify_input_reads_at_most_one_char_past_the_bound(capsys, monkeypatch):
+    from yangbaxter import cli
+
+    head = "algebra sl(2); e(x)f"
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _StubDocument(head, True), raising=False)
+    assert main(["verify", "--input", "endless"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"longer than {MAX_DOCUMENT_CHARS}" in err, err
+    # A document of exactly the bound is read whole: e(x)f is no solution.
+    exact = head + " " * (MAX_DOCUMENT_CHARS - len(head))
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _StubDocument(exact, False), raising=False)
+    assert main(["verify", "--input", "exact"]) == 1
+    assert "cyb residual terms: 1" in capsys.readouterr().out
+
+
 def test_negative_exponent_at_top_level(capsys, tmp_path):
     # The '-' of '^-' is the exponent's sign, not a split between terms.
     table = make_sl(2)

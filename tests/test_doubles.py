@@ -117,16 +117,10 @@ def test_double_bracket_is_componentwise_with_nilpotent_jet():
     z = double_bracket(DoubleElement.of(t, a0=e), y)
     assert z.loop.is_zero() and z.a0.is_zero()
     assert z.a1 == t.basis_element("h")
-
-
-def test_double_bracket_window_guard():
-    t = make_sl(2)
+    # The loop part is the loop bracket, whatever window holds the factors.
     w = Window(-4, 4)
-    x = embed_polynomial(GPoly.monomial(t.basis_element("e"), 2), w)
-    y = embed_polynomial(GPoly.monomial(t.basis_element("f"), 3), w)
-    with pytest.raises(WindowOverflow) as exc:
-        double_bracket(x, y, w)
-    assert "needs window" in str(exc.value)
+    x = embed_polynomial(GPoly.monomial(e, 2), w)
+    y = embed_polynomial(GPoly.monomial(f, 3), w)
     assert double_bracket(x, y).loop == GPoly.monomial(t.basis_element("h"), 5)
 
 
@@ -538,6 +532,12 @@ def _ordered_pairs_subalgebra(sub, window):
 
 def _seeded_lagrangian(t, rng, window, skew):
     """lagrangian_from_pair over a seeded L; a non-skew form has B(x0, x0) != 0."""
+    k, basis, form = _seeded_pair(t, rng, skew)
+    return lagrangian_from_pair(t, k, basis, lambda i, j: form[i][j], window)
+
+
+def _seeded_pair(t, rng, skew):
+    """(k, basis of L, form matrix) for _seeded_lagrangian."""
     size = rng.randint(1, min(4, t.dim))
     basis = [t.basis_element(a) for a in rng.sample(range(t.dim), size)]
     form = [[F(0)] * size for _ in range(size)]
@@ -548,7 +548,45 @@ def _seeded_lagrangian(t, rng, window, skew):
     if not skew:
         form[0][0] = F(rng.choice([-2, -1, 1, 2]))
     k = rng.randrange(t.n)
-    return lagrangian_from_pair(t, k, basis, lambda i, j: form[i][j], window)
+    return k, basis, form
+
+
+def test_lagrangian_graph_realises_the_form_up_to_the_complement():
+    """Each graph element (0, x_i, xi_i) has K(xi_i, y_j) = B(i, j).  xi_i is
+    fixed only up to the Killing complement of L, which W holds as its eps
+    part: shifting every xi_i by a seeded element of it gives the same W,
+    and shifting by x_0 (K(x_0, x_0) != 0 for these unit bases) does not."""
+    from yangbaxter.lie import Subspace, orthogonal_complement_g
+
+    rng = random.Random(29)
+    w = Window(-4, 2)
+    shifted_off = 0
+    for n in (2, 3, 3, 4):
+        t = make_sl(n)
+        for _ in range(3):
+            k, basis, form = _seeded_pair(t, rng, skew=True)
+            lag = lagrangian_from_pair(t, k, basis, lambda i, j: form[i][j], w)
+            graph = [el for el in lag.elements if not el.a0.is_zero()]
+            assert [el.a0 for el in graph] == basis
+            for i, el in enumerate(graph):
+                for j, y in enumerate(basis):
+                    assert t.killing_pair(el.a1.terms, y.terms) == form[i][j], (n, i, j)
+            comp = orthogonal_complement_g(Subspace(t, basis), t).elements
+            others = [el for el in lag.elements if el.a0.is_zero()]
+
+            def shifted(by):
+                return DoubleSubspace(t, w, others + [
+                    DoubleElement.of(t, a0=el.a0, a1=el.a1 + by(i)) for i, el in enumerate(graph)
+                ])
+
+            def eta(i):
+                return sum((c.scale(rng.randint(-2, 2)) for c in comp), t.zero())
+
+            assert shifted(eta).equals(lag)
+            if t.killing_pair(basis[0].terms, basis[0].terms):
+                assert not shifted(lambda i: basis[0]).equals(lag)
+                shifted_off += 1
+    assert shifted_off > 0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -19,13 +19,11 @@ from yangbaxter.frobenius import (
     InvalidCocycle,
     TwoCocycle,
     check_parabolic_pair,
-    basis_coordinates,
     cocycle_residual,
     quasi_rational_lift,
     skew_r_from_frobenius,
 )
 from yangbaxter.lie import (
-    GElement,
     Subspace,
     calibrate_casimir,
     make_sl,
@@ -181,11 +179,11 @@ def test_nondegeneracy_verdict_matches_gram_determinant():
         for i, j in itertools.combinations(range(n), 2):
             random_form[i][j] = F(rng.randint(-2, 2))
             random_form[j][i] = -random_form[i][j]
-        coords = basis_coordinates(sub)
+        coords = linalg.coordinates([x.terms for x in sub.elements], t.dim)
         for k in range(1, t.n):
             inter = linalg.intersect_spans([x.terms for x in sub.elements],
                                            [x.terms for x in parabolic(t, k).elements])
-            cc = [coords(GElement(t, v)) for v in inter]
+            cc = [coords(v) for v in inter]
             for m in (random_form, [[F(0)] * n for _ in range(n)]):
                 gram = [[sum(a * b * m[i][j] for i, a in cx.items() for j, b in cy.items())
                          for cy in cc] for cx in cc]
@@ -201,16 +199,55 @@ def test_coords_in_basis():
     e = t.basis_element("e")
     h = t.basis_element("h")
     x = e.scale(F(2, 3)) + h.scale(-1)
-    coords = basis_coordinates(Subspace(t, [e, h]))
-    assert coords(x) == {0: F(2, 3), 1: F(-1)}
-    assert coords(h) == {1: F(1)}
-    assert coords(t.basis_element("f")) is None
-    assert coords(x + t.basis_element("f")) is None
-    assert basis_coordinates(Subspace(t, []))(t.zero()) == {}
-    assert basis_coordinates(Subspace(t, []))(e) is None
+    coords = linalg.coordinates([e.terms, h.terms], t.dim)
+    assert coords(x.terms) == {0: F(2, 3), 1: F(-1)}
+    assert coords(h.terms) == {1: F(1)}
+    assert coords(t.basis_element("f").terms) is None
+    assert coords((x + t.basis_element("f")).terms) is None
+    assert linalg.coordinates([], t.dim)(t.zero().terms) == {}
+    assert linalg.coordinates([], t.dim)(e.terms) is None
     # A basis that is not in echelon form: x = 2*(e + h) - 3*h.
-    coords = basis_coordinates(Subspace(t, [e + h, h]))
-    assert coords(e.scale(2) - h) == {0: F(2), 1: F(-3)}
+    coords = linalg.coordinates([(e + h).terms, h.terms], t.dim)
+    assert coords((e.scale(2) - h).terms) == {0: F(2), 1: F(-3)}
+
+
+def test_skew_r_inverts_seeded_forms():
+    """r = sum_ij (B^-1)^T_ij x_i (x) x_j: B^-1 read off r inverts B.
+
+    Seeded coboundary forms phi([x, y]) on subalgebras with scaled unit
+    bases; the odd-dimensional Borel of sl(3) is the singular control."""
+    from test_linalg import det_dense
+
+    rng = random.Random(47)
+    cases = [(2, ["e", "h"]), (3, ["H(1)", "E(1,2)"]), (3, ["H(1)", "H(2)", "E(1,2)", "E(1,3)"]),
+             (3, ["E(1,3)", "E(2,3)", "H(1)", "H(2)"]),
+             (3, ["E(1,2)", "E(1,3)", "E(2,3)", "H(1)", "H(2)"])]
+    verdicts = set()
+    for n, labels in cases:
+        t = make_sl(n)
+        for _ in range(3):
+            scales = [rng.choice([1, -1, 2, F(-1, 3)]) for _ in labels]
+            sub = Subspace(t, [t.basis_element(s).scale(c) for s, c in zip(labels, scales)])
+            phi = {a: F(rng.randint(-2, 2)) for a in range(t.dim)}
+            coc = TwoCocycle.coboundary(sub, lambda w: sum(c * phi[a] for a, c in w.terms.items()))
+            b = coc.matrix
+            m = len(labels)
+            if det_dense(b) == 0:
+                with pytest.raises(ValueError) as exc:
+                    skew_r_from_frobenius(coc)
+                assert str(exc.value) == "the form is degenerate on the subalgebra; no r-matrix"
+                verdicts.add(False)
+                continue
+            r = skew_r_from_frobenius(coc)
+            idx = [t.index[s] for s in labels]
+            # inv[k][j] = (B^-1)_kj = coefficient of x_j (x) x_k in r
+            inv = [[r.coeff(idx[j], idx[k]).const_value() / (scales[j] * scales[k])
+                    for j in range(m)] for k in range(m)]
+            for i in range(m):
+                for j in range(m):
+                    assert sum(b[i][k] * inv[k][j] for k in range(m)) == (1 if i == j else 0), (labels, i, j)
+            verdicts.add(True)
+    assert verdicts == {True, False}
 
 
 def test_lift_checks_hold_under_optimisation():
@@ -303,13 +340,15 @@ def test_cocycle_residual_rejects_non_skew_form_under_optimisation():
 
 
 def _ref_coords(basis, x):
-    """Coordinates over `basis` by one dense solve over all dim rows."""
-    if not basis:
-        return [] if x.is_zero() else None
-    dim = basis[0].table.dim
-    rows = [{j: y.terms[i] for j, y in enumerate(basis) if i in y.terms} for i in range(dim)]
-    sol = linalg.solve(rows, [x.terms.get(i, 0) for i in range(dim)])
-    return None if sol is None else [sol.get(j, F(0)) for j in range(len(basis))]
+    """Coordinates over an independent `basis`, from the kernel vector z of
+    the columns (basis | x): x = -sum_j z_j/z_n * basis[j] when z_n != 0."""
+    n = len(basis)
+    cols = [y.terms for y in basis] + [x.terms]
+    rows = [{j: v[i] for j, v in enumerate(cols) if i in v} for i in range(x.table.dim)]
+    for z in linalg.nullspace(rows, list(range(n + 1))):
+        if z.get(n):
+            return [-F(z.get(j, 0)) / z[n] for j in range(n)]
+    return None
 
 
 def _ref_cocycle_residual(sub, matrix):

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from yangbaxter import linalg
 from yangbaxter.linalg import (
     Echelon,
+    coordinates,
     echelon_of,
     intersect_spans,
-    inverse_dense,
     nullspace,
-    solve,
 )
 
 
@@ -38,6 +37,18 @@ def det_dense(mat):
                 c = m[r][col] / m[col][col]
                 m[r] = [x - c * y for x, y in zip(m[r], m[col])]
     return det
+
+
+def _sparse(row):
+    return {k: x for k, x in enumerate(row) if x}
+
+
+def _combine(vectors, coeffs):
+    """sum_j coeffs[j] * vectors[j], zeros left out: the multiply-back check."""
+    out = {}
+    for j, c in coeffs.items():
+        out = _vec_add(out, vectors[j], c)
+    return out
 
 
 def rank(vectors):
@@ -99,34 +110,40 @@ def test_nullspace_annihilates_seeded():
 
 
 def test_solve_consistent_and_inconsistent():
-    rows = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}]
-    x = solve(rows, [F(3), F(1)])
-    assert x is not None
-    assert x.get(0, F(0)) == 2 and x.get(1, F(0)) == 1
-    # inconsistent system
-    rows = [{0: F(1)}, {0: F(2)}]
-    assert solve(rows, [F(1), F(3)]) is None
+    # (3, 1) = 2*(1, 1) + 1*(1, -1)
+    vectors = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}]
+    coords = coordinates(vectors, 2)
+    assert coords({0: F(3), 1: F(1)}) == {0: 2, 1: 1}
+    assert coords({}) == {}
+    # (1, 3) is outside span{(1, 2)}; (2, 4) is inside
+    coords = coordinates([{0: F(1), 1: F(2)}], 2)
+    assert coords({0: F(1), 1: F(3)}) is None
+    assert coords({0: F(2), 1: F(4)}) == {0: 2}
+    # no vectors: only zero has coordinates
+    assert coordinates([], 2)({}) == {}
+    assert coordinates([], 2)({1: F(1)}) is None
 
 
 def test_solve_seeded_satisfies():
+    """Coordinates multiply back, dependent sets included; None off the span."""
     rng = random.Random(9)
-    for _ in range(15):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [
-            {j: c for j in range(m) if rng.random() < 0.8
+    for _ in range(20):
+        n, width = rng.randint(1, 4), rng.randint(1, 4)
+        vectors = [
+            {k: c for k in range(width) if rng.random() < 0.8
              and (c := F(rng.randint(-2, 2))) != 0}
             for _ in range(n)
         ]
-        target = {j: F(rng.randint(-2, 2)) for j in range(m)}
-        rhs = [
-            sum((r.get(j, F(0)) * target.get(j, F(0)) for j in range(m)), F(0))
-            for r in rows
-        ]
-        x = solve(rows, rhs)
-        assert x is not None
-        for r, b in zip(rows, rhs):
-            s = sum((r.get(j, F(0)) * x.get(j, F(0)) for j in r), F(0))
-            assert s == b
+        vectors.append(_vec_add(vectors[0], vectors[-1], rng.randint(-2, 2)))
+        coords = coordinates(vectors, width)
+        target = {j: c for j in range(len(vectors)) if (c := F(rng.randint(-2, 2)))}
+        x = _combine(vectors, target)
+        sol = coords(x)
+        assert sol is not None and _combine(vectors, sol) == x
+        probe = {k: c for k in range(width) if (c := F(rng.randint(-2, 2)))}
+        sol = coords(probe)
+        assert (sol is None) == (not echelon_of(vectors).contains(probe))
+        assert sol is None or _combine(vectors, sol) == probe
 
 
 def test_intersect_spans():
@@ -150,13 +167,15 @@ def test_intersect_spans():
 
 
 def test_inverse_and_det():
+    # Row j of M^-1 is the coordinates of the unit vector e_j over M's rows.
     m = [[F(2), F(1)], [F(1), F(1)]]
-    inv = inverse_dense(m)
-    assert inv == [[F(1), F(-1)], [F(-1), F(2)]]
+    coords = coordinates([_sparse(row) for row in m], 2)
+    assert [coords({j: 1}) for j in range(2)] == [{0: 1, 1: -1}, {0: -1, 1: 2}]
     assert det_dense(m) == 1
-    with pytest.raises(ValueError):
-        inverse_dense([[F(1), F(2)], [F(2), F(4)]])
-    assert det_dense([[F(1), F(2)], [F(2), F(4)]]) == 0
+    singular = [[F(1), F(2)], [F(2), F(4)]]
+    coords = coordinates([_sparse(row) for row in singular], 2)
+    assert coords({0: 1}) is None and coords({1: 1}) is None
+    assert det_dense(singular) == 0
 
 
 def test_inverse_seeded():
@@ -165,12 +184,14 @@ def test_inverse_seeded():
     while done < 10:
         n = rng.randint(1, 4)
         m = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        coords = coordinates([_sparse(row) for row in m], n)
+        inv = [coords({j: 1}) for j in range(n)]
         if det_dense(m) == 0:
+            assert None in inv
             continue
-        inv = inverse_dense(m)
         for i in range(n):
             for j in range(n):
-                s = sum((m[i][k] * inv[k][j] for k in range(n)), F(0))
+                s = sum((c * m[k][j] for k, c in inv[i].items()), F(0))
                 assert s == (1 if i == j else 0)
         done += 1
 
@@ -435,16 +456,20 @@ def test_integer_echelon_matches_fraction_reference(vectors, probes):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_mixed_lists(), _mixed_lists(), st.lists(_mixed_entry, min_size=10, max_size=10))
-def test_nullspace_solve_intersect_match_fraction_reference(va, vb, rhs):
+def test_nullspace_solve_intersect_match_fraction_reference(va, vb, weights):
     cols = list(range(_COLS))
     assert nullspace(va, cols) == _with_reference_echelon(nullspace, va, cols)
-    rhs = rhs[: len(va)]
-    assert solve(va, rhs) == _with_reference_echelon(solve, va, rhs)
-    # A consistent right-hand side: rhs = va @ x for an integral x.
-    x = {k: k - 3 for k in cols}
-    b = [sum((c * x[k] for k, c in r.items()), 0) for r in va]
-    sol = solve(va, b)
-    assert sol == _with_reference_echelon(solve, va, b) and sol is not None
+    # Coordinates over va (dependent combinations included) of a vector in
+    # its span, which multiply back, and of each vector of vb.
+    coords = coordinates(va, _COLS)
+    ref = _with_reference_echelon(coordinates, va, _COLS)
+    x = _combine(va, {j: c for j in range(len(va)) if (c := weights[j % 10])})
+    sol = coords(x)
+    assert sol == ref(x) and sol is not None and _combine(va, sol) == x
+    ech = echelon_of(va)
+    for w in vb:
+        got = coords(w)
+        assert got == ref(w) and (got is None) == (not ech.contains(w))
     inter = intersect_spans(va, vb)
     assert inter == _with_reference_echelon(intersect_spans, va, vb)
     entries = [c for vec in nullspace(va, cols) + inter for c in vec.values()]
@@ -464,6 +489,9 @@ def test_integer_echelon_pivots():
     assert [type(x) for x in ech.rows[1].values()] == [int] * 3
     assert all(type(ech.rows[p][p]) is int for p in ech.rows)
     assert all(type(x) is int for x in nullspace([{0: 1, 1: 2}], [0, 1])[0].values())
+    # Tags are the int 1, so integral coordinates over unit pivots stay ints.
+    sol = coordinates([{0: 1, 1: 2}, {1: -1}], 2)({0: 3, 1: 4})
+    assert sol == {0: 3, 1: 2} and [type(c) for c in sol.values()] == [int, int]
 
 
 def test_integer_echelon_comparison_negative_control():
