@@ -23,7 +23,8 @@ failed, 2 = usage or parse error.  All rationals print exactly as p/q.
 
 Input is bounded so that no document or argument runs without bound: the
 rank N (header or --n) is at most MAX_RANK, a document or a gauge expression
-at most MAX_DOCUMENT_CHARS long, an exponent at most MAX_EXPONENT in size,
+at most MAX_DOCUMENT_CHARS long, a JSON pair file or fixture at most
+MAX_JSON_CHARS long, an exponent at most MAX_EXPONENT in size,
 the unip degrees of a gauge expression sum to at most MAX_DEGREE, a gauge
 sweep checks 1..MAX_SWEEP seeded gauges, and every
 coefficient operation is refused before it is computed when its unreduced
@@ -50,6 +51,7 @@ from . import cybe, doubles, frobenius, gauge
 
 MAX_RANK = 6
 MAX_DOCUMENT_CHARS = 20_000
+MAX_JSON_CHARS = 100_000
 MAX_EXPONENT = 16
 MAX_DEGREE = 16
 MAX_TRUNC = 12
@@ -520,7 +522,11 @@ def _builtin_pair(table, k):
 def _load_json_object(path, what):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            # One character past the bound is enough to refuse the file.
+            text = fh.read(MAX_JSON_CHARS + 1)
+        if len(text) > MAX_JSON_CHARS:
+            raise UsageError(f"{what} {path} is longer than {MAX_JSON_CHARS} characters")
+        data = json.loads(text)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load {what} {path}: {exc}")
     if not isinstance(data, dict):
@@ -695,7 +701,7 @@ def _subspace_from_file(table, path, window):
             a1 = element(entry["a1"]) if "a1" in entry else table.zero()
             els.append(doubles.DoubleElement(loop, a0, a1))
         # DependentElement and WindowOverflow are ValueErrors too
-        return doubles.DoubleSubspace(table, window, els)
+        return doubles.DoubleSubspace.of(table, window, els)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed fixture {path}: {exc}")
 

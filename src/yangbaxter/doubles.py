@@ -209,15 +209,8 @@ def embed_polynomial(p, window):
 
 
 def ambient_coords(table, window):
-    keys = []
-    for d in window.exponents():
-        for i in range(table.dim):
-            keys.append(("loop", d, i))
-    for i in range(table.dim):
-        keys.append(("a0", i))
-    for i in range(table.dim):
-        keys.append(("a1", i))
-    return keys
+    keys = [("loop", d, i) for d in window.exponents() for i in range(table.dim)]
+    return keys + [(part, i) for part in ("a0", "a1") for i in range(table.dim)]
 
 
 def ambient_dim(table, window):
@@ -225,33 +218,43 @@ def ambient_dim(table, window):
 
 
 class DoubleSubspace:
-    """Finite-rank subspace of the truncated double, hand-checked independent.
+    """Finite-rank subspace of the truncated double, held as independent rows.
 
-    `elements` is a tuple and `span_rows()` returns their window coordinates
-    as computed once here, so a shared subspace cannot change.
+    Each row is a sparse vector over the window coordinates ("loop", d, i),
+    ("a0", i) and ("a1", i); `of` admits DoubleElements, and `elements`
+    reads the rows back as DoubleElements.
     """
 
-    def __init__(self, table, window, elements):
+    def __init__(self, table, window, rows):
         self.table = table
         self.window = window
-        self.elements = tuple(elements)
-        self._rows = tuple(el.coords(window) for el in self.elements)
+        self.rows = tuple(rows)
         self._ech = linalg.Echelon()
-        for el, row in zip(self.elements, self._rows):
+        for row in self.rows:
+            if not self._ech.add(row):
+                el = DoubleElement.from_coords(table, row)
+                raise DependentElement(f"dependent spanning element {el}")
+
+    @staticmethod
+    def of(table, window, elements):
+        """The span of independent DoubleElements over `table` in the window."""
+        elements = tuple(elements)
+        rows = [el.coords(window) for el in elements]
+        for el in elements:
             if el.table is not table:
                 raise ValueError(f"spanning element {el} is over another algebra")
-            if not self._ech.add(row):
-                raise DependentElement(f"dependent spanning element {el}")
+        return DoubleSubspace(table, window, rows)
 
     @property
     def dim(self):
-        return len(self.elements)
+        return len(self.rows)
 
-    def contains(self, el):
-        return self._ech.contains(el.coords(self.window))
+    @property
+    def elements(self):
+        return tuple(DoubleElement.from_coords(self.table, row) for row in self.rows)
 
-    def span_rows(self):
-        return self._rows
+    def contains(self, row):
+        return self._ech.contains(row)
 
     def equals(self, other):
         return self._ech.rows == other._ech.rows
@@ -268,47 +271,50 @@ def embedded_polynomials(table, window):
     """i(g[u]) at the window: the embeddings of x * u^m, 0 <= m <= hi.
 
     Built once per (table, window) and shared; DoubleSubspace is immutable."""
-    els = []
-    for m in range(window.hi + 1):
-        for x in table.basis():
-            els.append(embed_polynomial(GPoly.monomial(x, m), window))
-    return DoubleSubspace(table, window, els)
+    els = [embed_polynomial(GPoly.monomial(x, m), window)
+           for m in range(window.hi + 1) for x in table.basis()]
+    return DoubleSubspace.of(table, window, els)
 
 
 def standard_complement(table, window):
     """The model of the dual side: loops in non-positive degrees plus g*eps."""
-    els = []
-    for d in range(window.lo, 1):
-        for x in table.basis():
-            els.append(DoubleElement.of(table, loop=GPoly.monomial(x, d)))
-    for x in table.basis():
-        els.append(DoubleElement.of(table, a1=x))
-    return DoubleSubspace(table, window, els)
+    rows = [{("loop", d, i): 1} for d in range(window.lo, 1) for i in range(table.dim)]
+    rows += [{("a1", i): 1} for i in range(table.dim)]
+    return DoubleSubspace(table, window, rows)
 
 
-def _pairing_row(el, window):
-    """Sparse row c -> Q(unit_c, el) over the ambient coordinates."""
-    table = el.table
-    row = {}
-    for d, y in el.loop.terms.items():
-        t = 1 - d
-        if t in window:
-            for i, c in table.killing_row(y.terms).items():
-                row[("loop", t, i)] = c
-    for i, c in table.killing_row(el.a0.terms).items():
-        row[("a1", i)] = -c
-    for i, c in table.killing_row(el.a1.terms).items():
-        row[("a0", i)] = -c
-    return row
+def _same_window(sub, window):
+    """A check at another window than the subspace's would read it wrongly."""
+    if window != sub.window:
+        raise ValueError(f"{window} is not the subspace's {sub.window}")
+
+
+def _pairing_row(table, row, window):
+    """Sparse row c -> Q(unit_c, v) over the ambient coordinates, for a row v.
+
+    Loop degree d pairs with 1 - d, and a0 with a1 under a minus sign."""
+    parts = {}
+    for key, c in row.items():
+        parts.setdefault(key[:-1], {})[key[-1]] = c
+    out = {}
+    for part, terms in parts.items():
+        if part[0] == "loop":
+            if 1 - part[1] not in window:
+                continue
+            head, sign = ("loop", 1 - part[1]), 1
+        else:
+            head, sign = ("a1" if part[0] == "a0" else "a0",), -1
+        for i, c in table.killing_row(terms).items():
+            out[head + (i,)] = sign * c
+    return out
 
 
 def orth_complement_truncated(sub, window):
     """Exact Q-orthogonal complement of a subspace within the window ambient."""
+    _same_window(sub, window)
     table = sub.table
-    rows = [_pairing_row(el, window) for el in sub.elements]
-    vecs = linalg.nullspace(rows, ambient_coords(table, window))
-    els = [DoubleElement.from_coords(table, v) for v in vecs]
-    return DoubleSubspace(table, window, els)
+    rows = [_pairing_row(table, row, window) for row in sub.rows]
+    return DoubleSubspace(table, window, linalg.nullspace(rows, ambient_coords(table, window)))
 
 
 def ambient_radical_dim(table, window):
@@ -355,6 +361,7 @@ def is_lagrangian_truncated(sub, window):
     a maximal isotropic subspace has dimension (ambient + radical) / 2.
     This is the window-level approximation of the untruncated condition.
     """
+    _same_window(sub, window)
     if not is_isotropic(sub):
         return False
     total = ambient_dim(sub.table, window) + ambient_radical_dim(sub.table, window)
@@ -379,7 +386,7 @@ def is_subalgebra(sub):
                 degs = z.loop.degrees()
                 if degs[0] < window.lo or degs[-1] > window.hi:
                     continue
-            if not sub.contains(z):
+            if not sub.contains(z.coords(window)):
                 return False
     return True
 
@@ -393,21 +400,19 @@ def check_transversality(w, window, tail_depth=1):
     Both spanning sets are independent (a DoubleSubspace raises
     DependentElement otherwise), so dim(W + i(g[u])) is
     dim W + dim i(g[u]) - dim(W ∩ i(g[u])), with no second elimination.
-    Returns a report dict; window and tail depth are echoed for the caller.
+    The window must be W's own.  Returns a report dict; window and tail
+    depth are echoed for the caller.
     """
+    _same_window(w, window)
     table = w.table
     ip = embedded_polynomials(table, window)
-    inter = linalg.intersect_spans(w.span_rows(), ip.span_rows())
+    inter = linalg.intersect_spans(w.rows, ip.rows)
     spans = w.dim + ip.dim - len(inter) == ambient_dim(table, window)
-    tail = True
-    for t in range(window.lo, -tail_depth + 1):
-        for x in table.basis():
-            el = DoubleElement.of(table, loop=GPoly.monomial(x, t))
-            if not w.contains(el):
-                tail = False
-                break
-        if not tail:
-            break
+    tail = all(
+        w.contains({("loop", t, i): 1})
+        for t in range(window.lo, -tail_depth + 1)
+        for i in range(table.dim)
+    )
     return {
         "trivial_intersection": len(inter) == 0,
         "spans_with_polynomials": spans,
@@ -548,25 +553,21 @@ def diagonal_twist_space(table, k, window):
     """
     if not (0 <= k <= table.n - 1):
         raise ValueError(f"k must be in 0..{table.n - 1}, got {k}")
-    els = []
-    for a in range(table.dim):
-        x = table.basis_element(a)
-        top = min(window.hi, line_shift(table, a, k))
-        for d in range(window.lo, top + 1):
-            els.append(DoubleElement.of(table, loop=GPoly.monomial(x, d)))
-    for x in table.basis():
-        els.append(DoubleElement.of(table, a0=x))
-    for x in table.basis():
-        els.append(DoubleElement.of(table, a1=x))
-    return DoubleSubspace(table, window, els)
+    rows = [
+        {("loop", d, a): 1}
+        for a in range(table.dim)
+        for d in range(window.lo, min(window.hi, line_shift(table, a, k)) + 1)
+    ]
+    rows += [{(part, i): 1} for part in ("a0", "a1") for i in range(table.dim)]
+    return DoubleSubspace(table, window, rows)
 
 
 def loop_part(sub):
-    """The loop-only elements of a subspace basis, as a new subspace.
+    """The loop-only rows of a subspace basis, as a new subspace.
 
-    No element is zero, as the basis is independent."""
-    els = [el for el in sub.elements if el.a0.is_zero() and el.a1.is_zero()]
-    return DoubleSubspace(sub.table, sub.window, els)
+    No row is empty, as the basis is independent."""
+    rows = [row for row in sub.rows if all(key[0] == "loop" for key in row)]
+    return DoubleSubspace(sub.table, sub.window, rows)
 
 
 class QuotientMismatch(RuntimeError):
@@ -586,19 +587,19 @@ def quotient_image_of_polynomials(table, k, window):
         raise ValueError(f"k must be in 1..{table.n - 1}, got {k}")
     wk = diagonal_twist_space(table, k, window)
     ip = embedded_polynomials(table, window)
-    inter = linalg.intersect_spans(ip.span_rows(), wk.span_rows())
+    inter = linalg.intersect_spans(ip.rows, wk.rows)
     image_ech = linalg.Echelon()
     image = []
     for vec in inter:
         jet = {key: c for key, c in vec.items() if key[0] != "loop"}
         if image_ech.add(jet):
             image.append(DoubleElement.from_coords(table, jet))
-    expected_ech = linalg.Echelon()
     par = parabolic(table, k)
-    for x in par.elements:
-        expected_ech.add(DoubleElement.of(table, a0=x).coords(window))
-    for x in orthogonal_complement_g(par, table).elements:
-        expected_ech.add(DoubleElement.of(table, a1=x).coords(window))
+    expected_ech = linalg.echelon_of(
+        [{("a0", i): c for i, c in x.terms.items()} for x in par.elements]
+        + [{("a1", i): c for i, c in x.terms.items()}
+           for x in orthogonal_complement_g(par, table).elements]
+    )
     if image_ech.rows != expected_ech.rows:
         raise QuotientMismatch(
             f"jet image of the polynomial part (dim {image_ech.rank}) differs "
@@ -616,7 +617,7 @@ def lagrangian_from_pair(table, k, subalg, form, window):
     the Killing complement of L.  `form` maps (index_x, index_y) over the
     basis list `subalg` to rationals.
     """
-    els = list(loop_part(diagonal_twist_space(table, k, window)).elements)
+    rows = list(loop_part(diagonal_twist_space(table, k, window)).rows)
     basis = list(subalg)
     n = len(basis)
     # Column m is {j: K(x_m, y_j)}; coordinates over the columns give xi.
@@ -629,9 +630,9 @@ def lagrangian_from_pair(table, k, subalg, form, window):
         xi = coords({j: c for j in range(n) if (c := Fraction(form(i, j)))})
         if xi is None:
             raise UnrealizableForm("form not realizable against the Killing pairing")
-        els.append(DoubleElement.of(table, a0=x, a1=GElement(table, xi)))
+        rows.append({**{("a0", m): c for m, c in x.terms.items()},
+                     **{("a1", m): c for m, c in xi.items()}})
     comp = orthogonal_complement_g(Subspace(table, basis), table)
-    for eta in comp.elements:
-        els.append(DoubleElement.of(table, a1=eta))
-    return DoubleSubspace(table, window, els)
+    rows += [{("a1", m): c for m, c in eta.terms.items()} for eta in comp.elements]
+    return DoubleSubspace(table, window, rows)
 

@@ -20,12 +20,18 @@ lcm d is built, and `ref_delta_on_first_leg` sums (delta (x) id) of a
 co-bracket RatFun by RatFun through `accumulate`: the paths that the kept
 cofactors of `tensors.clear_denominators` and the sparse accumulation of
 `cybe._delta_on_first_leg` replaced.
+
+`ref_diagonal_twist_space`, `ref_standard_complement`, `ref_loop_part` and
+`ref_contains_tail` build the coordinate subspaces of the truncated double
+one `DoubleElement` per unit vector, and test the tail one element at a
+time: the paths that the unit rows of `doubles` replaced.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from yangbaxter.cybe import cobracket
+from yangbaxter.doubles import DoubleElement, DoubleSubspace, line_shift
 from yangbaxter.gauge import _ad_coordinate_matrix
 from yangbaxter.lie import GPoly
 from yangbaxter.ratfun import P_ONE, Poly, RatFun, _poly_divexact, poly_gcd
@@ -184,3 +190,46 @@ def ref_ad_columns(table, mat):
                 col[c] = col.get(c, Poly.const(0)) + Poly.var("u", d) * x
         cols.append({c: x for c, x in col.items() if not x.is_zero()})
     return cols
+
+
+def ref_diagonal_twist_space(table, k, window):
+    """W_k: line a in loop degrees lo..min(hi, shift_a), then g and g*eps."""
+    els = []
+    for a in range(table.dim):
+        x = table.basis_element(a)
+        top = min(window.hi, line_shift(table, a, k))
+        for d in range(window.lo, top + 1):
+            els.append(DoubleElement.of(table, loop=GPoly.monomial(x, d)))
+    for x in table.basis():
+        els.append(DoubleElement.of(table, a0=x))
+    for x in table.basis():
+        els.append(DoubleElement.of(table, a1=x))
+    return DoubleSubspace.of(table, window, els)
+
+
+def ref_standard_complement(table, window):
+    """P*: the loops in degrees lo..0, then g*eps."""
+    els = []
+    for d in range(window.lo, 1):
+        for x in table.basis():
+            els.append(DoubleElement.of(table, loop=GPoly.monomial(x, d)))
+    for x in table.basis():
+        els.append(DoubleElement.of(table, a1=x))
+    return DoubleSubspace.of(table, window, els)
+
+
+def ref_loop_part(sub):
+    """The spanning elements with a zero jet part, as a new subspace."""
+    els = [el for el in sub.elements if el.a0.is_zero() and el.a1.is_zero()]
+    return DoubleSubspace.of(sub.table, sub.window, els)
+
+
+def ref_contains_tail(w, tail_depth):
+    """Whether w holds every x * u^t with lo <= t <= -tail_depth."""
+    table, window = w.table, w.window
+    for t in range(window.lo, -tail_depth + 1):
+        for x in table.basis():
+            el = DoubleElement.of(table, loop=GPoly.monomial(x, t))
+            if not w.contains(el.coords(window)):
+                return False
+    return True

@@ -22,6 +22,7 @@ from yangbaxter.cli import (
     MAX_DEGREE,
     MAX_DOCUMENT_CHARS,
     MAX_EXPONENT,
+    MAX_JSON_CHARS,
     MAX_RANK,
     MAX_SWEEP,
     MAX_TRUNC,
@@ -634,6 +635,56 @@ def test_verify_input_reads_at_most_one_char_past_the_bound(capsys, monkeypatch)
     monkeypatch.setattr(cli, "open", lambda *a, **k: _StubDocument(exact, False), raising=False)
     assert main(["verify", "--input", "exact"]) == 1
     assert "cyb residual terms: 1" in capsys.readouterr().out
+
+
+def test_json_files_read_at_most_one_char_past_the_bound(capsys, monkeypatch, tmp_path):
+    # A pair file or fixture past MAX_JSON_CHARS is refused after one
+    # character more; one of exactly the bound reads as the same file unpadded.
+    from yangbaxter import cli
+
+    monkeypatch.chdir(tmp_path)
+    pair = json.dumps({"algebra": 2, "basis": ["e", "h"], "matrix": [[0, 1], [-1, 0]]})
+    fixture = json.dumps({"elements": [{"loop": {"-1": "e"}}, {"a1": "h"}]})
+    for argv, head in (
+        (["frobenius", "--check-pair", "--k", "1", "--pair", "file.json"], pair),
+        (["double", "--check", "transversal", "--fixture", "file.json"], fixture),
+    ):
+        (tmp_path / "file.json").write_text(head)
+        code = main(argv)
+        expected = capsys.readouterr()
+        assert code in (0, 1) and not expected.err, (argv, expected.err)
+        monkeypatch.setattr(cli, "open", lambda *a, **k: _StubDocument(head, True), raising=False)
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"longer than {MAX_JSON_CHARS}" in err, err
+        exact = head + " " * (MAX_JSON_CHARS - len(head))
+        monkeypatch.setattr(cli, "open", lambda *a, **k: _StubDocument(exact, False), raising=False)
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == expected, argv
+        monkeypatch.undo()
+        monkeypatch.chdir(tmp_path)
+
+
+def test_largest_fixture_fits_the_json_bound(capsys, tmp_path):
+    # Every unit vector of the sl(6) ambient at --trunc 12, indented: the
+    # largest fixture a command can use holds 1365 independent elements.
+    t = make_sl(MAX_RANK)
+    lo, hi = -2 * MAX_TRUNC, MAX_TRUNC
+    els = [{"loop": {str(d): x}} for d in range(lo, hi + 1) for x in t.labels]
+    els += [{part: x} for part in ("a0", "a1") for x in t.labels]
+    assert len(els) == 1365
+    fixture = tmp_path / "ambient.json"
+    fixture.write_text(json.dumps({"elements": els}, indent=2))
+    assert len(fixture.read_text()) <= MAX_JSON_CHARS
+    argv = ["double", "--n", str(MAX_RANK), "--trunc", str(MAX_TRUNC), "--check",
+            "transversal", "--fixture", str(fixture), "--json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == [
+        {"name": "trivial_intersection", "pass": False},
+        {"name": "spans_with_polynomials", "pass": True},
+        {"name": "contains_tail", "pass": True},
+    ]
 
 
 def test_negative_exponent_at_top_level(capsys, tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import yangbaxter
 
 from yangbaxter.doubles import (
+    DependentElement,
     DoubleElement,
     DoubleSubspace,
     DualSumMismatch,
@@ -45,6 +46,13 @@ from yangbaxter.doubles import (
 from yangbaxter import doubles, linalg
 from yangbaxter.lie import GPoly, casimir, make_sl
 from yangbaxter.ratfun import RF_ZERO, Poly, RatFun
+
+from reference import (
+    ref_contains_tail,
+    ref_diagonal_twist_space,
+    ref_loop_part,
+    ref_standard_complement,
+)
 
 
 def _rand_gpoly(t, rng, lo, hi):
@@ -198,7 +206,7 @@ def _ref_ambient_radical_dim(table, window):
         unit_elements.append(DoubleElement.of(table, a0=x))
     for x in table.basis():
         unit_elements.append(DoubleElement.of(table, a1=x))
-    rows = [_pairing_row(el, window) for el in unit_elements]
+    rows = [_pairing_row(table, el.coords(window), window) for el in unit_elements]
     return len(linalg.nullspace(rows, ambient_coords(table, window)))
 
 
@@ -242,7 +250,7 @@ def test_pairing_row_matches_reference():
         els = [DoubleElement.of(t)] + [_rand_double(t, rng, w) for _ in range(6)]
         assert any(not el.loop.is_zero() for el in els)
         for el in els:
-            row = _pairing_row(el, w)
+            row = _pairing_row(t, el.coords(w), w)
             assert row == _ref_pairing_row(el, w), (n, str(el))
             # The row is Q against the element, entry for entry.
             for key, c in row.items():
@@ -444,7 +452,7 @@ def test_lagrangian_fails_on_nonisotropic_space():
         DoubleElement.of(t, loop=GPoly.monomial(t.basis_element("e"), 1)),
         DoubleElement.of(t, loop=GPoly.monomial(t.basis_element("f"), 0)),
     ]
-    sub = DoubleSubspace(t, w, els)
+    sub = DoubleSubspace.of(t, w, els)
     assert not is_isotropic(sub)
     assert not is_lagrangian_truncated(sub, w)
 
@@ -453,7 +461,8 @@ def test_double_checks_hold_under_optimisation():
     # No check may rest on assert: under `python -O` a dependent spanning
     # element, a form with no Killing realization (the subalgebra basis
     # [e, e] asks B(e, e') = 0 and = 1 at once) and a window without 0
-    # must raise, and so must a dual-pair order below its minimum.
+    # must raise, and so must a dual-pair order below its minimum and a
+    # check at another window than its subspace's.
     script = (
         "from yangbaxter import doubles as d\n"
         "from yangbaxter.lie import GPoly, make_sl\n"
@@ -462,7 +471,7 @@ def test_double_checks_hold_under_optimisation():
         "e = t.basis_element('e')\n"
         "el = d.embed_polynomial(GPoly.monomial(e, 1), w)\n"
         "try:\n"
-        "    d.DoubleSubspace(t, w, [el, el.scale(2)])\n"
+        "    d.DoubleSubspace.of(t, w, [el, el.scale(2)])\n"
         "    print('dependent accepted')\n"
         "except d.DependentElement:\n"
         "    print('dependent rejected')\n"
@@ -487,7 +496,7 @@ def test_double_checks_hold_under_optimisation():
         "t3 = make_sl(3)\n"
         "el3 = d.embed_polynomial(GPoly.monomial(t3.basis_element(0), 1), w)\n"
         "for fn in (lambda: d.double_bracket(el, el3), lambda: d.invariant_form(el, el3),\n"
-        "           lambda: d.DoubleSubspace(t, w, [el3]),\n"
+        "           lambda: d.DoubleSubspace.of(t, w, [el3]),\n"
         "           lambda: d.DoubleElement(el.loop, t3.zero(), t.zero()),\n"
         "           lambda: d.DoubleElement(e, e, e), lambda: d.embed_polynomial(e, w)):\n"
         "    try:\n"
@@ -495,6 +504,16 @@ def test_double_checks_hold_under_optimisation():
         "        print('cross accepted')\n"
         "    except ValueError:\n"
         "        print('cross rejected')\n"
+        # A check at another window than its subspace's raises ValueError.
+        "w4 = d.Window(-4, 2)\n"
+        "for fn in (lambda: d.check_transversality(d.standard_complement(t, w4), w),\n"
+        "           lambda: d.orth_complement_truncated(d.diagonal_twist_space(t, 1, w4), w),\n"
+        "           lambda: d.is_lagrangian_truncated(d.diagonal_twist_space(t, 0, w), w4)):\n"
+        "    try:\n"
+        "        fn()\n"
+        "        print('other window accepted')\n"
+        "    except ValueError:\n"
+        "        print('other window rejected')\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
@@ -505,9 +524,10 @@ def test_double_checks_hold_under_optimisation():
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, (flags, proc.stderr)
-        assert proc.stdout.split("\n")[:11] == [
+        assert proc.stdout.split("\n")[:14] == [
             "dependent rejected", "form rejected", "window rejected",
-            "order rejected", "order rejected"] + ["cross rejected"] * 6, (flags, proc.stdout)
+            "order rejected", "order rejected"] + ["cross rejected"] * 6 + [
+            "other window rejected"] * 3, (flags, proc.stdout)
 
 
 # --- Graded isotropy and unordered-pair closure against the all-pairs checks.
@@ -525,7 +545,7 @@ def _ordered_pairs_subalgebra(sub, window):
             degs = z.loop.degrees()
             if degs and (degs[0] < window.lo or degs[-1] > window.hi):
                 continue
-            if not sub.contains(z):
+            if not sub.contains(z.coords(window)):
                 return False
     return True
 
@@ -575,7 +595,7 @@ def test_lagrangian_graph_realises_the_form_up_to_the_complement():
             others = [el for el in lag.elements if el.a0.is_zero()]
 
             def shifted(by):
-                return DoubleSubspace(t, w, others + [
+                return DoubleSubspace.of(t, w, others + [
                     DoubleElement.of(t, a0=el.a0, a1=el.a1 + by(i)) for i, el in enumerate(graph)
                 ])
 
@@ -617,7 +637,7 @@ def test_graded_isotropy_matches_all_pairs_on_random_spaces(n, size, seed):
         el = DoubleElement.of(t, loop=loop, a0=a0, a1=a1)
         if ech.add(el.coords(w)):
             els.append(el)
-    sub = DoubleSubspace(t, w, els)
+    sub = DoubleSubspace.of(t, w, els)
     assert is_isotropic(sub) == _all_pairs_isotropic(sub)
 
 
@@ -629,17 +649,17 @@ def test_graded_isotropy_negative_controls():
     for d in range(-2, 5):
         pair = [DoubleElement.of(t, loop=GPoly.monomial(e, d)),
                 DoubleElement.of(t, loop=GPoly.monomial(f, 1 - d))]
-        assert not is_isotropic(DoubleSubspace(t, w, pair)), d
+        assert not is_isotropic(DoubleSubspace.of(t, w, pair)), d
         shifted = [pair[0], DoubleElement.of(t, loop=GPoly.monomial(f, 2 - d))]
-        assert is_isotropic(DoubleSubspace(t, w, shifted)), d
+        assert is_isotropic(DoubleSubspace.of(t, w, shifted)), d
     # a0 pairs with a1 across two elements; a0 with a0 does not.
     cross = [DoubleElement.of(t, a0=e), DoubleElement.of(t, a1=f)]
-    assert not is_isotropic(DoubleSubspace(t, w, cross))
+    assert not is_isotropic(DoubleSubspace.of(t, w, cross))
     same = [DoubleElement.of(t, a0=e), DoubleElement.of(t, a0=f)]
-    assert is_isotropic(DoubleSubspace(t, w, same))
+    assert is_isotropic(DoubleSubspace.of(t, w, same))
     # The graph of a non-skew form: one element pairs with itself.
     diagonal = [DoubleElement.of(t, a0=h, a1=h)]
-    assert not is_isotropic(DoubleSubspace(t, w, diagonal))
+    assert not is_isotropic(DoubleSubspace.of(t, w, diagonal))
     lag = lagrangian_from_pair(t, 0, [e, h], lambda i, j: F(1 if i == j == 0 else 0), w)
     assert not is_isotropic(lag) and not _all_pairs_isotropic(lag)
 
@@ -672,7 +692,7 @@ def test_subalgebra_unordered_pairs_match_ordered_reference():
     # Negative control: span{E(1,2), E(2,1)} in the constant loops misses [e, f].
     open_pair = [DoubleElement.of(t3, loop=GPoly.monomial(t3.basis_element(s)))
                  for s in ("E(1,2)", "E(2,1)")]
-    spaces.append(DoubleSubspace(t3, w, open_pair))
+    spaces.append(DoubleSubspace.of(t3, w, open_pair))
     verdicts = [is_subalgebra(sub) for sub in spaces]
     assert verdicts == [_ordered_pairs_subalgebra(sub, w) for sub in spaces]
     assert verdicts[-1] is False and verdicts[0] is True
@@ -691,7 +711,7 @@ def _ref_check_transversality(w, window, tail_depth=1):
     inter = linalg.intersect_spans(rows_w, rows_ip)
     joint = linalg.echelon_of(rows_w + rows_ip)
     tail = all(
-        w.contains(DoubleElement.of(table, loop=GPoly.monomial(x, t)))
+        w.contains(DoubleElement.of(table, loop=GPoly.monomial(x, t)).coords(window))
         for t in range(window.lo, -tail_depth + 1)
         for x in table.basis()
     )
@@ -744,7 +764,7 @@ def _perturbed_complements(draw):
     els += draw(st.lists(st.sampled_from(ip), max_size=2, unique_by=id))
     ech = linalg.Echelon()
     picked = [el for el in els if ech.add(el.coords(window))]
-    return DoubleSubspace(t, window, picked), window
+    return DoubleSubspace.of(t, window, picked), window
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -761,7 +781,7 @@ def test_transversality_with_shared_polynomial_part_is_repeatable():
     w = Window(-4, 2)
     embedded_polynomials.cache_clear()
     first_ip = embedded_polynomials(t, w)
-    rows = [dict(r) for r in first_ip.span_rows()]
+    rows = [dict(r) for r in first_ip.rows]
     pstar = standard_complement(t, w)
     reports = [check_transversality(pstar, Window(-4, 2)) for _ in range(2)]
     reports.append(check_transversality(first_ip, w))
@@ -770,5 +790,88 @@ def test_transversality_with_shared_polynomial_part_is_repeatable():
     assert reports[0] == reports[1] == _ref_check_transversality(pstar, w)
     assert reports[2] == _ref_check_transversality(first_ip, w)
     assert isinstance(first_ip.elements, tuple)
-    assert list(first_ip.span_rows()) == rows == [el.coords(w) for el in first_ip.elements]
+    assert list(first_ip.rows) == rows == [el.coords(w) for el in first_ip.elements]
     assert hash(Window(-4, 2)) == hash(w) and Window(-4, 2) == w != Window(-4, 1)
+
+
+# --- Coordinate subspaces from unit rows against the element-built references.
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 4)), st.integers(0, 4))
+def test_unit_row_subspaces_match_element_references(n, top):
+    """W_k for every k, P* and their loop parts, at the window [-2T, T]: the
+    same rows in the same order, equal spans and equal reports at every
+    tail depth.  Negative controls: one line raised by one degree, and one
+    tail vector dropped."""
+    t = make_sl(n)
+    w = Window(-2 * top, top)
+    pairs = [(standard_complement(t, w), ref_standard_complement(t, w))]
+    for k in range(n):
+        pairs.append((diagonal_twist_space(t, k, w), ref_diagonal_twist_space(t, k, w)))
+    pairs += [(loop_part(new), ref_loop_part(ref)) for new, ref in pairs]
+    pairs.append((loop_part(embedded_polynomials(t, w)), ref_loop_part(embedded_polynomials(t, w))))
+    for new, ref in pairs:
+        assert new.rows == ref.rows, (n, top, ref)
+        assert new.equals(ref) and ref.equals(new), (n, top, ref)
+        for depth in range(2 * top + 1):
+            rep = check_transversality(new, w, depth)
+            assert rep == check_transversality(ref, w, depth), (n, top, ref, depth)
+            assert rep["contains_tail"] == ref_contains_tail(ref, depth), (n, top, ref, depth)
+    for k in range(n):
+        wk = diagonal_twist_space(t, k, w)
+        for a in range(t.dim):
+            d = line_shift(t, a, k) + 1
+            if d <= top:
+                raised = wk.rows + ({("loop", d, a): 1},)
+                assert not DoubleSubspace(t, w, raised).equals(wk), (n, top, k, a)
+                assert not ref_diagonal_twist_space(t, k, w).equals(DoubleSubspace(t, w, raised))
+    pstar = standard_complement(t, w)
+    for depth in range(2 * top + 1):
+        for gone in ({("loop", w.lo, 0): 1}, {("loop", -depth, t.dim - 1): 1}):
+            holed = DoubleSubspace(t, w, [row for row in pstar.rows if row != gone])
+            assert holed.dim == pstar.dim - 1
+            assert not check_transversality(holed, w, depth)["contains_tail"], (n, top, depth)
+            assert not ref_contains_tail(holed, depth)
+
+
+def test_subspace_holds_rows_and_reads_elements_back():
+    t = make_sl(2)
+    w = Window(-2, 1)
+    e = t.basis_element("e")
+    el = embed_polynomial(GPoly.monomial(e, 1), w)
+    sub = DoubleSubspace.of(t, w, [el])
+    assert sub.rows == (el.coords(w),) and sub.elements == (el,)
+    assert sub.contains(el.scale(3).coords(w))
+    assert not sub.contains({("a1", 0): 1})
+    assert "elements" not in vars(sub)
+    with pytest.raises(DependentElement, match="dependent spanning element"):
+        DoubleSubspace(t, w, [{("a0", 0): 1}, {("a0", 0): 2}])
+    with pytest.raises(WindowOverflow):
+        DoubleSubspace.of(t, w, [DoubleElement.of(t, loop=GPoly.monomial(e, 2))])
+    with pytest.raises(ValueError, match="another algebra"):
+        DoubleSubspace.of(make_sl(3), w, [el])
+
+
+def test_checks_refuse_a_window_other_than_the_subspace_s():
+    """Each window-taking check reads its subspace at the subspace's own
+    window: P* at [-4, 2] would otherwise not span at [-2, 1], W_1 get a
+    9-dim complement in place of 15, and a Lagrangian at [-4, 2] fail to be
+    maximal at [-8, 4]."""
+    t = make_sl(2)
+    w, small, large = Window(-4, 2), Window(-2, 1), Window(-8, 4)
+    pstar = standard_complement(t, w)
+    w1 = diagonal_twist_space(t, 1, w)
+    lag = lagrangian_from_pair(t, 0, [t.basis_element("e"), t.basis_element("h")],
+                               lambda i, j: F(i - j), w)
+    for other in (small, large):
+        with pytest.raises(ValueError, match="not the subspace's"):
+            check_transversality(pstar, other)
+        with pytest.raises(ValueError, match="not the subspace's"):
+            orth_complement_truncated(w1, other)
+        with pytest.raises(ValueError, match="not the subspace's"):
+            is_lagrangian_truncated(lag, other)
+    # At the subspace's own window, built anew, every check holds.
+    assert check_transversality(pstar, Window(-4, 2))["spans_with_polynomials"]
+    assert orth_complement_truncated(w1, Window(-4, 2)).dim == 15
+    assert is_lagrangian_truncated(lag, Window(-4, 2))
