@@ -23,8 +23,10 @@ failed, 2 = usage or parse error.  All rationals print exactly as p/q.
 
 Input is bounded so that no document or argument runs without bound: the
 rank N (header or --n) is at most MAX_RANK, a document or a gauge expression
-at most MAX_DOCUMENT_CHARS long, a JSON pair file or fixture at most
-MAX_JSON_CHARS long, an exponent at most MAX_EXPONENT in size,
+at most MAX_DOCUMENT_CHARS long, with parentheses and unary signs nested
+at most MAX_NESTING deep, a JSON pair file or fixture at most
+MAX_JSON_CHARS long and nested no deeper than the interpreter's recursion
+limit, an exponent at most MAX_EXPONENT in size,
 the unip degrees of a gauge expression sum to at most MAX_DEGREE, a gauge
 sweep checks 1..MAX_SWEEP seeded gauges, and every
 coefficient operation is refused before it is computed when its unreduced
@@ -52,6 +54,7 @@ from . import cybe, doubles, frobenius, gauge
 MAX_RANK = 6
 MAX_DOCUMENT_CHARS = 20_000
 MAX_JSON_CHARS = 100_000
+MAX_NESTING = 100
 MAX_EXPONENT = 16
 MAX_DEGREE = 16
 MAX_TRUNC = 12
@@ -123,6 +126,14 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def _enter(self, tok):
+        """One more open '(' or unary sign; past MAX_NESTING the descent
+        would outgrow the interpreter's recursion limit."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than the bound {MAX_NESTING}", self.text, tok[2])
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -252,7 +263,9 @@ class _Parser:
         tok = self._peek()
         if tok and tok[0] == "SYM" and tok[1] in "+-":
             self.pos += 1
+            self._enter(tok)
             out = self.unary()
+            self.depth -= 1
             return out if tok[1] == "+" else -out
         return self.power()
 
@@ -284,8 +297,10 @@ class _Parser:
         if tok[0] == "NAME" and tok[1] in ("u", "v"):
             return RatFun.var(tok[1])
         if tok[0] == "SYM" and tok[1] == "(":
+            self._enter(tok)
             out = self.expr()
             self.expect("SYM", ")")
+            self.depth -= 1
             return out
         raise ParseError(f"unexpected token {tok[1]!r} in coefficient", self.text, tok[2])
 
@@ -529,6 +544,8 @@ def _load_json_object(path, what):
         data = json.loads(text)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load {what} {path}: {exc}")
+    except RecursionError:
+        raise UsageError(f"cannot load {what} {path}: nested too deeply") from None
     if not isinstance(data, dict):
         raise UsageError(f"malformed {what} {path}: the top level must be a JSON object")
     return data

@@ -398,24 +398,23 @@ def check_transversality(w, window, tail_depth=1):
     2. W + i(g[u]) spans the whole window ambient.
     3. W contains the deep tail x * u^t, lo <= t <= -tail_depth.
     Both spanning sets are independent (a DoubleSubspace raises
-    DependentElement otherwise), so dim(W + i(g[u])) is
-    dim W + dim i(g[u]) - dim(W ∩ i(g[u])), with no second elimination.
+    DependentElement otherwise), so one rank decides the first two:
+    dim(W ∩ i(g[u])) is dim W + dim i(g[u]) - rank(W ∪ i(g[u])).
     The window must be W's own.  Returns a report dict; window and tail
     depth are echoed for the caller.
     """
     _same_window(w, window)
     table = w.table
     ip = embedded_polynomials(table, window)
-    inter = linalg.intersect_spans(w.rows, ip.rows)
-    spans = w.dim + ip.dim - len(inter) == ambient_dim(table, window)
+    rank = linalg.echelon_of(w.rows + ip.rows).rank
     tail = all(
         w.contains({("loop", t, i): 1})
         for t in range(window.lo, -tail_depth + 1)
         for i in range(table.dim)
     )
     return {
-        "trivial_intersection": len(inter) == 0,
-        "spans_with_polynomials": spans,
+        "trivial_intersection": w.dim + ip.dim == rank,
+        "spans_with_polynomials": rank == ambient_dim(table, window),
         "contains_tail": tail,
         "window": (window.lo, window.hi),
         "tail_depth": tail_depth,
@@ -585,13 +584,24 @@ def quotient_image_of_polynomials(table, k, window):
     """
     if not (1 <= k <= table.n - 1):
         raise ValueError(f"k must be in 1..{table.n - 1}, got {k}")
-    wk = diagonal_twist_space(table, k, window)
-    ip = embedded_polynomials(table, window)
-    inter = linalg.intersect_spans(ip.rows, wk.rows)
+    keys = {key for row in diagonal_twist_space(table, k, window).rows for key in row}
+    ip = embedded_polynomials(table, window).rows
+    # W_k is spanned by unit rows, so sum_j c_j * ip[j] lies in W_k exactly
+    # when its coordinates off W_k's keys vanish: one constraint per off-key.
+    off = {}
+    for j, row in enumerate(ip):
+        for key, c in row.items():
+            if key not in keys:
+                off.setdefault(key, {})[j] = c
     image_ech = linalg.Echelon()
     image = []
-    for vec in inter:
-        jet = {key: c for key, c in vec.items() if key[0] != "loop"}
+    for coeffs in linalg.nullspace(off.values(), range(len(ip))):
+        jet = {}
+        for j, c in coeffs.items():
+            for key, x in ip[j].items():
+                if key[0] != "loop":
+                    jet[key] = jet.get(key, 0) + c * x
+        jet = {key: x for key, x in jet.items() if x}
         if image_ech.add(jet):
             image.append(DoubleElement.from_coords(table, jet))
     par = parabolic(table, k)

@@ -25,15 +25,24 @@ cofactors of `tensors.clear_denominators` and the sparse accumulation of
 `ref_contains_tail` build the coordinate subspaces of the truncated double
 one `DoubleElement` per unit vector, and test the tail one element at a
 time: the paths that the unit rows of `doubles` replaced.
+
+`ref_intersect_spans` is the Zassenhaus block reduction, and
+`ref_check_transversality` and `ref_quotient_image` read the transversality
+counts and the jet image off the intersections it returns: the paths that
+one rank and one nullspace in `doubles` replaced.  Each takes the rows of
+i(g[u]) as an argument, so that a test can drop one as a negative control.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from yangbaxter.cybe import cobracket
-from yangbaxter.doubles import DoubleElement, DoubleSubspace, line_shift
+from yangbaxter import linalg
+from yangbaxter.doubles import (
+    DoubleElement, DoubleSubspace, QuotientMismatch, ambient_dim, line_shift,
+)
 from yangbaxter.gauge import _ad_coordinate_matrix
-from yangbaxter.lie import GPoly
+from yangbaxter.lie import GPoly, orthogonal_complement_g, parabolic
 from yangbaxter.ratfun import P_ONE, Poly, RatFun, _poly_divexact, poly_gcd
 from yangbaxter.tensors import Tensor2, Tensor3, accumulate, clear_denominators, leg_bracket
 
@@ -233,3 +242,51 @@ def ref_contains_tail(w, tail_depth):
             if not w.contains(el.coords(window)):
                 return False
     return True
+
+
+def ref_intersect_spans(vectors_a, vectors_b):
+    """RREF basis of span(A) ∩ span(B), by pivot: rows (a, a) and (b, 0)
+    reduce to rows (0, x) with x running over the intersection."""
+    rows = [{(i, k): x for i in (0, 1) for k, x in a.items()} for a in vectors_a]
+    rows += [{(0, k): x for k, x in b.items()} for b in vectors_b]
+    ech = linalg.echelon_of(rows)
+    return [{k[1]: x for k, x in ech.rows[p].items()} for p in sorted(ech.rows) if p[0] == 1]
+
+
+def ref_check_transversality(w, window, tail_depth, ip_rows):
+    """The transversality report from dim(W ∩ i(g[u])) by Zassenhaus."""
+    inter = ref_intersect_spans(w.rows, ip_rows)
+    return {
+        "trivial_intersection": len(inter) == 0,
+        "spans_with_polynomials":
+            w.dim + len(ip_rows) - len(inter) == ambient_dim(w.table, window),
+        "contains_tail": ref_contains_tail(w, tail_depth),
+        "window": (window.lo, window.hi),
+        "tail_depth": tail_depth,
+    }
+
+
+def ref_quotient_image(table, k, window, ip_rows):
+    """The jet parts of the Zassenhaus basis of i(g[u]) ∩ W_k, each kept when
+    it raises the rank; QuotientMismatch unless they span
+    parabolic(k) + eps * (Killing complement of parabolic(k))."""
+    wk = ref_diagonal_twist_space(table, k, window)
+    image_ech = linalg.Echelon()
+    image = []
+    for vec in ref_intersect_spans(ip_rows, wk.rows):
+        jet = {key: c for key, c in vec.items() if key[0] != "loop"}
+        if image_ech.add(jet):
+            image.append(DoubleElement.from_coords(table, jet))
+    par = parabolic(table, k)
+    expected_ech = linalg.echelon_of(
+        [{("a0", i): c for i, c in x.terms.items()} for x in par.elements]
+        + [{("a1", i): c for i, c in x.terms.items()}
+           for x in orthogonal_complement_g(par, table).elements]
+    )
+    if image_ech.rows != expected_ech.rows:
+        raise QuotientMismatch(
+            f"jet image of the polynomial part (dim {image_ech.rank}) differs "
+            f"from parabolic({k}) + eps*complement (dim {expected_ech.rank}) "
+            f"at window [{window.lo}, {window.hi}]"
+        )
+    return image

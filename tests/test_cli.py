@@ -23,6 +23,7 @@ from yangbaxter.cli import (
     MAX_DOCUMENT_CHARS,
     MAX_EXPONENT,
     MAX_JSON_CHARS,
+    MAX_NESTING,
     MAX_RANK,
     MAX_SWEEP,
     MAX_TRUNC,
@@ -429,6 +430,52 @@ def test_malformed_input_exits_2_with_and_without_optimisation(tmp_path):
             assert proc.returncode == 2, (flags, argv, proc.stderr)
             assert proc.stderr.startswith("error: "), (flags, argv, proc.stderr)
             assert "Traceback" not in proc.stderr, (flags, argv, proc.stderr)
+
+
+def test_deep_nesting_exits_2_fast_with_and_without_optimisation(tmp_path):
+    # The parser descends once per '(' and per unary sign, and json.loads once
+    # per bracket: past MAX_NESTING, or past the interpreter's recursion
+    # limit for JSON, the command exits 2 at once instead of crashing.
+    docs = {
+        "parens250": "(" * 250 + "1" + ")" * 250 + "*e(x)f",
+        "parens1000": "(" * 1000 + "1" + ")" * 1000 + "*e(x)f",
+        "minus5000": "2*" + "-" * 5000 + "1*e(x)f",
+    }
+    runs = []
+    for name, body in docs.items():
+        (tmp_path / f"{name}.rmx").write_text(f"algebra sl(2); {body}\n")
+        runs.append(["verify", "--input", str(tmp_path / f"{name}.rmx")])
+    runs.append(["gauge", "--builtin", "q1", "--p", "unip(e,0," + "(" * 400 + "1" + ")" * 400 + ")"])
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 49_999 + "]" * 49_999)
+    assert len(deep.read_text()) < MAX_JSON_CHARS
+    runs += [["double", "--check", "transversal", "--fixture", str(deep)],
+             ["frobenius", "--check-pair", "--pair", str(deep)]]
+    for flags in ([], ["-O"]):
+        for argv in runs:
+            start = time.perf_counter()
+            proc = _run_cli(flags, argv, timeout=60)
+            elapsed = time.perf_counter() - start
+            assert proc.returncode == 2, (flags, argv[:3], proc.stderr[-300:])
+            assert proc.stderr.startswith("error: "), (flags, argv[:3], proc.stderr[-300:])
+            assert "Traceback" not in proc.stderr, (flags, argv[:3])
+            assert elapsed < 1, (flags, argv[:3], elapsed)
+
+
+def test_nesting_bound_admits_exactly_max_nesting():
+    # Parentheses and unary signs share one depth counter.
+    for opens, signs in ((MAX_NESTING, 0), (0, MAX_NESTING), (MAX_NESTING // 2, MAX_NESTING // 2)):
+        coeff = "(" * opens + "-" * signs + "2" + ")" * opens
+        doc = parse_rmatrix(f"algebra sl(2); 3*{coeff}*e(x)f")
+        assert doc.tensor.coeff("e", "f") == RatFun.from_frac(3 * 2 * (-1) ** signs)
+        for deeper in ("(" + coeff + ")", "-" + coeff):
+            with pytest.raises(ParseError, match=f"nesting deeper than the bound {MAX_NESTING}"):
+                parse_rmatrix(f"algebra sl(2); 3*{deeper}*e(x)f")
+    # Sibling parentheses do not add up, and leading term signs are no nesting.
+    siblings = "*".join(["(1)"] * (2 * MAX_NESTING))
+    assert parse_rmatrix(f"algebra sl(2); {siblings}*e(x)f").tensor.coeff("e", "f") == RatFun.from_frac(1)
+    assert parse_rmatrix("algebra sl(2); " + "-" * (2 * MAX_NESTING) + "e(x)f").tensor.coeff(
+        "e", "f") == RatFun.from_frac(1)
 
 
 def test_fixture_file_matches_builtin_subspace(tmp_path, capsys):

@@ -40,6 +40,7 @@ from yangbaxter.doubles import (
     line_shift,
     loop_part,
     orth_complement_truncated,
+    QuotientMismatch,
     quotient_image_of_polynomials,
     standard_complement,
 )
@@ -48,9 +49,11 @@ from yangbaxter.lie import GPoly, casimir, make_sl
 from yangbaxter.ratfun import RF_ZERO, Poly, RatFun
 
 from reference import (
+    ref_check_transversality,
     ref_contains_tail,
     ref_diagonal_twist_space,
     ref_loop_part,
+    ref_quotient_image,
     ref_standard_complement,
 )
 
@@ -702,26 +705,9 @@ def test_subalgebra_unordered_pairs_match_ordered_reference():
 
 
 def _ref_check_transversality(w, window, tail_depth=1):
-    """The report with a freshly built i(g[u]) and the rank of W + i(g[u])
-    taken from one Echelon over both spanning sets."""
-    table = w.table
-    ip = embedded_polynomials.__wrapped__(table, window)
-    rows_w = [el.coords(window) for el in w.elements]
-    rows_ip = [el.coords(window) for el in ip.elements]
-    inter = linalg.intersect_spans(rows_w, rows_ip)
-    joint = linalg.echelon_of(rows_w + rows_ip)
-    tail = all(
-        w.contains(DoubleElement.of(table, loop=GPoly.monomial(x, t)).coords(window))
-        for t in range(window.lo, -tail_depth + 1)
-        for x in table.basis()
-    )
-    return {
-        "trivial_intersection": len(inter) == 0,
-        "spans_with_polynomials": joint.rank == ambient_dim(table, window),
-        "contains_tail": tail,
-        "window": (window.lo, window.hi),
-        "tail_depth": tail_depth,
-    }
+    """The Zassenhaus report against a freshly built i(g[u])."""
+    ip = embedded_polynomials.__wrapped__(w.table, window)
+    return ref_check_transversality(w, window, tail_depth, ip.rows)
 
 
 def test_transversality_matches_joint_rank_on_builtin_spaces():
@@ -792,6 +778,76 @@ def test_transversality_with_shared_polynomial_part_is_repeatable():
     assert isinstance(first_ip.elements, tuple)
     assert list(first_ip.rows) == rows == [el.coords(w) for el in first_ip.elements]
     assert hash(Window(-4, 2)) == hash(w) and Window(-4, 2) == w != Window(-4, 1)
+
+
+# --- One rank and one nullspace against the Zassenhaus references.
+
+
+@st.composite
+def _double_subspaces(draw):
+    """(table, window [-2T, T], W) for sl(2)..sl(4) and T in 0..4.  W is P*,
+    i(g[u]) itself, a twist space, a pair Lagrangian (rows that are not unit
+    vectors), or seeded unit rows with a few integral combinations."""
+    n, top = draw(st.sampled_from((2, 3, 4))), draw(st.integers(0, 4))
+    t, w = make_sl(n), Window(-2 * top, top)
+    kind = draw(st.sampled_from(("pstar", "polynomials", "twist", "lagrangian", "rows")))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if kind == "pstar":
+        return t, w, standard_complement(t, w)
+    if kind == "polynomials":
+        return t, w, embedded_polynomials(t, w)
+    if kind == "twist":
+        return t, w, diagonal_twist_space(t, rng.randrange(n), w)
+    if kind == "lagrangian":
+        return t, w, _seeded_lagrangian(t, rng, w, skew=True)
+    keys = ambient_coords(t, w)
+    rows = [{key: 1} for key in rng.sample(keys, rng.randint(1, len(keys)))]
+    for _ in range(rng.randint(0, 3)):
+        rows.append({key: rng.choice([-2, -1, 1, 3]) for key in rng.sample(keys, 3)})
+    ech = linalg.Echelon()
+    return t, w, DoubleSubspace(t, w, [row for row in rows if ech.add(row)])
+
+
+def _quotient_or_mismatch(quotient, *args):
+    try:
+        return [el.coords(args[-1]) for el in quotient(*args)]
+    except QuotientMismatch as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_double_subspaces())
+def test_rank_and_nullspace_match_zassenhaus_references(space):
+    """Every tail depth 0..2T gives the reference's report, and every k the
+    reference's quotient image: the same rows in the same order, or the same
+    QuotientMismatch (as at T = 0, where no u^1 reaches W_k)."""
+    t, w, sub = space
+    ip = embedded_polynomials(t, w).rows
+    for depth in range(-w.lo + 1):
+        assert check_transversality(sub, w, depth) == ref_check_transversality(sub, w, depth, ip)
+    for k in range(1, t.n):
+        assert _quotient_or_mismatch(quotient_image_of_polynomials, t, k, w) == \
+            _quotient_or_mismatch(lambda *a: ref_quotient_image(*a, ip), t, k, w), (t.n, k, w)
+
+
+def test_zassenhaus_references_see_a_dropped_polynomial_row():
+    """Negative control: with one row of i(g[u]) dropped, each reference
+    differs from the package on some of these spaces."""
+    transversal = quotient = 0
+    for n in (2, 3, 4):
+        t = make_sl(n)
+        for top in (0, 1, 2):
+            w = Window(-2 * top, top)
+            ip = embedded_polynomials(t, w).rows
+            for drop in (0, len(ip) - 1):
+                short = ip[:drop] + ip[drop + 1:]
+                for sub in (standard_complement(t, w), diagonal_twist_space(t, n - 1, w)):
+                    transversal += check_transversality(sub, w) != \
+                        ref_check_transversality(sub, w, 1, short)
+                for k in range(1, n):
+                    quotient += _quotient_or_mismatch(quotient_image_of_polynomials, t, k, w) != \
+                        _quotient_or_mismatch(lambda *a: ref_quotient_image(*a, short), t, k, w)
+    assert transversal > 0 and quotient > 0, (transversal, quotient)
 
 
 # --- Coordinate subspaces from unit rows against the element-built references.
