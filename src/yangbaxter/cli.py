@@ -26,7 +26,9 @@ rank N (header or --n) is at most MAX_RANK, a document or a gauge expression
 at most MAX_DOCUMENT_CHARS long, with parentheses and unary signs nested
 at most MAX_NESTING deep, a JSON pair file or fixture at most
 MAX_JSON_CHARS long and nested no deeper than the interpreter's recursion
-limit, an exponent at most MAX_EXPONENT in size,
+limit, an exponent at most MAX_EXPONENT in size, a verified document's
+cleared form (d, d*r) at most MAX_CLEARED_COST term products
+terms(d) * terms(d*r)^2 (the work of weighting its residual by d),
 the unip degrees of a gauge expression sum to at most MAX_DEGREE, a gauge
 sweep checks 1..MAX_SWEEP seeded gauges, and every
 coefficient operation is refused before it is computed when its unreduced
@@ -41,13 +43,14 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
 
 from .lie import CalibrationError, Subspace, calibrate_casimir, casimir, dj_rmatrix, make_sl
 from .ratfun import RatFun
-from .tensors import Tensor2, accumulate, is_skew
+from .tensors import Tensor2, accumulate, clear_denominators, is_skew
 from . import cybe, doubles, frobenius, gauge
 
 
@@ -59,6 +62,11 @@ MAX_EXPONENT = 16
 MAX_DEGREE = 16
 MAX_TRUNC = 12
 MAX_SWEEP = 100
+# At most about 0.8 s of `cyb` (2 shared cores, Python 3.11).  Over sl(2) to
+# sl(4), 9 keys 1/(u^2 + c*v + 1)*x(x)y with one distinct c each cost 9.0e6
+# term products and run 0.5-0.8 s; 10 keys cost 2.0e7 and run 1.5 s, and 16
+# keys cost 7.2e8 and run 26 s.
+MAX_CLEARED_COST = 10_000_000
 
 
 class UsageError(Exception):
@@ -498,6 +506,11 @@ def cmd_verify(args):
         doc = parse_rmatrix(text)
         table, omega, r = doc.table, doc.omega, doc.tensor
         source = args.input
+        d, p = clear_denominators(r)
+        cost = len(d.terms) * sum(len(f.terms) for f in p.entries.values()) ** 2
+        if cost > MAX_CLEARED_COST:
+            raise UsageError(f"{source}: the residual of the cleared form costs {cost} "
+                             f"term products, beyond the bound {MAX_CLEARED_COST}")
     residual = cybe.cyb(r)
     qr = cybe.is_quasi_rational(r, omega)
     skew = is_skew(r)
@@ -551,10 +564,17 @@ def _load_json_object(path, what):
     return data
 
 
+def _json_integer(value, name):
+    """A JSON integer; a float, a string or a bool is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _pair_from_file(path):
     data = _load_json_object(path, "pair file")
     try:
-        n = int(data["algebra"])
+        n = _json_integer(data["algebra"], "algebra")
         table = _sl(n)
         labels, rows = data["basis"], data["matrix"]
         if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
@@ -566,7 +586,7 @@ def _pair_from_file(path):
             raise ValueError(f"matrix must be {d} lists of {d} entries each")
         basis = [parse_element(table, s) for s in labels]
         matrix = [[Fraction(str(c)) for c in row] for row in rows]
-        k = int(data.get("k", 0))
+        k = _json_integer(data.get("k", 0), "k")
         sub = Subspace(table, basis)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed pair file {path}: {exc}")
@@ -706,6 +726,12 @@ def _subspace_from_file(table, path, window):
             raise ValueError(f"element {text!r} is not a string")
         return parse_element(table, text)
 
+    def degree(key):
+        # One spelling per integer, so that no two keys name one degree.
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+            raise ValueError(f"loop key {key!r} is not an integer in canonical form")
+        return int(key)
+
     data = _load_json_object(path, "fixture")
     els = []
     try:
@@ -713,10 +739,10 @@ def _subspace_from_file(table, path, window):
             loop = entry.get("loop", {}) if isinstance(entry, dict) else None
             if not isinstance(loop, dict):
                 raise ValueError(f"element {entry!r} must be an object, and its loop an object")
-            loop = GPoly(table, {int(deg): element(x) for deg, x in loop.items()})
+            loop = GPoly(table, {degree(deg): element(x) for deg, x in loop.items()})
             a0 = element(entry["a0"]) if "a0" in entry else table.zero()
             a1 = element(entry["a1"]) if "a1" in entry else table.zero()
-            els.append(doubles.DoubleElement(loop, a0, a1))
+            els.append(doubles.DoubleElement.of(table, loop, a0, a1))
         # DependentElement and WindowOverflow are ValueErrors too
         return doubles.DoubleSubspace.of(table, window, els)
     except (KeyError, TypeError, ValueError) as exc:

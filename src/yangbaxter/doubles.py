@@ -1,7 +1,8 @@
 """Truncated model of the classical double of the polynomial current algebra.
 
 Elements are pairs (loop, jet): a g-valued Laurent polynomial plus a 1-jet
-A0 + A1*eps with eps^2 = 0.  The invariant pairing is
+A0 + A1*eps with eps^2 = 0, each held as its sparse coordinate row over
+("loop", d, i), ("a0", i) and ("a1", i).  The invariant pairing is
 
     Q(x, y) = [coefficient of u^1 in K(loop_x, loop_y)]
               - K(A0_x, A1_y) - K(A1_x, A0_y)
@@ -74,93 +75,78 @@ class UnrealizableForm(ValueError):
 
 
 class DoubleElement:
-    """loop + (A0 + A1*eps): one element of the truncated double."""
+    """loop + (A0 + A1*eps): one element of the truncated double, as its row.
 
-    __slots__ = ("table", "loop", "a0", "a1")
+    The row is the sparse dict over ("loop", d, i), ("a0", i) and ("a1", i)
+    that a DoubleSubspace holds; `of` packs a GPoly loop and two GElement
+    jets into it."""
 
-    def __init__(self, loop, a0, a1):
-        if not (isinstance(loop, GPoly) and isinstance(a0, GElement) and isinstance(a1, GElement)):
-            raise ValueError(f"need a GPoly and two GElements, not {(loop, a0, a1)}")
-        if not loop.table is a0.table is a1.table:
-            raise ValueError("double element parts over different algebras")
-        self.table = loop.table
-        self.loop = loop
-        self.a0 = a0
-        self.a1 = a1
+    __slots__ = ("table", "row")
+
+    def __init__(self, table, row):
+        self.table = table
+        self.row = row
 
     @staticmethod
     def of(table, loop=None, a0=None, a1=None):
-        return DoubleElement(
-            loop if loop is not None else GPoly(table, {}),
-            a0 if a0 is not None else table.zero(),
-            a1 if a1 is not None else table.zero(),
-        )
-
-    def is_zero(self):
-        return self.loop.is_zero() and self.a0.is_zero() and self.a1.is_zero()
+        loop = loop if loop is not None else GPoly(table, {})
+        a0 = a0 if a0 is not None else table.zero()
+        a1 = a1 if a1 is not None else table.zero()
+        if not (isinstance(loop, GPoly) and isinstance(a0, GElement) and isinstance(a1, GElement)):
+            raise ValueError(f"need a GPoly and two GElements, not {(loop, a0, a1)}")
+        if not table is loop.table is a0.table is a1.table:
+            raise ValueError("double element parts over different algebras")
+        row = {("loop", d, i): c for d, x in loop.terms.items() for i, c in x.terms.items()}
+        for part, x in (("a0", a0), ("a1", a1)):
+            row.update(((part, i), c) for i, c in x.terms.items())
+        return DoubleElement(table, row)
 
     def __eq__(self, other):
         if not isinstance(other, DoubleElement):
             return NotImplemented
-        return (
-            self.loop == other.loop and self.a0 == other.a0 and self.a1 == other.a1
-        )
-
-    def __add__(self, other):
-        return DoubleElement(
-            self.loop + other.loop, self.a0 + other.a0, self.a1 + other.a1
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return DoubleElement(self.loop.scale(c), self.a0.scale(c), self.a1.scale(c))
+        return self.table is other.table and self.row == other.row
 
     def coords(self, window):
-        """Sparse coordinates over the ambient window basis."""
-        out = {}
-        for d, x in self.loop.terms.items():
-            if d not in window:
+        """The row, once every loop exponent is checked against the window."""
+        for key in self.row:
+            if key[0] == "loop" and key[1] not in window:
                 raise WindowOverflow(
-                    f"loop exponent {d} outside window [{window.lo}, {window.hi}]"
+                    f"loop exponent {key[1]} outside window [{window.lo}, {window.hi}]"
                 )
-            for i, c in x.terms.items():
-                out[("loop", d, i)] = c
-        for i, c in self.a0.terms.items():
-            out[("a0", i)] = c
-        for i, c in self.a1.terms.items():
-            out[("a1", i)] = c
-        return out
-
-    @staticmethod
-    def from_coords(table, vec):
-        loop = {}
-        a0 = {}
-        a1 = {}
-        for key, c in vec.items():
-            if key[0] == "loop":
-                _, d, i = key
-                loop.setdefault(d, {})[i] = c
-            elif key[0] == "a0":
-                a0[key[1]] = c
-            else:
-                a1[key[1]] = c
-        gp = GPoly(table, {d: GElement(table, v) for d, v in loop.items()})
-        return DoubleElement(gp, GElement(table, a0), GElement(table, a1))
+        return self.row
 
     def __str__(self):
-        parts = []
-        if not self.loop.is_zero():
-            parts.append(str(self.loop))
-        if not self.a0.is_zero():
-            parts.append(f"({self.a0})_0")
-        if not self.a1.is_zero():
-            parts.append(f"({self.a1})*eps")
-        return " + ".join(parts) if parts else "0"
+        parts = _by_head(self.row)
+        loops = sorted(head for head in parts if head[0] == "loop")
+        out = [f"({GElement(self.table, parts[head])})" + (f"*u^{head[1]}" if head[1] else "")
+               for head in loops]
+        out += [f"({GElement(self.table, parts[head])}){suffix}"
+                for head, suffix in ((("a0",), "_0"), (("a1",), "*eps")) if head in parts]
+        return " + ".join(out) or "0"
 
     def __repr__(self):
         return f"DoubleElement({self})"
+
+
+def _by_head(row):
+    """A row grouped by head: {("loop", d) | ("a0",) | ("a1",): {i: c}}."""
+    parts = {}
+    for key, c in row.items():
+        parts.setdefault(key[:-1], {})[key[-1]] = c
+    return parts
+
+
+# The head of a bracket of two jet heads: a0 has grade 0 and a1 grade 1, and
+# eps^2 = 0 drops grade 2.
+_JET_PRODUCT = {("a0", "a0"): ("a0",), ("a0", "a1"): ("a1",), ("a1", "a0"): ("a1",)}
+
+
+def _partner(head):
+    """The head that Q pairs with `head`, and the sign of the pairing:
+    loop degree d with 1 - d, and a0 with a1 under a minus sign."""
+    if head[0] == "loop":
+        return ("loop", 1 - head[1]), 1
+    return (("a1",) if head[0] == "a0" else ("a0",)), -1
 
 
 def double_bracket(x, y):
@@ -170,26 +156,33 @@ def double_bracket(x, y):
     """
     if x.table is not y.table:
         raise ValueError("bracket of double elements over different algebras")
-    from .lie import bracket_poly
-
-    loop = bracket_poly(x.loop, y.loop)
-    a0 = x.a0.bracket(y.a0)
-    a1 = x.a0.bracket(y.a1) + x.a1.bracket(y.a0)
-    return DoubleElement(loop, a0, a1)
+    table = x.table
+    ys = _by_head(y.row)
+    out = {}
+    for hx, a in _by_head(x.row).items():
+        for hy, b in ys.items():
+            if hx[0] == "loop" or hy[0] == "loop":
+                head = ("loop", hx[1] + hy[1]) if hx[0] == hy[0] else None
+            else:
+                head = _JET_PRODUCT.get((hx[0], hy[0]))
+            if head is not None:
+                for i, c in table.bracket_coords(a, b).items():
+                    key = head + (i,)
+                    out[key] = out.get(key, 0) + c
+    return DoubleElement(table, {key: c for key, c in out.items() if c})
 
 
 def invariant_form(x, y):
     """Q(x, y): u^1-coefficient of K(loops) minus the crossed jet pairings."""
     if x.table is not y.table:
         raise ValueError("pairing of double elements over different algebras")
-    table = x.table
+    ys = _by_head(y.row)
     total = 0
-    for d1, xe in x.loop.terms.items():
-        ye = y.loop.terms.get(1 - d1)
-        if ye is not None:
-            total += table.killing_pair(xe.terms, ye.terms)
-    total -= table.killing_pair(x.a0.terms, y.a1.terms)
-    total -= table.killing_pair(x.a1.terms, y.a0.terms)
+    for head, a in _by_head(x.row).items():
+        partner, sign = _partner(head)
+        b = ys.get(partner)
+        if b is not None:
+            total += sign * x.table.killing_pair(a, b)
     return total
 
 
@@ -205,7 +198,7 @@ def embed_polynomial(p, window):
             raise WindowOverflow(
                 f"degree {degs[-1]} needs window hi >= {degs[-1]}, have {window.hi}"
             )
-    return DoubleElement(p, p.coeff(0), p.coeff(1))
+    return DoubleElement.of(p.table, p, p.coeff(0), p.coeff(1))
 
 
 def ambient_coords(table, window):
@@ -222,7 +215,7 @@ class DoubleSubspace:
 
     Each row is a sparse vector over the window coordinates ("loop", d, i),
     ("a0", i) and ("a1", i); `of` admits DoubleElements, and `elements`
-    reads the rows back as DoubleElements.
+    wraps the rows as DoubleElements.
     """
 
     def __init__(self, table, window, rows):
@@ -232,8 +225,8 @@ class DoubleSubspace:
         self._ech = linalg.Echelon()
         for row in self.rows:
             if not self._ech.add(row):
-                el = DoubleElement.from_coords(table, row)
-                raise DependentElement(f"dependent spanning element {el}")
+                raise DependentElement(
+                    f"dependent spanning element {DoubleElement(table, row)}")
 
     @staticmethod
     def of(table, window, elements):
@@ -251,7 +244,7 @@ class DoubleSubspace:
 
     @property
     def elements(self):
-        return tuple(DoubleElement.from_coords(self.table, row) for row in self.rows)
+        return tuple(DoubleElement(self.table, row) for row in self.rows)
 
     def contains(self, row):
         return self._ech.contains(row)
@@ -293,19 +286,13 @@ def _pairing_row(table, row, window):
     """Sparse row c -> Q(unit_c, v) over the ambient coordinates, for a row v.
 
     Loop degree d pairs with 1 - d, and a0 with a1 under a minus sign."""
-    parts = {}
-    for key, c in row.items():
-        parts.setdefault(key[:-1], {})[key[-1]] = c
     out = {}
-    for part, terms in parts.items():
-        if part[0] == "loop":
-            if 1 - part[1] not in window:
-                continue
-            head, sign = ("loop", 1 - part[1]), 1
-        else:
-            head, sign = ("a1" if part[0] == "a0" else "a0",), -1
+    for head, terms in _by_head(row).items():
+        partner, sign = _partner(head)
+        if partner[0] == "loop" and partner[1] not in window:
+            continue
         for i, c in table.killing_row(terms).items():
-            out[head + (i,)] = sign * c
+            out[partner + (i,)] = sign * c
     return out
 
 
@@ -332,21 +319,18 @@ def is_isotropic(sub):
 
     Q is graded: loop degree t pairs only with 1 - t, and the jet's a0
     (grade 0) only with its a1 (grade 1).  Q is evaluated on the pairs
-    j >= i whose grades meet; every other pair is zero by definition."""
-    els = sub.elements
-    grades = [
-        [("loop", d) for d in x.loop.terms]
-        + [("jet", t) for t, a in enumerate((x.a0, x.a1)) if not a.is_zero()]
-        for x in els
-    ]
+    j >= i whose grades meet; every other pair is zero by definition.
+    The grades of a row are its heads, read off its keys."""
+    heads = [_by_head(row) for row in sub.rows]
     holders = {}
-    for j, keys in enumerate(grades):
-        for key in keys:
-            holders.setdefault(key, set()).add(j)
+    for j, grades in enumerate(heads):
+        for head in grades:
+            holders.setdefault(head, set()).add(j)
+    els = sub.elements
     for i, x in enumerate(els):
         partners = set()
-        for part, t in grades[i]:
-            partners.update(j for j in holders.get((part, 1 - t), ()) if j >= i)
+        for head in heads[i]:
+            partners.update(j for j in holders.get(_partner(head)[0], ()) if j >= i)
         for j in sorted(partners):
             if invariant_form(x, els[j]) != 0:
                 return False
@@ -381,12 +365,8 @@ def is_subalgebra(sub):
     els = sub.elements
     for i, x in enumerate(els):
         for y in els[i + 1:]:
-            z = double_bracket(x, y)
-            if z.loop.terms:
-                degs = z.loop.degrees()
-                if degs[0] < window.lo or degs[-1] > window.hi:
-                    continue
-            if not sub.contains(z.coords(window)):
+            z = double_bracket(x, y).row
+            if all(key[0] != "loop" or key[1] in window for key in z) and not sub.contains(z):
                 return False
     return True
 
@@ -603,7 +583,7 @@ def quotient_image_of_polynomials(table, k, window):
                     jet[key] = jet.get(key, 0) + c * x
         jet = {key: x for key, x in jet.items() if x}
         if image_ech.add(jet):
-            image.append(DoubleElement.from_coords(table, jet))
+            image.append(DoubleElement(table, jet))
     par = parabolic(table, k)
     expected_ech = linalg.echelon_of(
         [{("a0", i): c for i, c in x.terms.items()} for x in par.elements]

@@ -490,7 +490,9 @@ def calibrate_casimir(table):
 
     * the rational probe  Omega_c/(u-v) + u*(e(x)h) - v*(h(x)e),
     * the polynomial-tail probe  u*v*Omega_c/(v-u) + (1/2)h(x)e
-      - (1/2)e(x)h - u*(e(x)f) + v*(f(x)e).
+      - (1/2)e(x)h - u*(e(x)f) + v*(f(x)e),
+
+    the catalog's rational_eh and q2 built over Omega_c.
 
     The rational probe alone is scale-insensitive (its cross terms with
     the symmetric part vanish for every invariant tensor), so the
@@ -502,29 +504,12 @@ def calibrate_casimir(table):
 
     if table.n != 2:
         raise ValueError("calibration is defined over sl(2)")
-    u = RatFun.var("u")
-    v = RatFun.var("v")
-    e = table.index["e"]
-    f = table.index["f"]
-    h = table.index["h"]
     residuals = {}
     survivors = []
     for c in CANDIDATE_SCALES:
         spec = casimir(table, c)
-        probe1 = spec.tensor().scale((u - v) ** -1) + Tensor2.make(
-            table, {(e, h): u, (h, e): -v}
-        )
-        probe2 = spec.leading + Tensor2.make(
-            table,
-            {
-                (h, e): RatFun.from_frac(Fraction(1, 2)),
-                (e, h): RatFun.from_frac(Fraction(-1, 2)),
-                (e, f): -u,
-                (f, e): v,
-            },
-        )
-        r1 = cybe.cyb(probe1)
-        r2 = cybe.cyb(probe2)
+        r1 = cybe.cyb(cybe.catalog_entry(table, spec, "rational_eh"))
+        r2 = cybe.cyb(cybe.catalog_entry(table, spec, "q2"))
         residuals[c] = (len(r1.entries), len(r2.entries))
         if r1.is_zero() and r2.is_zero():
             survivors.append(spec)

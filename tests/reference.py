@@ -26,6 +26,12 @@ cofactors of `tensors.clear_denominators` and the sparse accumulation of
 one `DoubleElement` per unit vector, and test the tail one element at a
 time: the paths that the unit rows of `doubles` replaced.
 
+`ref_parts` splits a row of the truncated double into a `GPoly` loop and two
+`GElement` jets, and `ref_row` packs them back.  `ref_double_bracket`,
+`ref_invariant_form`, `ref_str` and `ref_is_isotropic` are the bracket, the
+pairing, the printed text and the graded isotropy check on those triples:
+the paths that reading the coordinate row in `doubles` replaced.
+
 `ref_intersect_spans` is the Zassenhaus block reduction, and
 `ref_check_transversality` and `ref_quotient_image` read the transversality
 counts and the jet image off the intersections it returns: the paths that
@@ -42,7 +48,7 @@ from yangbaxter.doubles import (
     DoubleElement, DoubleSubspace, QuotientMismatch, ambient_dim, line_shift,
 )
 from yangbaxter.gauge import _ad_coordinate_matrix
-from yangbaxter.lie import GPoly, orthogonal_complement_g, parabolic
+from yangbaxter.lie import GElement, GPoly, bracket_poly, orthogonal_complement_g, parabolic
 from yangbaxter.ratfun import P_ONE, Poly, RatFun, _poly_divexact, poly_gcd
 from yangbaxter.tensors import Tensor2, Tensor3, accumulate, clear_denominators, leg_bracket
 
@@ -201,6 +207,72 @@ def ref_ad_columns(table, mat):
     return cols
 
 
+def ref_parts(table, row):
+    """A row of the truncated double as (GPoly loop, GElement a0, GElement a1)."""
+    loop, jets = {}, {"a0": {}, "a1": {}}
+    for key, c in row.items():
+        if key[0] == "loop":
+            loop.setdefault(key[1], {})[key[2]] = c
+        else:
+            jets[key[0]][key[1]] = c
+    return (GPoly(table, {d: GElement(table, x) for d, x in loop.items()}),
+            GElement(table, jets["a0"]), GElement(table, jets["a1"]))
+
+
+def ref_row(loop, a0, a1):
+    """The row of a (loop, a0, a1) triple."""
+    row = {("loop", d, i): c for d, x in loop.terms.items() for i, c in x.terms.items()}
+    for part, x in (("a0", a0), ("a1", a1)):
+        row.update(((part, i), c) for i, c in x.terms.items())
+    return row
+
+
+def ref_double_bracket(x, y, cross=True):
+    """(loop, a0, a1) of [x, y]: bracket_poly on the loops, and
+    [A0 + A1 eps, B0 + B1 eps] = [A0,B0] + ([A0,B1] + [A1,B0]) eps.
+    cross=False leaves out [A1,B0], as a negative control."""
+    a1 = x[1].bracket(y[2])
+    if cross:
+        a1 = a1 + x[2].bracket(y[1])
+    return bracket_poly(x[0], y[0]), x[1].bracket(y[1]), a1
+
+
+def ref_invariant_form(x, y):
+    """u^1-coefficient of K(loop_x, loop_y) - K(A0_x, A1_y) - K(A1_x, A0_y)."""
+    total = 0
+    for d, xe in x[0].terms.items():
+        ye = y[0].terms.get(1 - d)
+        if ye is not None:
+            total += xe.killing(ye)
+    return total - x[1].killing(y[2]) - x[2].killing(y[1])
+
+
+def ref_str(x):
+    """loop + (A0)_0 + (A1)*eps, leaving out the zero parts; "0" if all are."""
+    loop, a0, a1 = x
+    parts = [str(loop)] if not loop.is_zero() else []
+    parts += [f"({a})" + suffix for a, suffix in ((a0, "_0"), (a1, "*eps")) if not a.is_zero()]
+    return " + ".join(parts) if parts else "0"
+
+
+def ref_is_isotropic(els):
+    """Graded isotropy over triples: loop degree t meets 1 - t, jet grade 0
+    (a0) meets grade 1 (a1), and Q is evaluated on the pairs j >= i that meet."""
+    grades = [[("loop", d) for d in x[0].terms]
+              + [("jet", t) for t, a in enumerate(x[1:]) if not a.is_zero()] for x in els]
+    holders = {}
+    for j, keys in enumerate(grades):
+        for key in keys:
+            holders.setdefault(key, set()).add(j)
+    for i, x in enumerate(els):
+        partners = set()
+        for part, t in grades[i]:
+            partners.update(j for j in holders.get((part, 1 - t), ()) if j >= i)
+        if any(ref_invariant_form(x, els[j]) != 0 for j in partners):
+            return False
+    return True
+
+
 def ref_diagonal_twist_space(table, k, window):
     """W_k: line a in loop degrees lo..min(hi, shift_a), then g and g*eps."""
     els = []
@@ -229,7 +301,8 @@ def ref_standard_complement(table, window):
 
 def ref_loop_part(sub):
     """The spanning elements with a zero jet part, as a new subspace."""
-    els = [el for el in sub.elements if el.a0.is_zero() and el.a1.is_zero()]
+    els = [el for el in sub.elements
+           if all(a.is_zero() for a in ref_parts(sub.table, el.row)[1:])]
     return DoubleSubspace.of(sub.table, sub.window, els)
 
 
@@ -276,7 +349,7 @@ def ref_quotient_image(table, k, window, ip_rows):
     for vec in ref_intersect_spans(ip_rows, wk.rows):
         jet = {key: c for key, c in vec.items() if key[0] != "loop"}
         if image_ech.add(jet):
-            image.append(DoubleElement.from_coords(table, jet))
+            image.append(DoubleElement(table, jet))
     par = parabolic(table, k)
     expected_ech = linalg.echelon_of(
         [{("a0", i): c for i, c in x.terms.items()} for x in par.elements]

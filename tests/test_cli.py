@@ -19,6 +19,7 @@ import pytest
 
 import yangbaxter
 from yangbaxter.cli import (
+    MAX_CLEARED_COST,
     MAX_DEGREE,
     MAX_DOCUMENT_CHARS,
     MAX_EXPONENT,
@@ -493,6 +494,91 @@ def test_fixture_file_matches_builtin_subspace(tmp_path, capsys):
     assert len(builtin["verdicts"]) == 3
     assert from_file["verdicts"] == builtin["verdicts"]
     assert from_file["window"] == builtin["window"] == [-2, 1]
+
+
+def test_pair_files_and_fixtures_refuse_non_integers(tmp_path, capsys):
+    # algebra and k are JSON integers, not bools, and a loop key is an
+    # integer in canonical form: "0", or an optional minus and ASCII digits
+    # with no leading zero.  Read by int(), each file below ran to a
+    # verdict: 2.9 as sl(2), "3" as sl(3), true as k = 1, 0.7 as k = 0,
+    # "1_0" as degree 10, " 0 " as degree 0, and "01" beside "1" dropped
+    # the element's e term.
+    borel = {"algebra": 2, "basis": ["e", "h"], "matrix": [[0, 1], [-1, 0]], "k": 1}
+    pairs = {
+        "float": {**borel, "algebra": 2.9},
+        "half": {**borel, "algebra": 2.5},
+        "string": {"algebra": "3", "basis": ["H(1)", "H(2)"], "matrix": [[0, 1], [-1, 0]], "k": 1},
+        "bool-k": {**borel, "k": True},
+        "float-k": {**borel, "k": 0.7},
+        "bool-algebra": {**borel, "algebra": True},
+    }
+    runs = []
+    for name, data in pairs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        runs += [[*cmd, "--pair", str(tmp_path / f"{name}.json")]
+                 for cmd in (["double", "--check", "lagrangian"],
+                             ["frobenius", "--check-pair"], ["frobenius"])]
+    for i, key in enumerate(("1_0", " 0 ", "+1", "\u0661", "1.0", "", "01", "-0")):
+        (tmp_path / f"key{i}.json").write_text(json.dumps({"elements": [{"loop": {"1": "e", key: "f"}}]}))
+        runs.append(["double", "--check", "transversal", "--trunc", "12",
+                     "--fixture", str(tmp_path / f"key{i}.json")])
+    capsys.readouterr()
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and "integer" in err, (argv, err)
+    # Integers, a negative loop key and an omitted k are still read.
+    (tmp_path / "ints.json").write_text(json.dumps({**borel, "k": 0}))
+    (tmp_path / "nok.json").write_text(json.dumps({k: v for k, v in borel.items() if k != "k"}))
+    (tmp_path / "keys.json").write_text(json.dumps({"elements": [{"loop": {"-2": "e", "0": "f", "10": "h"}}]}))
+    for argv in (["double", "--check", "lagrangian", "--pair", str(tmp_path / "ints.json")],
+                 ["frobenius", "--check-pair", "--pair", str(tmp_path / "nok.json"), "--k", "1"],
+                 ["double", "--check", "transversal", "--trunc", "12",
+                  "--fixture", str(tmp_path / "keys.json")]):
+        assert main(argv) in (0, 1), (argv, capsys.readouterr().err)
+        assert capsys.readouterr().err == "", argv
+
+
+def _distinct_denominators(keys):
+    """sl(3): 1/(u^2 + c*v + 1)*x(x)y over the first `keys` basis pairs,
+    with c = 1, 2, ... one per pair, so no two denominators share a factor."""
+    t = make_sl(3)
+    pairs = [(a, b) for a in t.labels for b in t.labels][:keys]
+    return "algebra sl(3); " + " + ".join(
+        f"1/(u^2 + {c}*v + 1)*{a}(x){b}" for c, (a, b) in enumerate(pairs, 1)) + "\n"
+
+
+class _ReachedResidual(Exception):
+    pass
+
+
+def test_verify_refuses_a_costly_cleared_form(monkeypatch, tmp_path, capsys):
+    # Weighting the residual by d costs terms(d) * terms(d*r)^2 term
+    # products.  9 distinct denominators cost 9.0e6 and are admitted; 10
+    # cost 2.0e7 (1.5 s of cyb) and 16 cost 7.2e8 (26 s), and both exit 2
+    # before any residual is computed.
+    from yangbaxter import cybe
+
+    def reached(r):
+        raise _ReachedResidual
+
+    monkeypatch.setattr(cybe, "cyb", reached)
+    for keys in (9, 10, 16):
+        doc = tmp_path / f"k{keys}.rmx"
+        doc.write_text(_distinct_denominators(keys))
+        argv = ["verify", "--input", str(doc)]
+        if keys == 9:
+            with pytest.raises(_ReachedResidual):
+                main(argv)
+            continue
+        start = time.perf_counter()
+        assert main(argv) == 2, keys
+        assert time.perf_counter() - start < 1, keys
+        err = capsys.readouterr().err
+        assert f"beyond the bound {MAX_CLEARED_COST}" in err and "Traceback" not in err, err
+    # The builtins are not parsed, and no bound stands in their way.
+    with pytest.raises(_ReachedResidual):
+        main(["verify", "--builtin", "q2"])
 
 
 def test_each_residual_is_computed_once(monkeypatch, capsys):

@@ -52,9 +52,15 @@ from reference import (
     ref_check_transversality,
     ref_contains_tail,
     ref_diagonal_twist_space,
+    ref_double_bracket,
+    ref_invariant_form,
+    ref_is_isotropic,
     ref_loop_part,
+    ref_parts,
     ref_quotient_image,
+    ref_row,
     ref_standard_complement,
+    ref_str,
 )
 
 
@@ -95,11 +101,14 @@ def test_coords_round_trip():
     rng = random.Random(23)
     for _ in range(5):
         el = _rand_double(t, rng, w)
-        back = DoubleElement.from_coords(t, el.coords(w))
-        assert back == el
+        row = el.coords(w)
+        assert row is el.row and DoubleElement(t, row) == el
+        assert ref_row(*ref_parts(t, row)) == row
     deep = DoubleElement.of(t, loop=GPoly.monomial(t.basis_element("e"), -9))
-    with pytest.raises(WindowOverflow):
+    with pytest.raises(WindowOverflow, match=r"loop exponent -9 outside window \[-4, 2\]"):
         deep.coords(w)
+    # The jets have no degree, so no window refuses them.
+    assert DoubleElement.of(t, a0=t.basis_element("e")).coords(Window(0, 0)) == {("a0", 0): 1}
 
 
 def test_embed_polynomial_and_errors():
@@ -108,7 +117,8 @@ def test_embed_polynomial_and_errors():
     e = t.basis_element("e")
     p = GPoly(t, {0: e, 1: e.scale(2)})
     el = embed_polynomial(p, w)
-    assert el.loop == p and el.a0 == e and el.a1 == e.scale(2)
+    assert ref_parts(t, el.row) == (p, e, e.scale(2))
+    assert el.row == {("loop", 0, 0): 1, ("loop", 1, 0): 2, ("a0", 0): 1, ("a1", 0): 2}
     with pytest.raises(ValueError):
         embed_polynomial(GPoly.monomial(e, -1), w)
     with pytest.raises(WindowOverflow) as exc:
@@ -123,16 +133,18 @@ def test_double_bracket_is_componentwise_with_nilpotent_jet():
     # eps^2 = 0: two pure-eps elements commute.
     x = DoubleElement.of(t, a1=e)
     y = DoubleElement.of(t, a1=f)
-    assert double_bracket(x, y).is_zero()
-    # [a0, b1*eps] lands in the eps slot.
-    z = double_bracket(DoubleElement.of(t, a0=e), y)
-    assert z.loop.is_zero() and z.a0.is_zero()
-    assert z.a1 == t.basis_element("h")
+    assert double_bracket(x, y).row == {}
+    # [a0, b1*eps] and [a1*eps, b0] land in the eps slot.
+    h = t.index["h"]
+    assert double_bracket(DoubleElement.of(t, a0=e), y).row == {("a1", h): 1}
+    assert double_bracket(y, DoubleElement.of(t, a0=e)).row == {("a1", h): -1}
+    # Loops and jets do not meet.
+    assert double_bracket(DoubleElement.of(t, loop=GPoly.monomial(e)), DoubleElement.of(t, a0=f)).row == {}
     # The loop part is the loop bracket, whatever window holds the factors.
     w = Window(-4, 4)
     x = embed_polynomial(GPoly.monomial(e, 2), w)
     y = embed_polynomial(GPoly.monomial(f, 3), w)
-    assert double_bracket(x, y).loop == GPoly.monomial(t.basis_element("h"), 5)
+    assert double_bracket(x, y) == DoubleElement.of(t, loop=GPoly.monomial(t.basis_element("h"), 5))
 
 
 def test_embedding_is_a_homomorphism_seeded():
@@ -227,8 +239,9 @@ def test_ambient_radical_matches_gram_nullspace():
 def _ref_pairing_row(el, window):
     """Q(unit_c, el) built from one basis element and one Killing pair per entry."""
     table = el.table
+    loop, a0, a1 = ref_parts(table, el.row)
     row = {}
-    for d, y in el.loop.terms.items():
+    for d, y in loop.terms.items():
         t = 1 - d
         if t in window:
             for i in range(table.dim):
@@ -236,10 +249,10 @@ def _ref_pairing_row(el, window):
                 if c:
                     row[("loop", t, i)] = row.get(("loop", t, i), F(0)) + c
     for i in range(table.dim):
-        c = table.killing_pair(table.basis_element(i).terms, el.a0.terms)
+        c = table.killing_pair(table.basis_element(i).terms, a0.terms)
         if c:
             row[("a1", i)] = row.get(("a1", i), F(0)) - c
-        c = table.killing_pair(table.basis_element(i).terms, el.a1.terms)
+        c = table.killing_pair(table.basis_element(i).terms, a1.terms)
         if c:
             row[("a0", i)] = row.get(("a0", i), F(0)) - c
     return row
@@ -251,13 +264,13 @@ def test_pairing_row_matches_reference():
         t = make_sl(n)
         w = Window(-4, 2)
         els = [DoubleElement.of(t)] + [_rand_double(t, rng, w) for _ in range(6)]
-        assert any(not el.loop.is_zero() for el in els)
+        assert any(key[0] == "loop" for el in els for key in el.row)
         for el in els:
             row = _pairing_row(t, el.coords(w), w)
             assert row == _ref_pairing_row(el, w), (n, str(el))
             # The row is Q against the element, entry for entry.
             for key, c in row.items():
-                unit = DoubleElement.from_coords(t, {key: F(1)})
+                unit = DoubleElement(t, {key: F(1)})
                 assert invariant_form(unit, el) == c
 
 
@@ -474,7 +487,7 @@ def test_double_checks_hold_under_optimisation():
         "e = t.basis_element('e')\n"
         "el = d.embed_polynomial(GPoly.monomial(e, 1), w)\n"
         "try:\n"
-        "    d.DoubleSubspace.of(t, w, [el, el.scale(2)])\n"
+        "    d.DoubleSubspace.of(t, w, [el, d.embed_polynomial(GPoly.monomial(e.scale(2), 1), w)])\n"
         "    print('dependent accepted')\n"
         "except d.DependentElement:\n"
         "    print('dependent rejected')\n"
@@ -495,13 +508,15 @@ def test_double_checks_hold_under_optimisation():
         "    except ValueError:\n"
         "        print('order rejected')\n"
         # Elements of sl(2) and sl(3) must not meet, nor a non-GPoly loop
-        # enter: each call below raises ValueError.
+        # enter, nor parts enter a table not their own: each call below
+        # raises ValueError.
         "t3 = make_sl(3)\n"
         "el3 = d.embed_polynomial(GPoly.monomial(t3.basis_element(0), 1), w)\n"
         "for fn in (lambda: d.double_bracket(el, el3), lambda: d.invariant_form(el, el3),\n"
         "           lambda: d.DoubleSubspace.of(t, w, [el3]),\n"
-        "           lambda: d.DoubleElement(el.loop, t3.zero(), t.zero()),\n"
-        "           lambda: d.DoubleElement(e, e, e), lambda: d.embed_polynomial(e, w)):\n"
+        "           lambda: d.DoubleElement.of(t, GPoly.monomial(e, 1), t3.zero(), t.zero()),\n"
+        "           lambda: d.DoubleElement.of(t3, GPoly.monomial(e, 1)),\n"
+        "           lambda: d.DoubleElement.of(t, e, e, e), lambda: d.embed_polynomial(e, w)):\n"
         "    try:\n"
         "        fn()\n"
         "        print('cross accepted')\n"
@@ -527,9 +542,9 @@ def test_double_checks_hold_under_optimisation():
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, (flags, proc.stderr)
-        assert proc.stdout.split("\n")[:14] == [
+        assert proc.stdout.split("\n")[:15] == [
             "dependent rejected", "form rejected", "window rejected",
-            "order rejected", "order rejected"] + ["cross rejected"] * 6 + [
+            "order rejected", "order rejected"] + ["cross rejected"] * 7 + [
             "other window rejected"] * 3, (flags, proc.stdout)
 
 
@@ -542,13 +557,15 @@ def _all_pairs_isotropic(sub):
 
 
 def _ordered_pairs_subalgebra(sub, window):
-    for x in sub.elements:
-        for y in sub.elements:
-            z = double_bracket(x, y)
-            degs = z.loop.degrees()
+    """Every ordered pair, bracketed as triples by the reference."""
+    parts = [ref_parts(sub.table, row) for row in sub.rows]
+    for x in parts:
+        for y in parts:
+            z = ref_double_bracket(x, y)
+            degs = z[0].degrees()
             if degs and (degs[0] < window.lo or degs[-1] > window.hi):
                 continue
-            if not sub.contains(z.coords(window)):
+            if not sub.contains(ref_row(*z)):
                 return False
     return True
 
@@ -589,17 +606,18 @@ def test_lagrangian_graph_realises_the_form_up_to_the_complement():
         for _ in range(3):
             k, basis, form = _seeded_pair(t, rng, skew=True)
             lag = lagrangian_from_pair(t, k, basis, lambda i, j: form[i][j], w)
-            graph = [el for el in lag.elements if not el.a0.is_zero()]
-            assert [el.a0 for el in graph] == basis
-            for i, el in enumerate(graph):
+            parts = [ref_parts(t, row) for row in lag.rows]
+            graph = [(a0, a1) for _, a0, a1 in parts if not a0.is_zero()]
+            assert [a0 for a0, _ in graph] == basis
+            for i, (_, a1) in enumerate(graph):
                 for j, y in enumerate(basis):
-                    assert t.killing_pair(el.a1.terms, y.terms) == form[i][j], (n, i, j)
+                    assert t.killing_pair(a1.terms, y.terms) == form[i][j], (n, i, j)
             comp = orthogonal_complement_g(Subspace(t, basis), t).elements
-            others = [el for el in lag.elements if el.a0.is_zero()]
+            others = [el for el, (_, a0, _) in zip(lag.elements, parts) if a0.is_zero()]
 
             def shifted(by):
                 return DoubleSubspace.of(t, w, others + [
-                    DoubleElement.of(t, a0=el.a0, a1=el.a1 + by(i)) for i, el in enumerate(graph)
+                    DoubleElement.of(t, a0=a0, a1=a1 + by(i)) for i, (a0, a1) in enumerate(graph)
                 ])
 
             def eta(i):
@@ -736,21 +754,21 @@ def _perturbed_complements(draw):
     a dropped element does not, and an added i(g[u]) element meets it."""
     t = make_sl(2)
     window = Window(-2, 1)
-    ip = embedded_polynomials(t, window).elements
+    ip = embedded_polynomials(t, window).rows
     drop, shift = draw(st.booleans()), draw(st.booleans())
-    els = []
-    for p in standard_complement(t, window).elements:
+    rows = []
+    for p in standard_complement(t, window).rows:
         if drop and draw(st.integers(0, 3)) == 0:
             continue
         for q in ip if shift else ():
             c = draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
             if c:
-                p = p + q.scale(c)
-        els.append(p)
-    els += draw(st.lists(st.sampled_from(ip), max_size=2, unique_by=id))
+                p = {key: p.get(key, 0) + c * q.get(key, 0) for key in {**p, **q}}
+                p = {key: x for key, x in p.items() if x}
+        rows.append(p)
+    rows += draw(st.lists(st.sampled_from(ip), max_size=2, unique_by=id))
     ech = linalg.Echelon()
-    picked = [el for el in els if ech.add(el.coords(window))]
-    return DoubleSubspace.of(t, window, picked), window
+    return DoubleSubspace(t, window, [row for row in rows if ech.add(row)]), window
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -898,7 +916,9 @@ def test_subspace_holds_rows_and_reads_elements_back():
     el = embed_polynomial(GPoly.monomial(e, 1), w)
     sub = DoubleSubspace.of(t, w, [el])
     assert sub.rows == (el.coords(w),) and sub.elements == (el,)
-    assert sub.contains(el.scale(3).coords(w))
+    # The elements wrap the rows; nothing is converted.
+    assert sub.elements[0].row is sub.rows[0] and sub.elements[0].table is t
+    assert sub.contains({key: 3 * c for key, c in el.row.items()})
     assert not sub.contains({("a1", 0): 1})
     assert "elements" not in vars(sub)
     with pytest.raises(DependentElement, match="dependent spanning element"):
@@ -931,3 +951,66 @@ def test_checks_refuse_a_window_other_than_the_subspace_s():
     assert check_transversality(pstar, Window(-4, 2))["spans_with_polynomials"]
     assert orth_complement_truncated(w1, Window(-4, 2)).dim == 15
     assert is_lagrangian_truncated(lag, Window(-4, 2))
+
+
+# --- Row elements against the (GPoly, GElement, GElement) triples they replaced.
+
+_COEFFS = (-2, -1, 1, 3, F(1, 2))
+
+
+def _random_rows(t, rng, window, count=4):
+    """Rows with up to three loop terms in the window and up to two terms in
+    each of a0 and a1; any part may be empty."""
+    rows = []
+    for _ in range(count):
+        row = {("loop", rng.randint(window.lo, window.hi), rng.randrange(t.dim)): rng.choice(_COEFFS)
+               for _ in range(rng.randint(0, 3))}
+        for part in ("a0", "a1"):
+            row.update(((part, rng.randrange(t.dim)), rng.choice(_COEFFS))
+                       for _ in range(rng.randint(0, 2)))
+        rows.append(row)
+    return rows
+
+
+def _independent(t, window, rows):
+    ech = linalg.Echelon()
+    return DoubleSubspace(t, window, [row for row in rows if ech.add(row)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 4)), st.integers(0, 2**16))
+def test_row_elements_match_parent_triples(n, seed):
+    """Bracket, pairing, printed text and graded isotropy read off the row
+    agree with the same operations on the row's (loop, a0, a1) triple; the
+    zero row is among the elements."""
+    t = make_sl(n)
+    w = Window(-2, 3)
+    rows = _random_rows(t, random.Random(seed), w) + [{}]
+    els = [DoubleElement(t, row) for row in rows]
+    parts = [ref_parts(t, row) for row in rows]
+    for x, px in zip(els, parts):
+        assert str(x) == ref_str(px)
+        for y, py in zip(els, parts):
+            assert double_bracket(x, y).row == ref_row(*ref_double_bracket(px, py))
+            assert invariant_form(x, y) == ref_invariant_form(px, py)
+    sub = _independent(t, w, rows)
+    assert is_isotropic(sub) == ref_is_isotropic([ref_parts(t, row) for row in sub.rows])
+
+
+def test_parent_triples_see_a_dropped_jet_term():
+    """Negative control over the same draws: a reference bracket without
+    [A1,B0] differs from the row bracket on some pair, and the draws give
+    both isotropy verdicts."""
+    differs, verdicts = 0, set()
+    w = Window(-2, 3)
+    for seed in range(30):
+        t = make_sl(2 + seed % 3)
+        rows = _random_rows(t, random.Random(seed), w)
+        parts = [ref_parts(t, row) for row in rows]
+        differs += sum(
+            double_bracket(DoubleElement(t, x), DoubleElement(t, y)).row
+            != ref_row(*ref_double_bracket(px, py, cross=False))
+            for x, px in zip(rows, parts) for y, py in zip(rows, parts))
+        verdicts.add(is_isotropic(_independent(t, w, rows)))
+    assert differs > 0 and verdicts == {True, False}, (differs, verdicts)
+
