@@ -27,8 +27,8 @@ at most MAX_DOCUMENT_CHARS long, with parentheses and unary signs nested
 at most MAX_NESTING deep, a JSON pair file or fixture at most
 MAX_JSON_CHARS long and nested no deeper than the interpreter's recursion
 limit, an exponent at most MAX_EXPONENT in size, a verified document's
-cleared form (d, d*r) at most MAX_CLEARED_COST term products
-terms(d) * terms(d*r)^2 (the work of weighting its residual by d),
+cleared form (d, P = d*r) costs at most MAX_CLEARED_COST, (3 + terms(d)) * W
+with W the structure-weighted term pairs of the brackets of P in `cyb`,
 the unip degrees of a gauge expression sum to at most MAX_DEGREE, a gauge
 sweep checks 1..MAX_SWEEP seeded gauges, and every
 coefficient operation is refused before it is computed when its unreduced
@@ -45,7 +45,7 @@ import json
 import random
 import re
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .lie import CalibrationError, Subspace, calibrate_casimir, casimir, dj_rmatrix, make_sl
@@ -62,11 +62,12 @@ MAX_EXPONENT = 16
 MAX_DEGREE = 16
 MAX_TRUNC = 12
 MAX_SWEEP = 100
-# At most about 0.8 s of `cyb` (2 shared cores, Python 3.11).  Over sl(2) to
-# sl(4), 9 keys 1/(u^2 + c*v + 1)*x(x)y with one distinct c each cost 9.0e6
-# term products and run 0.5-0.8 s; 10 keys cost 2.0e7 and run 1.5 s, and 16
-# keys cost 7.2e8 and run 26 s.
-MAX_CLEARED_COST = 10_000_000
+# A bracket product counts 3: it costs about three products of weighting by d.
+# On 2 shared cores under Python 3.11, the costliest admitted documents of six
+# families over sl(2)-sl(6) (distinct quadratic denominators, Omega times them,
+# many monomials per key) run 0.5-1.1 s of `cyb`.  Over sl(3), 9 keys
+# 1/(u^2 + c*v + 1)*x(x)y with distinct c cost 1.2e7 (0.6 s); 10 cost 2.5e7.
+MAX_CLEARED_COST = 12_000_000
 
 
 class UsageError(Exception):
@@ -507,10 +508,17 @@ def cmd_verify(args):
         table, omega, r = doc.table, doc.omega, doc.tensor
         source = args.input
         d, p = clear_denominators(r)
-        cost = len(d.terms) * sum(len(f.terms) for f in p.entries.values()) ** 2
+        # W of [P12,P13], [P12,P23] and [P13,P23], by their bracketed legs.
+        legs = (Counter(), Counter())
+        for key, f in p.entries.items():
+            legs[0][key[0]] += len(f.terms)
+            legs[1][key[1]] += len(f.terms)
+        cost = (3 + len(d.terms)) * sum(len(ks) * legs[i][x] * legs[j][y]
+                                        for i, j in ((0, 0), (1, 0), (1, 1))
+                                        for (x, y), ks in table.structure.items())
         if cost > MAX_CLEARED_COST:
-            raise UsageError(f"{source}: the residual of the cleared form costs {cost} "
-                             f"term products, beyond the bound {MAX_CLEARED_COST}")
+            raise UsageError(f"{source}: the residual of the cleared form costs {cost}, "
+                             f"beyond the bound {MAX_CLEARED_COST}")
     residual = cybe.cyb(r)
     qr = cybe.is_quasi_rational(r, omega)
     skew = is_skew(r)

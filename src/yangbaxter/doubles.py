@@ -78,8 +78,8 @@ class DoubleElement:
     """loop + (A0 + A1*eps): one element of the truncated double, as its row.
 
     The row is the sparse dict over ("loop", d, i), ("a0", i) and ("a1", i)
-    that a DoubleSubspace holds; `of` packs a GPoly loop and two GElement
-    jets into it."""
+    that a DoubleSubspace holds, shared and never mutated; `of` packs a GPoly
+    loop and two GElement jets into it."""
 
     __slots__ = ("table", "row")
 
@@ -214,8 +214,8 @@ class DoubleSubspace:
     """Finite-rank subspace of the truncated double, held as independent rows.
 
     Each row is a sparse vector over the window coordinates ("loop", d, i),
-    ("a0", i) and ("a1", i); `of` admits DoubleElements, and `elements`
-    wraps the rows as DoubleElements.
+    ("a0", i) and ("a1", i), shared with the DoubleElements that `of` admits
+    and `elements` returns, and never mutated: the echelon would not follow.
     """
 
     def __init__(self, table, window, rows):

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
 Each mutant names a file under src/, an exact old text that must occur there
 exactly once, the new text, and the tests that must catch it.  For each
@@ -98,13 +98,9 @@ def _pytest(src, tests):
     return proc.returncode
 
 
-def main(names):
-    mutants = [m for m in MUTANTS if not names or m.name in names]
-    if names and len(mutants) != len(names):
-        print(f"unknown mutant among {names}", file=sys.stderr)
-        return 1
+def main():
     problems = []
-    for m in mutants:
+    for m in MUTANTS:
         count = (ROOT / "src" / m.path).read_text().count(m.old)
         if count != 1:
             problems.append(f"{m.name}: old text occurs {count} times in src/{m.path}")
@@ -118,13 +114,13 @@ def main(names):
         if not probe.stdout.startswith(str(src)):
             print(f"the copy is not imported first: {probe.stdout or probe.stderr}", file=sys.stderr)
             return 1
-        tests = list(dict.fromkeys(t for m in mutants for t in m.tests))
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         code = _pytest(src, tests)
         if code != 0:
             print(f"named tests do not pass unmutated (pytest exit {code})", file=sys.stderr)
             return 1
     survivors = []
-    for m in mutants:
+    for m in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:
             src = _copy_src(tmp)
             target = src / m.path
@@ -134,9 +130,9 @@ def main(names):
         print(f"{verdict}: {m.name}")
         if code != 1:
             survivors.append(m.name)
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

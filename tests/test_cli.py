@@ -548,32 +548,45 @@ def _distinct_denominators(keys):
         f"1/(u^2 + {c}*v + 1)*{a}(x){b}" for c, (a, b) in enumerate(pairs, 1)) + "\n"
 
 
+def _monomials_times_omega(n, count=40):
+    """sl(n): the first `count` monomials u^a*v^b, by degree, times Omega."""
+    monomials = [f"u^{a}*v^{deg - a}" for deg in range(9) for a in range(deg + 1)]
+    return f"algebra sl({n}); (" + " + ".join(monomials[:count]) + ")*Omega\n"
+
+
 class _ReachedResidual(Exception):
     pass
 
 
 def test_verify_refuses_a_costly_cleared_form(monkeypatch, tmp_path, capsys):
-    # Weighting the residual by d costs terms(d) * terms(d*r)^2 term
-    # products.  9 distinct denominators cost 9.0e6 and are admitted; 10
-    # cost 2.0e7 (1.5 s of cyb) and 16 cost 7.2e8 (26 s), and both exit 2
-    # before any residual is computed.
+    # The residual costs (3 + terms(d)) * W, W the term products of its
+    # brackets counted by structure entries.  Over sl(3), 9 distinct
+    # denominators cost 1.2e7 (0.6 s of cyb) and are admitted; 10 cost
+    # 2.5e7 and 16 cost 1.0e9 (26 s).  Forty monomials times Omega cost 1.3e6
+    # over sl(3), but 2.3e7 over sl(6), whose Casimir keys E(i,j)(x)E(j,i)
+    # bracket into up to five Cartan entries: unweighted, terms(d) *
+    # terms(d*r)^2 would be 4.8e6 there, for about 2 s of cyb.  Each refusal
+    # exits 2 before any residual is computed.
     from yangbaxter import cybe
 
     def reached(r):
         raise _ReachedResidual
 
     monkeypatch.setattr(cybe, "cyb", reached)
-    for keys in (9, 10, 16):
-        doc = tmp_path / f"k{keys}.rmx"
-        doc.write_text(_distinct_denominators(keys))
+    cases = [(_distinct_denominators(9), True), (_distinct_denominators(10), False),
+             (_distinct_denominators(16), False), (_monomials_times_omega(3), True),
+             (_monomials_times_omega(6), False)]
+    for i, (text, admitted) in enumerate(cases):
+        doc = tmp_path / f"doc{i}.rmx"
+        doc.write_text(text)
         argv = ["verify", "--input", str(doc)]
-        if keys == 9:
+        if admitted:
             with pytest.raises(_ReachedResidual):
                 main(argv)
             continue
         start = time.perf_counter()
-        assert main(argv) == 2, keys
-        assert time.perf_counter() - start < 1, keys
+        assert main(argv) == 2, text
+        assert time.perf_counter() - start < 1, text
         err = capsys.readouterr().err
         assert f"beyond the bound {MAX_CLEARED_COST}" in err and "Traceback" not in err, err
     # The builtins are not parsed, and no bound stands in their way.
