@@ -48,7 +48,7 @@ import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .lie import CalibrationError, Subspace, calibrate_casimir, casimir, dj_rmatrix, make_sl
+from .lie import DJ_CONVENTION, CalibrationError, Subspace, calibrate_casimir, casimir, make_sl
 from .ratfun import RatFun
 from .tensors import Tensor2, accumulate, clear_denominators, is_skew
 from . import cybe, doubles, frobenius, gauge
@@ -368,7 +368,7 @@ def _check_length(text, what):
         )
 
 
-def parse_rmatrix(text, omega=None):
+def parse_rmatrix(text):
     """Parse a document to an exact tensor; raises ParseError on bad input."""
     _check_length(text, "document")
     p = _Parser(text)
@@ -381,8 +381,7 @@ def parse_rmatrix(text, omega=None):
     p.expect("SYM", ")")
     p.expect("SYM", ";")
     table = make_sl(n)
-    if omega is None:
-        omega = calibrated_omega(table)
+    omega = calibrated_omega(table)
     one = RatFun.from_frac(1)
 
     def factor():
@@ -579,6 +578,17 @@ def _json_integer(value, name):
     return value
 
 
+def _json_rational(value):
+    """A matrix entry: a JSON integer, or a string p or p/q of ASCII digits
+    with q nonzero; a float, a bool, p/0 or another literal is refused."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", value):
+        return Fraction(value)
+    raise ValueError(f"a matrix entry must be an integer or a string p or p/q with q nonzero, "
+                     f"not {value!r}")
+
+
 def _pair_from_file(path):
     data = _load_json_object(path, "pair file")
     try:
@@ -593,7 +603,7 @@ def _pair_from_file(path):
         )):
             raise ValueError(f"matrix must be {d} lists of {d} entries each")
         basis = [parse_element(table, s) for s in labels]
-        matrix = [[Fraction(str(c)) for c in row] for row in rows]
+        matrix = [[_json_rational(c) for c in row] for row in rows]
         k = _json_integer(data.get("k", 0), "k")
         sub = Subspace(table, basis)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -793,17 +803,16 @@ def cmd_calibrate(args):
     except CalibrationError as exc:  # carries the residual table
         body = [Verdict("unique_scale", False), str(exc)]
         return _emit(args, "calibrate", {"algebra": 2}, body)
-    r, meta = dj_rmatrix(table, omega, with_convention=True)
     cat = cybe.catalog(table, omega)
     body = [
         Verdict("unique_scale", True),
         f"Casimir scale: {omega.scale}",
-        f"constant r-matrix convention: sign {meta['sign']}, "
-        f"orientation {meta['orientation']}",
+        f"constant r-matrix convention: sign {DJ_CONVENTION['sign']}, "
+        f"orientation {DJ_CONVENTION['orientation']}",
         Verdict("catalog_validates", all(cybe.cyb(m).is_zero() for m in cat.values()),
                 "catalog residuals all zero"),
     ]
-    inputs = {"algebra": 2, "scale": str(omega.scale), "constant_part": meta}
+    inputs = {"algebra": 2, "scale": str(omega.scale), "constant_part": DJ_CONVENTION}
     return _emit(args, "calibrate", inputs, body)
 
 
@@ -886,7 +895,6 @@ def cmd_gauge(args):
 def cmd_frobenius(args):
     n = args.n
     table = _sl(n)
-    omega = calibrated_omega(table)
     if args.check_pair:
         if args.pair:
             table, sub, matrix, k = _pair_from_file(args.pair)
@@ -910,14 +918,12 @@ def cmd_frobenius(args):
 
     if args.pair:
         table, sub, matrix, _ = _pair_from_file(args.pair)
-        omega = calibrated_omega(table)
         try:
             coc = frobenius.TwoCocycle(sub, matrix)
         except frobenius.InvalidCocycle as exc:
             body = [Verdict("valid_cocycle", False), f"pair rejected: {exc}"]
             return _emit(args, "frobenius", {"mode": "lift", "pair": args.pair}, body)
         source = args.pair
-        expect = None
     else:
         if args.builtin not in ("q0", "q1"):
             raise UsageError("builtin lifts: q0 (empty pair) or q1 (span{e,h})")
@@ -929,7 +935,8 @@ def cmd_frobenius(args):
         else:
             sub, coc = _builtin_pair(table, 0)
         source = args.builtin
-        expect = cybe.catalog_entry(table, omega, args.builtin)
+    omega = calibrated_omega(table)
+    expect = None if args.pair else cybe.catalog_entry(table, omega, args.builtin)
     # The lift checks its own quasi-rationality: LiftError is that verdict
     # failing, any other ValueError a degenerate form.
     try:

@@ -38,7 +38,7 @@ The built-in catalog over the calibrated Casimir:
 
     gamma1 = 0
     gamma2 = Omega/(u-v)
-    gamma3 = v*Omega/(v-u) + r_const        (constant part from dj_rmatrix)
+    gamma3 = v*Omega/(v-u) + r_DJ           (lie.dj_rmatrix; checked once)
     gamma4 = u*v*Omega/(v-u)
     q0     = gamma4
     q1     = gamma4 + e(x)h - h(x)e                      (sl(2) only)
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .lie import GPoly, bracket_poly
+from .lie import GPoly, bracket_poly, dj_rmatrix
 from .ratfun import RatFun, _addmul, _polys
 from .tensors import (
     Tensor2,
@@ -120,11 +120,16 @@ def catalog_names(table):
     return _SL2_NAMES if table.n == 2 else _NAMES
 
 
+class ConventionError(RuntimeError):
+    """gamma3 = v*Omega/(v-u) + dj_rmatrix fails Yang-Baxter."""
+
+
 def catalog_entry(table, omega, name):
     """The built-in kernel or solution `name` over the given Casimir.
 
-    Builds only that entry, so dj_rmatrix's convention search runs for
-    gamma3 alone; KeyError for a name not in catalog_names(table).
+    Builds only that entry; KeyError for a name not in catalog_names(table).
+    gamma3 is checked once, and its stored residual serves later verdicts:
+    ConventionError when it is not zero.
     """
     if name not in catalog_names(table):
         raise KeyError(name)
@@ -136,9 +141,13 @@ def catalog_entry(table, omega, name):
     if name == "gamma2":
         return om.scale((u - v) ** -1)
     if name == "gamma3":
-        from .lie import dj_rmatrix
-
-        return om.scale(v / (v - u)) + dj_rmatrix(table, omega)
+        gamma3 = om.scale(v / (v - u)) + dj_rmatrix(table, omega)
+        residual = cyb(gamma3)
+        if not residual.is_zero():
+            raise ConventionError(
+                f"v*Omega/(v-u) + r_DJ leaves {len(residual.entries)} residual terms"
+            )
+        return gamma3
     if name in ("gamma4", "q0"):
         return omega.leading
     e, f, h = (table.index[x] for x in "efh")

@@ -102,14 +102,12 @@ class TwoCocycle:
             raise ValueError(f"a 2-cocycle on a {n}-dim subspace needs a {n}x{n} matrix")
         self.sub = sub
         self.matrix = [[Fraction(c) for c in row] for row in matrix]
-        bad = _skew_failure(self.matrix)
-        if bad is not None:
-            raise InvalidCocycle(f"form is not skew at {bad}")
-        if not sub.is_subalgebra():
-            raise InvalidCocycle("the subspace is not bracket-closed")
+        # The one check: it raises on a non-skew form first, and returns an
+        # escaping bracket (k is None) before it sums any triple.
         bad = cocycle_residual(sub, self.matrix)
         if bad is not None:
-            raise InvalidCocycle(f"2-cocycle identity fails: {bad}")
+            raise InvalidCocycle("the subspace is not bracket-closed" if bad[2] is None
+                                 else f"2-cocycle identity fails: {bad}")
 
     @staticmethod
     def from_pairs(sub, pairs):

@@ -7,7 +7,9 @@ aliases e = E(1,2), f = E(2,1), h = H(1) are registered.
 Everything is built from the defining representation by exact matrix
 arithmetic; the Killing form is the trace form of the adjoint
 representation, computed from the structure constants (K(e,f) = 4 and
-K(h,h) = 8 for sl(2), i.e. K = 2n * trace-form for sl(n)).
+K(h,h) = 8 for sl(2), i.e. K = 2n * trace-form for sl(n)).  The constant
+Drinfeld-Jimbo part `dj_rmatrix` is read off a Casimir's coefficients in
+closed form; `cybe.catalog_entry` checks the kernel it completes.
 """
 
 from __future__ import annotations
@@ -518,53 +520,25 @@ def calibrate_casimir(table):
     return survivors[0]
 
 
-class ConventionError(RuntimeError):
-    """Raised when no sign/orientation of the constant r-matrix works."""
+# dj_rmatrix's sign and orientation, as `ybx calibrate` reports them.
+DJ_CONVENTION = {"sign": -1, "orientation": "ef"}
 
 
-def dj_rmatrix(table, omega, with_convention=False):
-    """Constant Drinfeld-Jimbo-type r-matrix compatible with v*Omega/(v-u).
+def dj_rmatrix(table, omega):
+    """The standard constant r-matrix of Belavin and Drinfeld (1982) for Omega:
 
-    Construction: half the Cartan block of Omega plus, for every positive
-    root, the dual pair with the scaling inherited from Omega.  The sign
-    and the orientation of the root-vector pairing are fixed by a
-    deterministic search over (+1, e(x)f), (+1, f(x)e), (-1, e(x)f),
-    (-1, f(x)e): the first candidate r making v*Omega/(v-u) + r an exact
-    Yang-Baxter solution wins, and the winning convention is recorded.
-    The winner satisfies r + swap(r) = -Omega.
+        r = -(Omega_H/2 + sum_{i<j} Omega[E(i,j), E(j,i)] E(i,j)(x)E(j,i)),
+
+    with Omega_H the Cartan block of omega.matrix, so r + swap(r) = -Omega
+    at any nonzero scale.  v*Omega/(v-u) + r solves Yang-Baxter only with
+    the sign -1 and half the Cartan block; the orientation e(x)f (f(x)e
+    solves too) is DJ_CONVENTION's.  `cybe.catalog_entry` checks gamma3.
     """
-    from . import cybe
-
-    u = RatFun.var("u")
-    v = RatFun.var("v")
-    n = table.n
-    cartan_idx = [table.index[f"H({i})"] for i in range(1, n)]
-    omega_t = omega.tensor()
-    base = {}
-    for a in cartan_idx:
-        for b in cartan_idx:
-            c = omega.matrix[a][b]
-            if c:
-                base[(a, b)] = RatFun.from_frac(c / 2)
-    attempts = []
-    for sign, orient in ((1, "ef"), (1, "fe"), (-1, "ef"), (-1, "fe")):
-        entries = dict(base)
-        for (i, j) in table.root_pairs:
-            if i < j:
-                p = table.index[f"E({i},{j})"]
-                m = table.index[f"E({j},{i})"]
-                coeff = RatFun.from_frac(omega.matrix[p][m])
-                key = (p, m) if orient == "ef" else (m, p)
-                entries[key] = entries.get(key, RatFun.from_frac(0)) + coeff
-        r = Tensor2.make(table, entries).scale(RatFun.from_frac(sign))
-        candidate = omega_t.scale(v / (v - u)) + r
-        residual = cybe.cyb(candidate)
-        if residual.is_zero():
-            if with_convention:
-                return r, {"sign": sign, "orientation": orient}
-            return r
-        attempts.append((sign, orient, len(residual.entries)))
-    raise ConventionError(
-        "no sign/orientation makes the constant r-matrix compatible: "
-        + ", ".join(f"(sign {s}, {o}): {k} residual terms" for s, o, k in attempts)
-    )
+    m = omega.matrix
+    cartan = [table.index[f"H({i})"] for i in range(1, table.n)]
+    entries = {(a, b): m[a][b] / 2 for a in cartan for b in cartan}
+    for i, j in table.root_pairs:
+        if i < j:
+            p, q = table.index[f"E({i},{j})"], table.index[f"E({j},{i})"]
+            entries[p, q] = m[p][q]
+    return -Tensor2.make(table, entries)

@@ -69,6 +69,52 @@ MUTANTS = [
            'if not re.fullmatch(r"0|-?[1-9][0-9]*", key):',
            "if not key.strip():",
            ["tests/test_cli.py::test_pair_files_and_fixtures_refuse_non_integers"]),
+    Mutant("pair files admit a zero denominator", "yangbaxter/cli.py",
+           'r"-?[0-9]+(/0*[1-9][0-9]*)?"',
+           'r"-?[0-9]+(/[0-9]+)?"',
+           ["tests/test_cli.py::test_pair_files_and_fixtures_refuse_non_integers"]),
+    Mutant("r_DJ with sign +1", "yangbaxter/lie.py",
+           "return -Tensor2.make(table, entries)",
+           "return Tensor2.make(table, entries)",
+           ["tests/test_lie.py::test_dj_constant_rmatrix"]),
+    Mutant("r_DJ with the whole Cartan block", "yangbaxter/lie.py",
+           "m[a][b] / 2 for a in cartan",
+           "m[a][b] for a in cartan",
+           ["tests/test_lie.py::test_dj_constant_rmatrix"]),
+    # f(x)e solves too: only the search it replaced tells the two apart.
+    Mutant("r_DJ oriented f(x)e", "yangbaxter/lie.py",
+           "entries[p, q] = m[p][q]",
+           "entries[q, p] = m[p][q]",
+           ["tests/test_lie.py::test_dj_rmatrix_matches_the_convention_search"]),
+    Mutant("catalog_entry skips gamma3's check", "yangbaxter/cybe.py",
+           "if not residual.is_zero():",
+           "if False:",
+           ["tests/test_cybe.py::test_catalog_entry_refuses_a_gamma3_that_fails_yang_baxter"]),
+    Mutant("TwoCocycle reports an escaping bracket as an identity failure",
+           "yangbaxter/frobenius.py",
+           '"the subspace is not bracket-closed" if bad[2] is None',
+           '"the subspace is not bracket-closed" if bad is None',
+           ["tests/test_cli.py::test_reports_match_recorded_output"]),
+    Mutant("cocycle_residual skips its skew check", "yangbaxter/frobenius.py",
+           'raise InvalidCocycle(f"form is not skew at {bad}")',
+           "pass",
+           ["tests/test_frobenius.py::test_two_cocycle_rejects_bad_input"]),
+    Mutant("transversality: rank >= dim W for a trivial intersection", DOUBLES,
+           '"trivial_intersection": w.dim + ip.dim == rank,',
+           '"trivial_intersection": rank >= w.dim,',
+           ["tests/test_doubles.py::test_transversality_matches_joint_rank_on_builtin_spaces"]),
+    Mutant("transversality: a span test one short", DOUBLES,
+           '"spans_with_polynomials": rank == ambient_dim(table, window),',
+           '"spans_with_polynomials": rank >= ambient_dim(table, window) - 1,',
+           ["tests/test_doubles.py::test_transversality_matches_joint_rank_on_builtin_spaces"]),
+    Mutant("quotient image drops the first nullspace vector", DOUBLES,
+           "for coeffs in linalg.nullspace(off.values(), range(len(ip))):",
+           "for coeffs in linalg.nullspace(off.values(), range(len(ip)))[1:]:",
+           ["tests/test_doubles.py::test_quotient_image_of_polynomials"]),
+    Mutant("quotient image drops the (loop, 1) constraints", DOUBLES,
+           "            if key not in keys:",
+           '            if key not in keys and key[:2] != ("loop", 1):',
+           ["tests/test_doubles.py::test_quotient_image_of_polynomials"]),
 ]
 
 

@@ -32,6 +32,10 @@ time: the paths that the unit rows of `doubles` replaced.
 pairing, the printed text and the graded isotropy check on those triples:
 the paths that reading the coordinate row in `doubles` replaced.
 
+`ref_dj_rmatrix` is the four-candidate search for the sign and the
+orientation of the constant Drinfeld-Jimbo part, one Yang-Baxter residual
+per candidate: the path that the closed form of `lie.dj_rmatrix` replaced.
+
 `ref_intersect_spans` is the Zassenhaus block reduction, and
 `ref_check_transversality` and `ref_quotient_image` read the transversality
 counts and the jet image off the intersections it returns: the paths that
@@ -42,8 +46,8 @@ i(g[u]) as an argument, so that a test can drop one as a negative control.
 from fractions import Fraction
 from math import lcm
 
-from yangbaxter.cybe import cobracket
-from yangbaxter import linalg
+from yangbaxter import cybe, linalg
+from yangbaxter.cybe import ConventionError, cobracket
 from yangbaxter.doubles import (
     DoubleElement, DoubleSubspace, QuotientMismatch, ambient_dim, line_shift,
 )
@@ -363,3 +367,49 @@ def ref_quotient_image(table, k, window, ip_rows):
             f"at window [{window.lo}, {window.hi}]"
         )
     return image
+
+
+def ref_dj_rmatrix(table, omega, with_convention=False):
+    """Constant Drinfeld-Jimbo-type r-matrix compatible with v*Omega/(v-u).
+
+    Construction: half the Cartan block of Omega plus, for every positive
+    root, the dual pair with the scaling inherited from Omega.  The sign
+    and the orientation of the root-vector pairing are fixed by a
+    deterministic search over (+1, e(x)f), (+1, f(x)e), (-1, e(x)f),
+    (-1, f(x)e): the first candidate r making v*Omega/(v-u) + r an exact
+    Yang-Baxter solution wins, and the winning convention is recorded.
+    The winner satisfies r + swap(r) = -Omega.
+    """
+    u = RatFun.var("u")
+    v = RatFun.var("v")
+    n = table.n
+    cartan_idx = [table.index[f"H({i})"] for i in range(1, n)]
+    omega_t = omega.tensor()
+    base = {}
+    for a in cartan_idx:
+        for b in cartan_idx:
+            c = omega.matrix[a][b]
+            if c:
+                base[(a, b)] = RatFun.from_frac(c / 2)
+    attempts = []
+    for sign, orient in ((1, "ef"), (1, "fe"), (-1, "ef"), (-1, "fe")):
+        entries = dict(base)
+        for (i, j) in table.root_pairs:
+            if i < j:
+                p = table.index[f"E({i},{j})"]
+                m = table.index[f"E({j},{i})"]
+                coeff = RatFun.from_frac(omega.matrix[p][m])
+                key = (p, m) if orient == "ef" else (m, p)
+                entries[key] = entries.get(key, RatFun.from_frac(0)) + coeff
+        r = Tensor2.make(table, entries).scale(RatFun.from_frac(sign))
+        candidate = omega_t.scale(v / (v - u)) + r
+        residual = cybe.cyb(candidate)
+        if residual.is_zero():
+            if with_convention:
+                return r, {"sign": sign, "orientation": orient}
+            return r
+        attempts.append((sign, orient, len(residual.entries)))
+    raise ConventionError(
+        "no sign/orientation makes the constant r-matrix compatible: "
+        + ", ".join(f"(sign {s}, {o}): {k} residual terms" for s, o, k in attempts)
+    )

@@ -3,6 +3,8 @@ printing, element parsing, gauge expressions, exit-code discipline, the
 JSON report schema, the README examples, and a differential test of the
 parser against the one it replaced."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -16,6 +18,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yangbaxter
 from yangbaxter.cli import (
@@ -497,12 +500,15 @@ def test_fixture_file_matches_builtin_subspace(tmp_path, capsys):
 
 
 def test_pair_files_and_fixtures_refuse_non_integers(tmp_path, capsys):
-    # algebra and k are JSON integers, not bools, and a loop key is an
+    # algebra and k are JSON integers, not bools, a matrix entry is a JSON
+    # integer or a string p or p/q with q nonzero, and a loop key is an
     # integer in canonical form: "0", or an optional minus and ASCII digits
     # with no leading zero.  Read by int(), each file below ran to a
     # verdict: 2.9 as sl(2), "3" as sl(3), true as k = 1, 0.7 as k = 0,
     # "1_0" as degree 10, " 0 " as degree 0, and "01" beside "1" dropped
-    # the element's e term.
+    # the element's e term.  Read by Fraction(str(c)), the entry "1/0" ended
+    # in a ZeroDivisionError traceback, 0.10000000000000001 ran as 1/10 and
+    # "1e3" as 1000.
     borel = {"algebra": 2, "basis": ["e", "h"], "matrix": [[0, 1], [-1, 0]], "k": 1}
     pairs = {
         "float": {**borel, "algebra": 2.9},
@@ -511,10 +517,16 @@ def test_pair_files_and_fixtures_refuse_non_integers(tmp_path, capsys):
         "bool-k": {**borel, "k": True},
         "float-k": {**borel, "k": 0.7},
         "bool-algebra": {**borel, "algebra": True},
+        "zero-denominator": {**borel, "matrix": [[0, "1/0"], [-1, 0]]},
+        "float-entry": '{"algebra": 2, "basis": ["e", "h"], "k": 1, '
+                       '"matrix": [[0, 0.10000000000000001], [-0.1, 0]]}',
+        "exponent-entry": {**borel, "matrix": [[0, "1e3"], ["-1e3", 0]]},
+        "bool-entry": {**borel, "matrix": [[False, True], [-1, 0]]},
     }
     runs = []
     for name, data in pairs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        text = data if isinstance(data, str) else json.dumps(data)
+        (tmp_path / f"{name}.json").write_text(text)
         runs += [[*cmd, "--pair", str(tmp_path / f"{name}.json")]
                  for cmd in (["double", "--check", "lagrangian"],
                              ["frobenius", "--check-pair"], ["frobenius"])]
@@ -527,11 +539,15 @@ def test_pair_files_and_fixtures_refuse_non_integers(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: malformed ") and "integer" in err, (argv, err)
-    # Integers, a negative loop key and an omitted k are still read.
+    # Integers, rational strings, a negative loop key and an omitted k are
+    # still read.
     (tmp_path / "ints.json").write_text(json.dumps({**borel, "k": 0}))
+    (tmp_path / "strings.json").write_text(
+        json.dumps({**borel, "matrix": [[0, "1/2"], ["-1/2", "0"]]}))
     (tmp_path / "nok.json").write_text(json.dumps({k: v for k, v in borel.items() if k != "k"}))
     (tmp_path / "keys.json").write_text(json.dumps({"elements": [{"loop": {"-2": "e", "0": "f", "10": "h"}}]}))
     for argv in (["double", "--check", "lagrangian", "--pair", str(tmp_path / "ints.json")],
+                 ["frobenius", "--pair", str(tmp_path / "strings.json")],
                  ["frobenius", "--check-pair", "--pair", str(tmp_path / "nok.json"), "--k", "1"],
                  ["double", "--check", "transversal", "--trunc", "12",
                   "--fixture", str(tmp_path / "keys.json")]):
@@ -597,9 +613,10 @@ def test_verify_refuses_a_costly_cleared_form(monkeypatch, tmp_path, capsys):
 def test_each_residual_is_computed_once(monkeypatch, capsys):
     # A residual computation is three leg_bracket calls; a later cyb of the
     # same tensor returns the stored residual and brackets nothing.  14 of
-    # the computations are the sl(2) Casimir calibration probes, and the
-    # builtin is built alone, so gamma3's convention search does not run;
-    # the command itself needs one residual per tensor it judges.
+    # the computations are the sl(2) Casimir calibration probes, and a
+    # builtin is built alone.  gamma3 is checked once as it is built, and
+    # that residual is the one its verdicts read; the command itself needs
+    # one residual per tensor it judges.
     from yangbaxter import cli, cybe
 
     real_leg_bracket = cybe.leg_bracket
@@ -626,6 +643,16 @@ def test_each_residual_is_computed_once(monkeypatch, capsys):
           "verdicts": [{"name": "lift_quasi_rational", "pass": True},
                        {"name": "matches_catalog", "pass": True}],
           "residual_terms": None}),
+        (["verify", "--builtin", "gamma3", "--json"], 15,
+         {"inputs": {"source": "gamma3", "algebra": 2, "quasi_rational": False, "skew": True},
+          "verdicts": [{"name": "cyb_zero", "pass": True}], "residual_terms": 0}),
+        # The calibration, then one residual per catalog tensor: q0 is
+        # gamma4, and gamma3 is not checked again.
+        (["calibrate", "--json"], 21,
+         {"inputs": {"algebra": 2, "scale": "4",
+                     "constant_part": {"sign": -1, "orientation": "ef"}},
+          "verdicts": [{"name": "unique_scale", "pass": True},
+                       {"name": "catalog_validates", "pass": True}]}),
     )
     for argv, computations, expected_report in cases:
         monkeypatch.setattr(cli, "_OMEGA_CACHE", {})
@@ -1111,6 +1138,161 @@ def test_parser_language_changes_are_the_intended_ones():
     assert _parse_gauge_expr(t, "unip(e,0,(1/2))").mat == half
     with pytest.raises(UsageError):
         _ref_parse_gauge_expr(t, "unip(e,0,(1/2))")
+
+
+# ---------------------------------------------------------------------------
+# Grammar-based robustness.  Documents and gauge expressions are drawn from
+# the grammar in the `cli` docstring, pair files and fixtures from the
+# README's formats, and then mutated: truncated, nested deeply, given runs of
+# signs, exponents at and past MAX_EXPONENT, many distinct denominators, and
+# JSON values of the wrong type.  Whatever the input, `main` returns 0, 1 or
+# 2 within the budget, and no exception escapes it.
+
+_FUZZ_BUDGET_S = 2.0
+# Coefficients at and past the nesting and exponent bounds.
+_STRESS = (["(" * d + "2" + ")" * d for d in (MAX_NESTING, MAX_NESTING + 1, 400)]
+           + ["3*" + "-" * k + "2" for k in (MAX_NESTING, MAX_NESTING + 1, 5000)]
+           + [f"{base}^{sign}{e}" for base in ("u", "(u + v)", "(1 - u)", "2")
+              for sign in ("", "-") for e in (MAX_EXPONENT, MAX_EXPONENT + 1, 10 ** 30)])
+_FUZZ_DEGREES = _DEGREES + [str(MAX_DEGREE), str(MAX_DEGREE + 1), "99999999"]
+_WRONG_JSON = [0.5, 0.10000000000000001, 2.0, True, False, None, "1/0", "1e3", " 1", "x",
+               [1], [[0]], {}, -1, 10 ** 30, "9" * 5000]
+
+
+def _truncated(rng, text):
+    return text[: rng.randrange(len(text) + 1)] if rng.random() < 0.1 else text
+
+
+def _fuzz_document(rng):
+    if rng.random() < 0.05:
+        return _distinct_denominators(rng.choice((4, 10, 16)))
+    n = rng.choice((2, 2, 3))
+    labels = _LABELS[n]
+    coeffs = _COEFFS if rng.random() < 0.75 else _STRESS
+    factor = lambda: rng.choice(["Omega", f"{_pick(rng, labels, 2)}(x){_pick(rng, labels, 2)}"])
+    return _truncated(rng, f"algebra sl({n}); " + _random_sum(rng, factor, coeffs))
+
+
+def _fuzz_gauge(rng):
+    def factor():
+        if rng.random() < 0.7:
+            return f"unip({_pick(rng, _ROOTS, 3)},{rng.randint(0, 3)},{rng.choice(_T_BOTH)})"
+        ts = _CONST_COEFFS + _STRESS
+        return f"unip({_pick(rng, _ROOTS, 3)},{rng.choice(_FUZZ_DEGREES)},{rng.choice(ts)})"
+
+    return _truncated(rng, "*".join(factor() for _ in range(rng.randint(1, 3))))
+
+
+def _fuzz_json(rng, data):
+    """data as JSON text, with one value anywhere in it replaced by one of
+    the wrong type or its key dropped, and maybe truncated or nested."""
+    if rng.random() < 0.5:
+        parent, key, node = None, None, data
+        while isinstance(node, (dict, list)) and node and (parent is None or rng.random() < 0.8):
+            key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+            parent, node = node, node[key]
+        if parent is None:
+            data = rng.choice(_WRONG_JSON)
+        elif isinstance(parent, dict) and rng.random() < 0.2:
+            del parent[key]
+        else:
+            parent[key] = rng.choice(_WRONG_JSON)
+    text = _truncated(rng, json.dumps(data))
+    if rng.random() < 0.05:
+        depth = rng.choice((50, 5000))
+        text = "[" * depth + text + "]" * depth
+    return text
+
+
+def _fuzz_element(rng, n):
+    """Mostly a good basis symbol of sl(n), sometimes a signed sum."""
+    if rng.random() < 0.85:
+        return rng.choice(_LABELS[n][:-2])
+    return _random_sum(rng, lambda: _pick(rng, _LABELS[n], 2), _CONST_COEFFS)
+
+
+def _fuzz_pair(rng):
+    n = rng.choice((2, 2, 3))
+    basis = list(dict.fromkeys(_fuzz_element(rng, n) for _ in range(rng.randint(0, 3))))
+    matrix = [[0] * len(basis) for _ in basis]
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            c = rng.choice([0, 1, -1, 2, "1/2", "-3/4"])
+            matrix[i][j], matrix[j][i] = c, (-c if isinstance(c, int) else "-" + c)
+    if basis and rng.random() < 0.2:
+        matrix[rng.randrange(len(basis))][rng.randrange(len(basis))] = rng.choice(_WRONG_JSON)
+    data = {"algebra": n, "basis": basis, "matrix": matrix, "k": rng.randint(1, n - 1)}
+    return n, _fuzz_json(rng, data)
+
+
+def _fuzz_fixture(rng):
+    # Loop degrees in the window [-2, 1] of --trunc 1, and four that are not.
+    degrees = ["-2", "-1", "0", "1", "3", "01", " 0", "x"]
+    elements = []
+    for _ in range(rng.randint(0, 4)):
+        entry = {jet: _fuzz_element(rng, 2) for jet in ("a0", "a1") if rng.random() < 0.4}
+        if not entry or rng.random() < 0.5:
+            entry["loop"] = {_pick(rng, degrees, 4): _fuzz_element(rng, 2)}
+        elements.append(entry)
+    return _fuzz_json(rng, {"elements": elements})
+
+
+def _fuzz_runs(rng, tmp, tag):
+    """One argv per input kind, with the files they read written to tmp."""
+    doc, pair, fixture = (tmp / f"{tag}.{ext}" for ext in ("rmx", "pair.json", "fixture.json"))
+    doc.write_text(_fuzz_document(rng))
+    n, text = _fuzz_pair(rng)
+    pair.write_text(text)
+    fixture.write_text(_fuzz_fixture(rng))
+    pair_command = rng.choice([["frobenius"], ["frobenius", "--check-pair"],
+                               ["double", "--check", "lagrangian", "--trunc", "1"]])
+    return [["verify", "--input", str(doc)],
+            ["gauge", "--builtin", "q1", "--p=" + _fuzz_gauge(rng)],
+            [*pair_command, "--n", str(n), "--pair", str(pair)],
+            ["double", "--check", "transversal", "--trunc", "1", "--fixture", str(fixture)]]
+
+
+def _run_main(argv):
+    """[exit code, seconds] of cli.main on argv, its output discarded."""
+    sink = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(argv)
+    return [code, time.perf_counter() - start]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_grammar_fuzz_ends_in_an_exit_code_within_budget(tmp_path_factory, rng):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    for argv in _fuzz_runs(rng, tmp, "input"):
+        try:
+            code, elapsed = _run_main(argv)
+        except Exception as exc:
+            inputs = {p.name: p.read_text()[:300] for p in tmp.iterdir()}
+            raise AssertionError(f"{argv} raised on {inputs}") from exc
+        assert code in (0, 1, 2) and elapsed < _FUZZ_BUDGET_S, (argv, code, elapsed)
+
+
+def test_grammar_fuzz_subset_under_optimisation(tmp_path):
+    # A fixed subset of the same inputs, in one `python -O` process: no
+    # verdict or refusal may rest on an assert.
+    rng = random.Random(29)
+    argvs = [argv for i in range(12) for argv in _fuzz_runs(rng, tmp_path, f"input{i}")]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(yangbaxter.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
+                                                      env.get("PYTHONPATH")]))
+    driver = ("import json, sys; from test_cli import _run_main; "
+              "print(json.dumps([_run_main(argv) for argv in json.load(sys.stdin)]))")
+    proc = subprocess.run([sys.executable, "-O", "-c", driver], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    results = json.loads(proc.stdout)
+    assert len(results) == len(argvs)
+    for argv, (code, elapsed) in zip(argvs, results):
+        assert code in (0, 1, 2) and elapsed < _FUZZ_BUDGET_S, (argv, code, elapsed)
+    assert {code for code, _ in results} == {0, 1, 2}, results
 
 
 # The reference: the parser of the previous release, verbatim but renamed.

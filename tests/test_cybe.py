@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from yangbaxter import cybe as cybe_module
 from yangbaxter.cybe import (
+    ConventionError,
     PoleCancellationError,
     catalog,
     catalog_entry,
@@ -24,7 +25,7 @@ from yangbaxter.cybe import (
     is_quasi_rational,
 )
 from yangbaxter.gauge import gauge_transform, random_unipotent
-from yangbaxter.lie import GPoly, calibrate_casimir, casimir, make_sl
+from yangbaxter.lie import GPoly, calibrate_casimir, casimir, dj_rmatrix, make_sl
 from yangbaxter.ratfun import ExponentOverflow, Poly, RatFun
 from yangbaxter.tensors import (
     Tensor2,
@@ -70,6 +71,28 @@ def test_catalog_solves_yang_baxter_sl3():
     assert set(cat) == {"gamma1", "gamma2", "gamma3", "gamma4", "q0"}
     for name, r in cat.items():
         assert cyb(r).is_zero(), name
+
+
+def test_catalog_entry_refuses_a_gamma3_that_fails_yang_baxter(monkeypatch):
+    # The sign and the Cartan half of the constant part are forced: with
+    # sign +1, or with the whole Cartan block, gamma3 keeps a residual, and
+    # catalog_entry's one check raises with its term count.
+    def whole_cartan(table, omega):
+        cartan = [table.index[f"H({i})"] for i in range(1, table.n)]
+        block = {(a, b): omega.matrix[a][b] / 2 for a in cartan for b in cartan}
+        return dj_rmatrix(table, omega) - Tensor2.make(table, block)
+
+    controls = ((lambda table, omega: -dj_rmatrix(table, omega), (6, 36, 108)),
+                (whole_cartan, (2, 8, 20)))
+    for n in (2, 3, 4):
+        t = make_sl(n)
+        om = casimir(t, 2 * n)
+        assert cyb(catalog_entry(t, om, "gamma3")).is_zero()
+        for constant_part, terms in controls:
+            monkeypatch.setattr(cybe_module, "dj_rmatrix", constant_part)
+            with pytest.raises(ConventionError, match=f" {terms[n - 2]} residual terms"):
+                catalog_entry(t, om, "gamma3")
+            monkeypatch.undo()
 
 
 def test_quasi_rational_membership():
@@ -355,9 +378,9 @@ def test_cyb_matches_symbolic_on_sl2_gauge_images():
 
 
 # q0 = gamma4 is the leading term over the calibrated sl(2) scale 4.  Nothing
-# at import computes a residual (gamma3's constant part does, through
-# dj_rmatrix, so the catalogs are built on first use): a faulty cyb fails the
-# tests, not their collection.
+# at import computes a residual (catalog_entry checks gamma3's, so the
+# catalogs are built on first use): a faulty cyb fails the tests, not their
+# collection.
 _SL2 = make_sl(2)
 _SL2_OMEGA = casimir(_SL2, 4)
 _Q0 = _SL2_OMEGA.leading

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import yangbaxter
+from yangbaxter.cybe import catalog_entry
 from yangbaxter.lie import (
+    DJ_CONVENTION,
     CalibrationError,
     GElement,
     GPoly,
@@ -24,7 +26,9 @@ from yangbaxter.lie import (
     orthogonal_complement_g,
     parabolic,
 )
-from yangbaxter.ratfun import Poly
+from yangbaxter.ratfun import Poly, RatFun
+from yangbaxter.tensors import swap
+from reference import ref_dj_rmatrix
 
 
 def to_matrix(x):
@@ -229,17 +233,36 @@ def test_casimir_is_ad_invariant():
 
 
 def test_dj_constant_rmatrix():
+    # gamma3's constant part is the closed form, with the convention the
+    # search used to find, and the catalog returns gamma3 already checked.
     t = make_sl(2)
     om = calibrate_casimir(t)
-    r, meta = dj_rmatrix(t, om, with_convention=True)
-    assert meta == {"sign": -1, "orientation": "ef"}
+    gamma3 = catalog_entry(t, om, "gamma3")
+    u, v = RatFun.var("u"), RatFun.var("v")
+    r = gamma3 - om.tensor().scale(v / (v - u))
+    assert r == dj_rmatrix(t, om)
+    assert DJ_CONVENTION == {"sign": -1, "orientation": "ef"}
+    assert ref_dj_rmatrix(t, om, with_convention=True) == (r, DJ_CONVENTION)
     e, f, h = t.index["e"], t.index["f"], t.index["h"]
     assert r.entries[(e, f)] * 1 == -1
     assert r.entries[(h, h)] * 4 == -1
     assert len(r.entries) == 2
-    from yangbaxter.tensors import swap
-
     assert (r + swap(r) + om.tensor()).is_zero()
+    assert gamma3._residual is not None and gamma3._residual.is_zero()
+
+
+def test_dj_rmatrix_matches_the_convention_search():
+    # The closed form is the tensor that the four-candidate search returned,
+    # over sl(2)-sl(6) at the catalog scale 2n and over sl(2)-sl(4) at a
+    # negative and two fractional scales too; r + swap(r) = -Omega at each.
+    cases = [(n, 2 * n) for n in range(2, 7)]
+    cases += [(n, c) for n in (2, 3, 4) for c in (-2, F(1, 3), F(-3, 7))]
+    for n, c in cases:
+        t = make_sl(n)
+        om = casimir(t, c)
+        r = dj_rmatrix(t, om)
+        assert r == ref_dj_rmatrix(t, om), (n, c)
+        assert (r + swap(r) + om.tensor()).is_zero(), (n, c)
 
 
 def test_cartan_and_borel():
