@@ -194,8 +194,11 @@ def check_parabolic_pair(table, sub, matrix, k):
     is nondegenerate.  Returns the booleans without raising.
     """
     skew = _skew_failure(matrix) is None
-    closed = sub.is_subalgebra()
-    cocycle = skew and closed and cocycle_residual(sub, matrix) is None
+    bad = cocycle_residual(sub, matrix) if skew else None
+    # cocycle_residual brackets every basis pair before it sums a triple, so
+    # an escaping bracket is the one failure with k None
+    closed = (bad is None or bad[2] is not None) if skew else sub.is_subalgebra()
+    cocycle = skew and bad is None
     sub_vecs = [x.terms for x in sub.elements]
     par = parabolic(table, k)
     inter = linalg.intersect_spans(sub_vecs, [x.terms for x in par.elements])

@@ -11,6 +11,14 @@ terms are dropped, so equality is a structural check.  Rational functions
 are fully reduced num/den pairs whose denominator has graded-lex leading
 coefficient 1; equal values therefore have identical representations.
 
+Only a sum, and a product of two non-constant factors with a denominator
+between them, reduce: there a common factor can appear.  A product with a
+constant, a reciprocal and a power keep the reduced form by theorem, with
+no gcd (Geddes, Czapor & Labahn 1992): a nonzero constant leaves
+gcd(num, den) unchanged, den/num of a coprime pair is coprime and needs
+only the monic scaling, and gcd(a^n, b^n) = 1 when gcd(a, b) = 1, by
+unique factorisation, with lc(b^n) = lc(b)^n = 1 in a monomial order.
+
 Reduction splits a denominator into a monomial, variable differences x - y
 and a remaining core.  The monomial leaves by a subtraction, a difference
 by synthetic division; only the core meets the general gcd.  No floating
@@ -493,6 +501,11 @@ class RatFun:
 
     Invariants: den != 0; gcd(num, den) = 1; the graded-lex leading
     coefficient of den is 1.  Immutable; all operations are pure.
+
+    `of`, `+` and a product of two non-constant factors with a denominator
+    between them reduce; a product with a constant, `/` (a product with the
+    reciprocal) and `**` keep the invariants by theorem, with no gcd (see
+    the module docstring).
     """
 
     __slots__ = ("num", "den")
@@ -591,6 +604,9 @@ class RatFun:
             return RatFun(self.num * c, self.den)
         if self.is_zero() or other.is_zero():
             return RF_ZERO
+        c, f = (other, self) if other.is_const() else (self, other)
+        if c.is_const():  # a nonzero constant leaves gcd(num, den) = 1
+            return RatFun(f.num * c.num, f.den)
         if self.den.is_const() and other.den.is_const():
             return RatFun.from_poly(self.num * other.num)
         return RatFun.of(self.num * other.num, self.den * other.den)
@@ -605,7 +621,7 @@ class RatFun:
             return RatFun(self.num * (Fraction(1) / c), self.den)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFun.of(other.den, other.num)
+        return self * other ** -1
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -613,8 +629,13 @@ class RatFun:
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RatFun.of(self.den, self.num) ** (-n)
-        return RatFun.of(self.num ** n, self.den ** n) if n != 1 else self
+            # den/num of a coprime pair is coprime: only made monic
+            return _monic_den(self.den, self.num) ** -n
+        if n == 0:
+            return RatFun(P_ONE, P_ONE)
+        if n == 1:
+            return self
+        return RatFun(self.num ** n, self.den ** n)  # coprime, den monic
 
     def rename(self, mapping):
         """Cheap variable renaming (no arithmetic)."""

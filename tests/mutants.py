@@ -31,6 +31,7 @@ TIMEOUT_S = 300
 Mutant = namedtuple("Mutant", "name path old new tests")
 
 DOUBLES = "yangbaxter/doubles.py"
+RATFUN = "yangbaxter/ratfun.py"
 
 MUTANTS = [
     Mutant("double_bracket drops [A1,B0]", DOUBLES,
@@ -99,6 +100,23 @@ MUTANTS = [
            'raise InvalidCocycle(f"form is not skew at {bad}")',
            "pass",
            ["tests/test_frobenius.py::test_two_cocycle_rejects_bad_input"]),
+    Mutant("check_parabolic_pair reads a failing triple as an open pair",
+           "yangbaxter/frobenius.py",
+           "closed = (bad is None or bad[2] is not None) if skew",
+           "closed = (bad is None) if skew",
+           ["tests/test_frobenius.py::test_check_parabolic_pair_brackets_each_pair_once"]),
+    Mutant("the reciprocal skips _monic_den", RATFUN,
+           "return _monic_den(self.den, self.num) ** -n",
+           "return RatFun(self.den, self.num) ** -n",
+           ["tests/test_ratfun.py::test_kept_reductions_match_reduction_from_scratch"]),
+    Mutant("a product with a constant keeps the numerator unscaled", RATFUN,
+           "return RatFun(f.num * c.num, f.den)",
+           "return RatFun(f.num, f.den)",
+           ["tests/test_ratfun.py::test_kept_reductions_match_reduction_from_scratch"]),
+    Mutant("a power keeps the denominator", RATFUN,
+           "return RatFun(self.num ** n, self.den ** n)",
+           "return RatFun(self.num ** n, self.den)",
+           ["tests/test_ratfun.py::test_kept_reductions_match_reduction_from_scratch"]),
     Mutant("transversality: rank >= dim W for a trivial intersection", DOUBLES,
            '"trivial_intersection": w.dim + ip.dim == rank,',
            '"trivial_intersection": rank >= w.dim,',

@@ -36,6 +36,14 @@ the paths that reading the coordinate row in `doubles` replaced.
 orientation of the constant Drinfeld-Jimbo part, one Yang-Baxter residual
 per candidate: the path that the closed form of `lie.dj_rmatrix` replaced.
 
+`ref_const_product`, `ref_reciprocal` and `ref_pow` reduce the product with
+a constant, the reciprocal and the power of a RatFun from scratch through
+`RatFun.of`: the paths that keeping the reduced form by theorem replaced.
+
+`ref_check_parabolic_pair` checks closure with `Subspace.is_subalgebra` and
+then the cocycle identity: the path that reading closure off
+`cocycle_residual` replaced.
+
 `ref_intersect_spans` is the Zassenhaus block reduction, and
 `ref_check_transversality` and `ref_quotient_image` read the transversality
 counts and the jet image off the intersections it returns: the paths that
@@ -51,6 +59,7 @@ from yangbaxter.cybe import ConventionError, cobracket
 from yangbaxter.doubles import (
     DoubleElement, DoubleSubspace, QuotientMismatch, ambient_dim, line_shift,
 )
+from yangbaxter.frobenius import _skew_failure, check_parabolic_pair, cocycle_residual
 from yangbaxter.gauge import _ad_coordinate_matrix
 from yangbaxter.lie import GElement, GPoly, bracket_poly, orthogonal_complement_g, parabolic
 from yangbaxter.ratfun import P_ONE, Poly, RatFun, _poly_divexact, poly_gcd
@@ -413,3 +422,29 @@ def ref_dj_rmatrix(table, omega, with_convention=False):
         "no sign/orientation makes the constant r-matrix compatible: "
         + ", ".join(f"(sign {s}, {o}): {k} residual terms" for s, o, k in attempts)
     )
+
+
+def ref_const_product(f, c):
+    """f * c for a constant RatFun c, reduced from scratch."""
+    return RatFun.of(f.num * c.num, f.den)
+
+
+def ref_reciprocal(f):
+    """1 / f for a nonzero RatFun f, reduced from scratch."""
+    return RatFun.of(f.den, f.num)
+
+
+def ref_pow(f, n):
+    """f ** n, each power reduced from scratch."""
+    if n < 0:
+        return ref_pow(ref_reciprocal(f), -n)
+    return f if n == 1 else RatFun.of(f.num ** n, f.den ** n)
+
+
+def ref_check_parabolic_pair(table, sub, matrix, k):
+    """The parabolic pair report with closure checked by is_subalgebra, and
+    the cocycle identity only on a skew form over a closed subspace; the
+    span and intersection keys are check_parabolic_pair's own."""
+    closed = sub.is_subalgebra()
+    cocycle = _skew_failure(matrix) is None and closed and cocycle_residual(sub, matrix) is None
+    return {**check_parabolic_pair(table, sub, matrix, k), "subalgebra": closed, "cocycle": cocycle}

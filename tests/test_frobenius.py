@@ -24,12 +24,15 @@ from yangbaxter.frobenius import (
     skew_r_from_frobenius,
 )
 from yangbaxter.lie import (
+    GElement,
     Subspace,
     calibrate_casimir,
     make_sl,
     parabolic,
 )
 from yangbaxter.tensors import Tensor2
+
+from reference import ref_check_parabolic_pair
 
 
 def borel_plus(table):
@@ -162,6 +165,42 @@ def test_check_parabolic_pair_detects_failures():
     degenerate = [[F(0), F(0)], [F(0), F(0)]]
     rep2 = check_parabolic_pair(t, sub, degenerate, 1)
     assert not rep2["nondegenerate_on_intersection"]
+
+
+def test_check_parabolic_pair_brackets_each_pair_once(monkeypatch):
+    # Closure is read off the cocycle pass on a skew form: the sl(3) Borel
+    # pair with a zero form brackets its 10 basis pairs once each.
+    t = make_sl(3)
+    sub = borel_plus(t)
+    zero = [[F(0)] * sub.dim for _ in range(sub.dim)]
+    bracket = GElement.bracket
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return bracket(x, y)
+
+    monkeypatch.setattr(GElement, "bracket", counting)
+    rep = check_parabolic_pair(t, sub, zero, 1)
+    assert len(calls) == 10
+    monkeypatch.undo()
+    assert rep == ref_check_parabolic_pair(t, sub, zero, 1)
+    # The same report as closure checked on its own, on skew and non-skew
+    # forms over closed, open and full pairs.
+    rng = random.Random(29)
+    seen = set()
+    for sub in _SPACES:
+        t = sub.table
+        for kind in ("coboundary", "perturbed", "zero"):
+            m = _seeded_form(sub, rng, kind)
+            not_skew = [row[:] for row in m]
+            not_skew[0][1] += 1
+            for form in (m, not_skew):
+                rep = check_parabolic_pair(t, sub, form, 1)
+                assert rep == ref_check_parabolic_pair(t, sub, form, 1), (sub, kind)
+                seen.add((form is m, rep["subalgebra"], rep["cocycle"], sub.dim == t.dim))
+    assert {(True, True, True, True), (True, True, False, False), (True, False, False, False),
+            (False, True, False, False), (False, False, False, False)} <= seen, seen
 
 
 def test_nondegeneracy_verdict_matches_gram_determinant():

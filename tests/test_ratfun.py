@@ -5,9 +5,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import yangbaxter
+from reference import ref_const_product, ref_pow, ref_reciprocal
 from yangbaxter.ratfun import (
     MAX_POLY_EXPONENT,
     ExponentOverflow,
@@ -800,3 +801,46 @@ def test_argument_errors_are_typed_with_and_without_optimisation():
         assert proc.returncode == 0, (flags, proc.stderr)
         # The last line is the negative control: valid arguments still work.
         assert proc.stdout.splitlines() == ["rejected"] * 3 + ["3/2 2"], (flags, proc.stdout)
+
+
+# Reduced fractions from products of these factors: linear forms, among them
+# a non-monic one, and non-linear ones that only the general gcd meets.
+_KEPT_FACTORS = [X["u"], X["v"], X["u"] - X["v"], X["u"] + X["v"], -2 * X["u"] + X["v"],
+                 CORE, X["u"] * X["v"] + 1]
+_KEPT_CONSTS = [0, 1, -1, 3, -2, Fraction(1, 2), Fraction(-5, 3)]
+
+
+def _kept_ratfun(num_factors, den_factors, scale):
+    num, den = Poly.const(scale), Poly.const(1)
+    for f in num_factors:
+        num = num * f
+    for f in den_factors:
+        den = den * f
+    return RatFun.of(num, den)
+
+
+_KEPT = st.builds(_kept_ratfun, st.lists(st.sampled_from(_KEPT_FACTORS), max_size=2),
+                  st.lists(st.sampled_from(_KEPT_FACTORS), max_size=2), st.sampled_from(_KEPT_CONSTS))
+
+
+def _same(got, want):
+    assert got == want and str(got) == str(want), (str(got), str(want))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(f=_KEPT, g=_KEPT, c=st.sampled_from(_KEPT_CONSTS), n=st.sampled_from((0, 1, 2, 3, -1, -2)))
+@example(f=_kept_ratfun([-2 * X["u"] + X["v"]], [], 1), g=U, c=-2, n=-1)
+@example(f=_kept_ratfun([], [CORE], 3), g=U - V, c=Fraction(1, 2), n=-2)
+@example(f=_kept_ratfun([X["u"] - X["v"]], [CORE, X["u"]], Fraction(-5, 3)), g=V, c=3, n=3)
+@example(f=_kept_ratfun([], [], 0), g=V, c=0, n=0)
+def test_kept_reductions_match_reduction_from_scratch(f, g, c, n):
+    # a product with a constant on either side, a reciprocal and a power
+    # give the very RatFun that reducing from scratch gives
+    const = RatFun.from_frac(c)
+    _same(f * const, ref_const_product(f, const))
+    _same(const * f, ref_const_product(f, const))
+    if not f.is_zero():
+        _same(f ** -1, ref_reciprocal(f))
+        _same(g / f, RatFun.of(g.num * f.den, g.den * f.num))
+    if n >= 0 or not f.is_zero():
+        _same(f ** n, ref_pow(f, n))
