@@ -27,7 +27,8 @@ at most MAX_DOCUMENT_CHARS long, with parentheses and unary signs nested
 at most MAX_NESTING deep, a JSON pair file or fixture at most
 MAX_JSON_CHARS long and nested no deeper than the interpreter's recursion
 limit, an exponent at most MAX_EXPONENT in size, a verified document's
-cleared form (d, P = d*r) costs at most MAX_CLEARED_COST, (3 + terms(d)) * W
+cleared form (d, P = d*r), and that of a `gauge --p` image before its
+residual, costs at most MAX_CLEARED_COST, (3 + terms(d)) * W
 with W the structure-weighted term pairs of the brackets of P in `cyb`,
 the unip degrees of a gauge expression sum to at most MAX_DEGREE, a gauge
 sweep checks 1..MAX_SWEEP seeded gauges, and every
@@ -486,6 +487,24 @@ def _load_builtin(name, n):
     return table, omega, cybe.catalog_entry(table, omega, name)
 
 
+def _bound_cleared_cost(r, source):
+    """Refuse r before its residual when the cleared form (d, P = d*r) costs
+    more than MAX_CLEARED_COST: (3 + terms(d)) * W, with W the term products
+    of the brackets [P12,P13], [P12,P23] and [P13,P23] counted by structure
+    entries."""
+    d, p = clear_denominators(r)
+    legs = (Counter(), Counter())
+    for key, f in p.entries.items():
+        legs[0][key[0]] += len(f.terms)
+        legs[1][key[1]] += len(f.terms)
+    cost = (3 + len(d.terms)) * sum(len(ks) * legs[i][x] * legs[j][y]
+                                    for i, j in ((0, 0), (1, 0), (1, 1))
+                                    for (x, y), ks in r.table.structure.items())
+    if cost > MAX_CLEARED_COST:
+        raise UsageError(f"{source}: the residual of the cleared form costs {cost}, "
+                         f"beyond the bound {MAX_CLEARED_COST}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -506,18 +525,7 @@ def cmd_verify(args):
         doc = parse_rmatrix(text)
         table, omega, r = doc.table, doc.omega, doc.tensor
         source = args.input
-        d, p = clear_denominators(r)
-        # W of [P12,P13], [P12,P23] and [P13,P23], by their bracketed legs.
-        legs = (Counter(), Counter())
-        for key, f in p.entries.items():
-            legs[0][key[0]] += len(f.terms)
-            legs[1][key[1]] += len(f.terms)
-        cost = (3 + len(d.terms)) * sum(len(ks) * legs[i][x] * legs[j][y]
-                                        for i, j in ((0, 0), (1, 0), (1, 1))
-                                        for (x, y), ks in table.structure.items())
-        if cost > MAX_CLEARED_COST:
-            raise UsageError(f"{source}: the residual of the cleared form costs {cost}, "
-                             f"beyond the bound {MAX_CLEARED_COST}")
+        _bound_cleared_cost(r, source)
     residual = cybe.cyb(r)
     qr = cybe.is_quasi_rational(r, omega)
     skew = is_skew(r)
@@ -878,6 +886,7 @@ def cmd_gauge(args):
         inputs = {"builtin": args.builtin, "algebra": table.n, "sweep": args.sweep}
         return _emit(args, "gauge", inputs, body, seed=seed)
     image = gauge.gauge_transform(p, r, check=False)
+    _bound_cleared_cost(image, f"the image of {args.builtin} under --p")
     now_solution = cybe.cyb(image).is_zero()
     now_qr = cybe.is_quasi_rational(image, omega)
     body = [

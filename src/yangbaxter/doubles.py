@@ -249,6 +249,10 @@ class DoubleSubspace:
     def contains(self, row):
         return self._ech.contains(row)
 
+    def reduce(self, row):
+        """The row modulo the span: a linear projection whose kernel is the span."""
+        return self._ech.reduce(row)
+
     def equals(self, other):
         return self._ech.rows == other._ech.rows
 
@@ -379,14 +383,16 @@ def check_transversality(w, window, tail_depth=1):
     3. W contains the deep tail x * u^t, lo <= t <= -tail_depth.
     Both spanning sets are independent (a DoubleSubspace raises
     DependentElement otherwise), so one rank decides the first two:
-    dim(W ∩ i(g[u])) is dim W + dim i(g[u]) - rank(W ∪ i(g[u])).
+    dim(W ∩ i(g[u])) is dim W + dim i(g[u]) - rank(W ∪ i(g[u])), and
+    reducing modulo W's echelon is a projection with kernel span W, so
+    rank(W ∪ i(g[u])) = dim W + rank{reduce_W(x) : x in i(g[u])}.
     The window must be W's own.  Returns a report dict; window and tail
     depth are echoed for the caller.
     """
     _same_window(w, window)
     table = w.table
     ip = embedded_polynomials(table, window)
-    rank = linalg.echelon_of(w.rows + ip.rows).rank
+    rank = w.dim + linalg.echelon_of(map(w.reduce, ip.rows)).rank
     tail = all(
         w.contains({("loop", t, i): 1})
         for t in range(window.lo, -tail_depth + 1)
@@ -524,19 +530,21 @@ def line_shift(table, line_index, k):
     return s_j - s_i
 
 
+def _twist_loop_keys(table, k, window):
+    """The loop keys of W_k: line `a` in degrees lo..min(hi, shift_a)."""
+    if not (0 <= k <= table.n - 1):
+        raise ValueError(f"k must be in 0..{table.n - 1}, got {k}")
+    return [("loop", d, a) for a in range(table.dim)
+            for d in range(window.lo, min(window.hi, line_shift(table, a, k)) + 1)]
+
+
 def diagonal_twist_space(table, k, window):
     """Loops conjugated by diag(1,..,1,u,..,u) (k ones) plus the full jet part.
 
     Loop line `a` appears in degrees lo..min(hi, shift_a); the jet part is
     all of sl(n) + sl(n)*eps.  k = 0 gives the plain non-positive loops.
     """
-    if not (0 <= k <= table.n - 1):
-        raise ValueError(f"k must be in 0..{table.n - 1}, got {k}")
-    rows = [
-        {("loop", d, a): 1}
-        for a in range(table.dim)
-        for d in range(window.lo, min(window.hi, line_shift(table, a, k)) + 1)
-    ]
+    rows = [{key: 1} for key in _twist_loop_keys(table, k, window)]
     rows += [{(part, i): 1} for part in ("a0", "a1") for i in range(table.dim)]
     return DoubleSubspace(table, window, rows)
 
@@ -560,18 +568,19 @@ def quotient_image_of_polynomials(table, k, window):
     part) is coordinatized by (a0, a1).  The image must equal
     parabolic(k) + eps * (Killing complement of parabolic(k)); any
     disagreement raises QuotientMismatch instead of being projected away.
-    Returns the image as jet-only DoubleElements.
+    W_k is read as its keys, with no subspace of it built.  Returns the
+    image as jet-only DoubleElements.
     """
     if not (1 <= k <= table.n - 1):
         raise ValueError(f"k must be in 1..{table.n - 1}, got {k}")
-    keys = {key for row in diagonal_twist_space(table, k, window).rows for key in row}
+    keys = set(_twist_loop_keys(table, k, window))
     ip = embedded_polynomials(table, window).rows
     # W_k is spanned by unit rows, so sum_j c_j * ip[j] lies in W_k exactly
     # when its coordinates off W_k's keys vanish: one constraint per off-key.
     off = {}
     for j, row in enumerate(ip):
         for key, c in row.items():
-            if key not in keys:
+            if key[0] == "loop" and key not in keys:
                 off.setdefault(key, {})[j] = c
     image_ech = linalg.Echelon()
     image = []
@@ -605,9 +614,10 @@ def lagrangian_from_pair(table, k, subalg, form, window):
     Elements: the loop part of the twist space, the graph {(0, x, xi_x)}
     with K(xi_x, y) = B(x, y) for all y in L, and {(0, 0, eta)} for eta in
     the Killing complement of L.  `form` maps (index_x, index_y) over the
-    basis list `subalg` to rationals.
+    basis list `subalg` to rationals.  The twisted loops are W_k's loop
+    keys as unit rows, with no subspace of W_k built.
     """
-    rows = list(loop_part(diagonal_twist_space(table, k, window)).rows)
+    rows = [{key: 1} for key in _twist_loop_keys(table, k, window)]
     basis = list(subalg)
     n = len(basis)
     # Column m is {j: K(x_m, y_j)}; coordinates over the columns give xi.

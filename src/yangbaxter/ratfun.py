@@ -640,11 +640,10 @@ class RatFun:
     def rename(self, mapping):
         """Cheap variable renaming (no arithmetic)."""
         num = self.num.rename(mapping)
-        den = self.den.rename(mapping)
+        if self.den.is_const():
+            return RatFun(num, P_ONE)
         # renaming can change which term is leading; re-normalize
-        if den.is_const():
-            return RatFun.of(num, den)
-        return _monic_den(num, den)
+        return _monic_den(num, self.den.rename(mapping))
 
     def __str__(self):
         if self.den.is_const():

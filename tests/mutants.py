@@ -130,9 +130,23 @@ MUTANTS = [
            "for coeffs in linalg.nullspace(off.values(), range(len(ip)))[1:]:",
            ["tests/test_doubles.py::test_quotient_image_of_polynomials"]),
     Mutant("quotient image drops the (loop, 1) constraints", DOUBLES,
-           "            if key not in keys:",
-           '            if key not in keys and key[:2] != ("loop", 1):',
+           'if key[0] == "loop" and key not in keys:',
+           'if key[0] == "loop" and key not in keys and key[1] != 1:',
            ["tests/test_doubles.py::test_quotient_image_of_polynomials"]),
+    Mutant("transversality rank without dim W", DOUBLES,
+           "rank = w.dim + linalg.echelon_of(map(w.reduce, ip.rows)).rank",
+           "rank = linalg.echelon_of(map(w.reduce, ip.rows)).rank",
+           ["tests/test_doubles.py::"
+            "test_transversality_rank_off_w_matches_zassenhaus_on_meeting_and_short_spaces"]),
+    Mutant("W_k's loop keys one degree too high", DOUBLES,
+           "min(window.hi, line_shift(table, a, k)) + 1)",
+           "min(window.hi, line_shift(table, a, k) + 1) + 1)",
+           ["tests/test_doubles.py::test_lagrangian_rows_match_element_built_twist_space"]),
+    Mutant("gauge skips the cleared-form cost bound", "yangbaxter/cli.py",
+           '_bound_cleared_cost(image, f"the image of {args.builtin} under --p")',
+           "pass",
+           ["tests/test_cli.py::"
+            "test_gauge_image_past_the_cost_bound_exits_2_fast_with_and_without_optimisation"]),
 ]
 
 

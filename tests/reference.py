@@ -40,6 +40,13 @@ per candidate: the path that the closed form of `lie.dj_rmatrix` replaced.
 a constant, the reciprocal and the power of a RatFun from scratch through
 `RatFun.of`: the paths that keeping the reduced form by theorem replaced.
 
+`ref_rename` renames a RatFun's numerator and denominator and reduces the
+pair from scratch through `RatFun.of`: the path by which a polynomial was
+renamed before it was renamed over its unit denominator directly.
+
+`ref_lagrangian_from_pair` takes its twisted loops as the loop part of the
+element-built W_k: the path that reading W_k's keys in `doubles` replaced.
+
 `ref_check_parabolic_pair` checks closure with `Subspace.is_subalgebra` and
 then the cocycle identity: the path that reading closure off
 `cocycle_residual` replaced.
@@ -57,11 +64,13 @@ from math import lcm
 from yangbaxter import cybe, linalg
 from yangbaxter.cybe import ConventionError, cobracket
 from yangbaxter.doubles import (
-    DoubleElement, DoubleSubspace, QuotientMismatch, ambient_dim, line_shift,
+    DoubleElement, DoubleSubspace, QuotientMismatch, UnrealizableForm, ambient_dim, line_shift,
 )
 from yangbaxter.frobenius import _skew_failure, check_parabolic_pair, cocycle_residual
 from yangbaxter.gauge import _ad_coordinate_matrix
-from yangbaxter.lie import GElement, GPoly, bracket_poly, orthogonal_complement_g, parabolic
+from yangbaxter.lie import (
+    GElement, GPoly, Subspace, bracket_poly, orthogonal_complement_g, parabolic,
+)
 from yangbaxter.ratfun import P_ONE, Poly, RatFun, _poly_divexact, poly_gcd
 from yangbaxter.tensors import Tensor2, Tensor3, accumulate, clear_denominators, leg_bracket
 
@@ -330,6 +339,28 @@ def ref_contains_tail(w, tail_depth):
     return True
 
 
+def ref_lagrangian_from_pair(table, k, subalg, form, window):
+    """The loop part of the element-built W_k, then the graph of the form
+    over L and the eps part of L's Killing complement."""
+    rows = list(ref_loop_part(ref_diagonal_twist_space(table, k, window)).rows)
+    basis = list(subalg)
+    n = len(basis)
+    cols = [{} for _ in range(table.dim)]
+    for j, y in enumerate(basis):
+        for m, c in table.killing_row(y.terms).items():
+            cols[m][j] = c
+    coords = linalg.coordinates(cols, n)
+    for i, x in enumerate(basis):
+        xi = coords({j: c for j in range(n) if (c := Fraction(form(i, j)))})
+        if xi is None:
+            raise UnrealizableForm("form not realizable against the Killing pairing")
+        rows.append({**{("a0", m): c for m, c in x.terms.items()},
+                     **{("a1", m): c for m, c in xi.items()}})
+    comp = orthogonal_complement_g(Subspace(table, basis), table)
+    rows += [{("a1", m): c for m, c in eta.terms.items()} for eta in comp.elements]
+    return DoubleSubspace(table, window, rows)
+
+
 def ref_intersect_spans(vectors_a, vectors_b):
     """RREF basis of span(A) ∩ span(B), by pivot: rows (a, a) and (b, 0)
     reduce to rows (0, x) with x running over the intersection."""
@@ -439,6 +470,11 @@ def ref_pow(f, n):
     if n < 0:
         return ref_pow(ref_reciprocal(f), -n)
     return f if n == 1 else RatFun.of(f.num ** n, f.den ** n)
+
+
+def ref_rename(f, mapping):
+    """f with its variables renamed, reduced from scratch."""
+    return RatFun.of(f.num.rename(mapping), f.den.rename(mapping))
 
 
 def ref_check_parabolic_pair(table, sub, matrix, k):

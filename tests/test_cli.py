@@ -716,6 +716,28 @@ def test_gauge_sweep_is_bounded_and_exclusive(capsys):
     assert report["verdicts"] == [{"name": "sweep_preserves_solutions", "pass": True}]
 
 
+def test_gauge_image_past_the_cost_bound_exits_2_fast_with_and_without_optimisation(capsys):
+    # 16 alternating degree-1 factors reach MAX_DEGREE in 271 characters.
+    # Over sl(2) the image of q0 costs 2.1e8 (14 s of cyb) and is refused
+    # between gauge_transform and the image's residual; 8 factors cost
+    # 1.3e7 (1.0 s of cyb) and are refused, and 6 cost 4.0e6 and pass.
+    def alternating(k):
+        return "*".join(["unip(E(1,2),1,1)", "unip(E(2,1),1,1)"] * (k // 2))
+
+    for flags in ([], ["-O"]):
+        start = time.perf_counter()
+        proc = _run_cli(flags, ["gauge", "--builtin", "q0", "--p", alternating(16)], timeout=5)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert proc.stderr.startswith("error: the image of q0 under --p: the residual of the "
+                                      "cleared form costs 210891600, beyond the bound "
+                                      f"{MAX_CLEARED_COST}"), (flags, proc.stderr)
+        assert elapsed < 1, (flags, elapsed)
+    assert main(["gauge", "--builtin", "q0", "--p", alternating(8)]) == 2
+    assert main(["gauge", "--builtin", "q0", "--p", alternating(6)]) == 0
+    assert "beyond the bound" in capsys.readouterr().err
+
+
 def test_long_gauge_product_on_sl6_is_quick(capsys):
     # 60 unipotent factors over sl(6): each element carries its inverse, so
     # no determinant or adjugate is expanded; by cofactors this took 8.7 s.
@@ -1180,6 +1202,11 @@ def _fuzz_gauge(rng):
         ts = _CONST_COEFFS + _STRESS
         return f"unip({_pick(rng, _ROOTS, 3)},{rng.choice(_FUZZ_DEGREES)},{rng.choice(ts)})"
 
+    if rng.random() < 0.1:
+        # 8 to MAX_DEGREE alternating degree-1 factors: each image is past the
+        # cleared-form cost bound, and refused before its residual.
+        factors = ["unip(E(1,2),1,1)", "unip(E(2,1),1,1)"] * MAX_DEGREE
+        return _truncated(rng, "*".join(factors[:rng.randint(8, MAX_DEGREE)]))
     return _truncated(rng, "*".join(factor() for _ in range(rng.randint(1, 3))))
 
 

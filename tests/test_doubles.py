@@ -55,6 +55,7 @@ from reference import (
     ref_double_bracket,
     ref_invariant_form,
     ref_is_isotropic,
+    ref_lagrangian_from_pair,
     ref_loop_part,
     ref_parts,
     ref_quotient_image,
@@ -907,6 +908,71 @@ def test_unit_row_subspaces_match_element_references(n, top):
             assert holed.dim == pstar.dim - 1
             assert not check_transversality(holed, w, depth)["contains_tail"], (n, top, depth)
             assert not ref_contains_tail(holed, depth)
+
+
+# --- W_k read as keys, and the transversality rank off W's own echelon.
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 4)), st.integers(0, 4), st.booleans(), st.integers(0, 2**16))
+def test_lagrangian_rows_match_element_built_twist_space(n, top, skew, seed):
+    """For every k at the window [-2T, T], the rows of the reference, built
+    from the loop part of the element-built W_k, in the same order; k = n
+    is refused."""
+    t = make_sl(n)
+    w = Window(-2 * top, top)
+    _, basis, form = _seeded_pair(t, random.Random(seed), skew)
+    for k in range(n):
+        args = (t, k, basis, lambda i, j: form[i][j], w)
+        assert lagrangian_from_pair(*args).rows == ref_lagrangian_from_pair(*args).rows, (n, top, k)
+    with pytest.raises(ValueError, match=f"k must be in 0..{n - 1}, got {n}"):
+        lagrangian_from_pair(t, n, basis, lambda i, j: form[i][j], w)
+
+
+def test_twist_keys_build_no_subspace_of_w_k(monkeypatch):
+    """With i(g[u]) cached, the quotient image builds no DoubleSubspace, and
+    the pair Lagrangian builds only the one it returns."""
+    w = Window(-4, 2)
+    tables = [make_sl(n) for n in (2, 3, 4)]
+    for t in tables:
+        embedded_polynomials(t, w)
+    built = []
+    init = DoubleSubspace.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(DoubleSubspace, "__init__", counted)
+    for t in tables:
+        for k in range(1, t.n):
+            quotient_image_of_polynomials(t, k, w)
+        assert built == [], t.n
+        for k in range(t.n):
+            lag = lagrangian_from_pair(t, k, t.basis(), lambda i, j: 0, w)
+            assert built == [lag], (t.n, k)
+            built.clear()
+
+
+def test_transversality_rank_off_w_matches_zassenhaus_on_meeting_and_short_spaces():
+    """rank(W ∪ i(g[u])) = dim W + the rank of i(g[u]) reduced modulo W: the
+    report equals the reference's on a W that meets i(g[u]) nontrivially
+    (P* plus the embedding of a constant, which only a0 sets apart) and on
+    one that does not span (P* without its deepest row), and on both at
+    once."""
+    for n in (2, 3):
+        t = make_sl(n)
+        w = Window(-2, 1)
+        ip = embedded_polynomials(t, w).rows
+        pstar = standard_complement(t, w).rows
+        spaces = {(False, True): pstar + (ip[0],), (True, False): pstar[1:],
+                  (False, False): pstar[1:] + (ip[-1],)}
+        for verdicts, rows in spaces.items():
+            sub = DoubleSubspace(t, w, rows)
+            for depth in (0, 1, 2):
+                rep = check_transversality(sub, w, depth)
+                assert rep == ref_check_transversality(sub, w, depth, ip), (n, verdicts, depth)
+                assert (rep["trivial_intersection"], rep["spans_with_polynomials"]) == verdicts
 
 
 def test_subspace_holds_rows_and_reads_elements_back():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import yangbaxter
-from reference import ref_const_product, ref_pow, ref_reciprocal
+from reference import ref_const_product, ref_pow, ref_reciprocal, ref_rename
 from yangbaxter.ratfun import (
     MAX_POLY_EXPONENT,
     ExponentOverflow,
@@ -844,3 +844,26 @@ def test_kept_reductions_match_reduction_from_scratch(f, g, c, n):
         _same(g / f, RatFun.of(g.num * f.den, g.den * f.num))
     if n >= 0 or not f.is_zero():
         _same(f ** n, ref_pow(f, n))
+
+
+_RENAMINGS = [{"u": "u1", "v": "u2"}, {"u": "u2", "v": "u3"}, {"u": "v", "v": "u"}, {"v": "u"},
+              {"u3": "u"}, {}]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(f=_KEPT, c=st.sampled_from(_KEPT_CONSTS), mapping=st.sampled_from(_RENAMINGS))
+@example(f=_kept_ratfun([], [], 0), c=0, mapping={"u": "v", "v": "u"})
+@example(f=_kept_ratfun([X["u"]], [-2 * X["u"] + X["v"]], 1), c=-2, mapping={"u": "v", "v": "u"})
+def test_rename_matches_reduction_from_scratch(f, c, mapping):
+    # a polynomial, zero and the constants among them, renames over the unit
+    # denominator directly; any other RatFun renames and rescales its
+    # denominator monic, as a swap of u and v can change its leading term;
+    # v -> u on a RatFun in u and v is refused on both paths
+    for g in (f, RatFun.from_poly(f.num), RatFun.from_frac(c)):
+        try:
+            want = ref_rename(g, mapping)
+        except ValueError:
+            with pytest.raises(ValueError, match="not injective"):
+                g.rename(mapping)
+            continue
+        _same(g.rename(mapping), want)
