@@ -29,6 +29,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg
+from .linalg import DependentElement  # re-exported: a DoubleSubspace raises it
 from .lie import GElement, GPoly, Subspace, casimir, orthogonal_complement_g, parabolic
 from .ratfun import RF_ZERO, Poly, RatFun
 
@@ -64,10 +65,6 @@ class Window:
 
 class WindowOverflow(ValueError):
     """An exponent left the truncation window; the message names the fix."""
-
-
-class DependentElement(ValueError):
-    """A spanning element of a DoubleSubspace lies in the span of the others."""
 
 
 class UnrealizableForm(ValueError):
@@ -210,23 +207,17 @@ def ambient_dim(table, window):
     return table.dim * (window.hi - window.lo + 1) + 2 * table.dim
 
 
-class DoubleSubspace:
-    """Finite-rank subspace of the truncated double, held as independent rows.
-
-    Each row is a sparse vector over the window coordinates ("loop", d, i),
-    ("a0", i) and ("a1", i), shared with the DoubleElements that `of` admits
-    and `elements` returns, and never mutated: the echelon would not follow.
-    """
+class DoubleSubspace(linalg.Span):
+    """Finite-rank subspace of the truncated double: a Span of rows over the
+    window keys ("loop", d, i), ("a0", i) and ("a1", i), shared with the
+    DoubleElements that `of` admits and `elements` returns."""
 
     def __init__(self, table, window, rows):
-        self.table = table
         self.window = window
-        self.rows = tuple(rows)
-        self._ech = linalg.Echelon()
-        for row in self.rows:
-            if not self._ech.add(row):
-                raise DependentElement(
-                    f"dependent spanning element {DoubleElement(table, row)}")
+        super().__init__(table, rows)
+
+    def _dependent(self, row):
+        return f"dependent spanning element {DoubleElement(self.table, row)}"
 
     @staticmethod
     def of(table, window, elements):
@@ -239,22 +230,8 @@ class DoubleSubspace:
         return DoubleSubspace(table, window, rows)
 
     @property
-    def dim(self):
-        return len(self.rows)
-
-    @property
     def elements(self):
         return tuple(DoubleElement(self.table, row) for row in self.rows)
-
-    def contains(self, row):
-        return self._ech.contains(row)
-
-    def reduce(self, row):
-        """The row modulo the span: a linear projection whose kernel is the span."""
-        return self._ech.reduce(row)
-
-    def equals(self, other):
-        return self._ech.rows == other._ech.rows
 
     def __repr__(self):
         return (
@@ -360,19 +337,15 @@ def is_lagrangian_truncated(sub, window):
 def is_subalgebra(sub):
     """Closure under double_bracket, checked for in-window results.
 
-    One bracket per unordered pair, as [y, x] = -[x, y] and [x, x] = 0.
     Pairs whose bracket leaves the window are skipped: truncation cannot
     decide them.  With the default deep windows every decidable pair of
     the built-in spaces is checked.
     """
-    window = sub.window
-    els = sub.elements
-    for i, x in enumerate(els):
-        for y in els[i + 1:]:
-            z = double_bracket(x, y).row
-            if all(key[0] != "loop" or key[1] in window for key in z) and not sub.contains(z):
-                return False
-    return True
+    def bracket(x, y):
+        z = double_bracket(DoubleElement(sub.table, x), DoubleElement(sub.table, y)).row
+        return z if all(key[0] != "loop" or key[1] in sub.window for key in z) else None
+
+    return sub.closed_under(bracket)
 
 
 def check_transversality(w, window, tail_depth=1):
@@ -595,9 +568,9 @@ def quotient_image_of_polynomials(table, k, window):
             image.append(DoubleElement(table, jet))
     par = parabolic(table, k)
     expected_ech = linalg.echelon_of(
-        [{("a0", i): c for i, c in x.terms.items()} for x in par.elements]
-        + [{("a1", i): c for i, c in x.terms.items()}
-           for x in orthogonal_complement_g(par, table).elements]
+        [{("a0", i): c for i, c in row.items()} for row in par.rows]
+        + [{("a1", i): c for i, c in row.items()}
+           for row in orthogonal_complement_g(par, table).rows]
     )
     if image_ech.rows != expected_ech.rows:
         raise QuotientMismatch(
@@ -633,6 +606,6 @@ def lagrangian_from_pair(table, k, subalg, form, window):
         rows.append({**{("a0", m): c for m, c in x.terms.items()},
                      **{("a1", m): c for m, c in xi.items()}})
     comp = orthogonal_complement_g(Subspace(table, basis), table)
-    rows += [{("a1", m): c for m, c in eta.terms.items()} for eta in comp.elements]
+    rows += [{("a1", m): c for m, c in eta.items()} for eta in comp.rows]
     return DoubleSubspace(table, window, rows)
 

@@ -67,7 +67,7 @@ def cocycle_residual(sub, matrix):
         raise InvalidCocycle(f"form is not skew at {bad}")
     basis = sub.elements
     n = len(basis)
-    coords = linalg.coordinates([x.terms for x in basis], sub.table.dim)
+    coords = linalg.coordinates(sub.rows, sub.table.dim)
     rows = [{k: x for k, x in enumerate(row) if x} for row in matrix]
     beta = {}
     for i in range(n):
@@ -142,7 +142,7 @@ def skew_r_from_frobenius(cocycle):
     from . import cybe
     from .tensors import is_skew
 
-    basis = cocycle.sub.elements
+    basis = cocycle.sub.rows
     table = cocycle.sub.table
     if not basis:
         return Tensor2.zero(table)
@@ -159,8 +159,8 @@ def skew_r_from_frobenius(cocycle):
             m = inv[j].get(i)  # transpose orientation, pinned by the q1 lift
             if not m:
                 continue
-            for a, ca in basis[i].terms.items():
-                for b, cb in basis[j].terms.items():
+            for a, ca in basis[i].items():
+                for b, cb in basis[j].items():
                     key = (a, b)
                     entries[key] = entries.get(key, Fraction(0)) + m * ca * cb
     r = Tensor2.make(table, entries)
@@ -199,13 +199,12 @@ def check_parabolic_pair(table, sub, matrix, k):
     # an escaping bracket is the one failure with k None
     closed = (bad is None or bad[2] is not None) if skew else sub.is_subalgebra()
     cocycle = skew and bad is None
-    sub_vecs = [x.terms for x in sub.elements]
     par = parabolic(table, k)
-    inter = linalg.intersect_spans(sub_vecs, [x.terms for x in par.elements])
+    inter = linalg.intersect_spans(sub.rows, par.rows)
     # Both bases are independent, so dim(sub + par) = dims minus the overlap.
     spans = sub.dim + par.dim - len(inter) == table.dim
     # Every intersection vector lies in sub, so every coordinate exists.
-    coords = linalg.coordinates(sub_vecs, table.dim)
+    coords = linalg.coordinates(sub.rows, table.dim)
     cc = [coords(v) for v in inter]
     # nondegenerate <=> the Gram rows have full rank
     gram = []

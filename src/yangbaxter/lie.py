@@ -396,39 +396,23 @@ def casimir(table, scale=1):
     return CasimirSpec(table, scale, matrix)
 
 
-class Subspace:
-    """Subspace of sl(n), held as a list of linearly independent GElements."""
+class Subspace(linalg.Span):
+    """Subspace of sl(n): a Span of linearly independent GElements' terms."""
 
     def __init__(self, table, elements):
-        self.table = table
-        self.elements = []
-        self._ech = linalg.Echelon()
-        for x in elements:
-            if x.table is not table:
-                raise ValueError("Subspace element of another algebra")
-            if self._ech.add(x.terms):
-                self.elements.append(x)
-            else:
-                raise ValueError("dependent spanning set for Subspace")
+        self.elements = list(elements)
+        if any(x.table is not table for x in self.elements):
+            raise ValueError("Subspace element of another algebra")
+        super().__init__(table, [x.terms for x in self.elements])
 
-    @property
-    def dim(self):
-        return len(self.elements)
+    def _dependent(self, row):
+        return "dependent spanning set for Subspace"
 
     def contains(self, x):
-        return self._ech.contains(x.terms)
-
-    def equals(self, other):
-        return self._ech.rows == other._ech.rows
+        return super().contains(x.terms)
 
     def is_subalgebra(self):
-        """Bracket-closed; one pair each, as [y, x] = -[x, y], [x, x] = 0."""
-        els = self.elements
-        for i, x in enumerate(els):
-            for y in els[i + 1:]:
-                if not self.contains(x.bracket(y)):
-                    return False
-        return True
+        return self.closed_under(self.table.bracket_coords)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of sl({self.table.n}))"
@@ -454,7 +438,7 @@ def parabolic(table, k):
 
 def orthogonal_complement_g(sub, table):
     """Killing-orthogonal complement of a subspace of sl(n), exact."""
-    rows = [table.killing_row(x.terms) for x in sub.elements]
+    rows = [table.killing_row(row) for row in sub.rows]
     vecs = linalg.nullspace(rows, range(table.dim))
     return Subspace(table, [GElement(table, v) for v in vecs])
 

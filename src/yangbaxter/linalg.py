@@ -101,6 +101,49 @@ def echelon_of(vectors):
     return e
 
 
+class DependentElement(ValueError):
+    """A row of a Span lies in the span of the rows before it; the message
+    is the Span's `_dependent(row)`."""
+
+
+class Span:
+    """The span of independent sparse rows over `table`, with their RREF; a
+    subclass names a dependent row in `_dependent(row)`.  `rows` is shared
+    and never mutated, as the echelon would not follow."""
+
+    def __init__(self, table, rows):
+        self.table = table
+        self.rows = tuple(rows)
+        self._ech = Echelon()
+        for row in self.rows:
+            if not self._ech.add(row):
+                raise DependentElement(self._dependent(row))
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def contains(self, row):
+        return self._ech.contains(row)
+
+    def reduce(self, row):
+        """The row modulo the span: a linear projection whose kernel is the span."""
+        return self._ech.reduce(row)
+
+    def equals(self, other):
+        return self._ech.rows == other._ech.rows
+
+    def closed_under(self, bracket):
+        """Each bracket(x, y) of two rows lies in the span, or is None if
+        undecidable; one pair each, as [y, x] = -[x, y] and [x, x] = 0."""
+        rows = self.rows
+        for i, x in enumerate(rows):
+            for y in rows[i + 1:]:
+                if (z := bracket(x, y)) is not None and not self._ech.contains(z):
+                    return False
+        return True
+
+
 def nullspace(rows, cols):
     """Basis of {x : for every row r, sum_k r[k]*x[k] = 0}.
 

@@ -31,6 +31,7 @@ TIMEOUT_S = 300
 Mutant = namedtuple("Mutant", "name path old new tests")
 
 DOUBLES = "yangbaxter/doubles.py"
+LINALG = "yangbaxter/linalg.py"
 RATFUN = "yangbaxter/ratfun.py"
 
 MUTANTS = [
@@ -50,6 +51,16 @@ MUTANTS = [
            "heads = [_by_head(row) for row in sub.rows]",
            'heads = [{("a0",) if h == ("a1",) else h for h in _by_head(row)} for row in sub.rows]',
            ["tests/test_doubles.py::test_graded_isotropy_negative_controls"]),
+    Mutant("Span admits a dependent row", LINALG,
+           "if not self._ech.add(row):",
+           "if self._ech.add(row) and False:",
+           ["tests/test_lie.py::test_subspace_validation",
+            "tests/test_doubles.py::test_subspace_holds_rows_and_reads_elements_back"]),
+    Mutant("closure skips a pair", LINALG,
+           "for y in rows[i + 1:]:",
+           "for y in rows[i + 2:]:",
+           ["tests/test_lie.py::test_subalgebra_unordered_pairs_match_ordered_reference",
+            "tests/test_doubles.py::test_subalgebra_unordered_pairs_match_ordered_reference"]),
     Mutant("coords skips the window check", DOUBLES,
            'if key[0] == "loop" and key[1] not in window:',
            "if False:",

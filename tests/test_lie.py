@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import yangbaxter
 from yangbaxter.cybe import catalog_entry
+from yangbaxter.linalg import DependentElement
 from yangbaxter.lie import (
     DJ_CONVENTION,
     CalibrationError,
@@ -352,8 +353,10 @@ def test_cross_algebra_sum_rejected_under_optimisation():
 def test_subspace_validation():
     t = make_sl(2)
     e = t.basis_element("e")
-    with pytest.raises(ValueError):
-        Subspace(t, [e, e.scale(2)])  # dependent spanning set
+    # A dependent spanning set raises the typed error, still a ValueError.
+    with pytest.raises(DependentElement, match="^dependent spanning set for Subspace$"):
+        Subspace(t, [e, e.scale(2)])
+    assert issubclass(DependentElement, ValueError)
 
 
 def test_make_sl_validation_and_sharing():
